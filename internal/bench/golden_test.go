@@ -5,7 +5,8 @@
 // the dynamic-instruction counters, per-opcode histogram, cycle
 // counts, outputs and fault outcomes are bit for bit identical. This
 // is the contract that lets campaigns run on the fastest path while
-// the reference interpreter stays the spec.
+// the reference interpreter stays the spec. The same sweep proves that
+// untimed campaign replicas (core.Injector) lose nothing but cycles.
 package bench_test
 
 import (
@@ -19,40 +20,59 @@ import (
 
 // runTriple executes the same instance on all three backends — fast,
 // compiled, reference — and reports any observable divergence from
-// the reference.
+// the timed reference. Each backend also runs it as a campaign replica
+// (a one-shot core.Injector, which runs untimed): that must match the
+// reference in everything but Cycles, which must be 0.
 func runTriple(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts) {
 	t.Helper()
 	refOpts := opts
 	refOpts.Reference = true
 	ref := p.Run(s, gen(), refOpts)
+	untimedRef := ref.Result
+	untimedRef.Cycles = 0
 
-	for _, bk := range []machine.Backend{machine.BackendFast, machine.BackendCompiled} {
-		opts.Backend = bk
-		got := p.Run(s, gen(), opts)
-		if got.Result != ref.Result {
-			t.Errorf("%v RunResult diverged:\n  %v %+v\n  ref %+v", bk, bk, got.Result, ref.Result)
+	for _, bk := range []machine.Backend{machine.BackendFast, machine.BackendCompiled, machine.BackendReference} {
+		bkOpts := opts
+		bkOpts.Backend = bk
+		if bk != machine.BackendReference {
+			sameAsRef(t, bk.String(), p.Run(s, gen(), bkOpts), ref, ref.Result)
 		}
-		if fmt.Sprint(got.Err) != fmt.Sprint(ref.Err) {
-			t.Errorf("%v error diverged: got %v, ref %v", bk, got.Err, ref.Err)
+		inj := p.NewInjector(s)
+		replica := inj.Run(gen(), bkOpts)
+		inj.Close()
+		sameAsRef(t, bk.String()+"/untimed", replica, ref, untimedRef)
+	}
+}
+
+// sameAsRef reports every way got differs from the reference outcome,
+// holding its RunResult to want (the reference's, with Cycles zeroed
+// for an untimed run).
+func sameAsRef(t *testing.T, label string, got, ref core.Outcome, want machine.RunResult) {
+	t.Helper()
+	if got.Result != want {
+		t.Errorf("%s RunResult diverged:\n  %s %+v\n  ref %+v", label, label, got.Result, want)
+	}
+	if fmt.Sprint(got.Err) != fmt.Sprint(ref.Err) {
+		t.Errorf("%s error diverged: got %v, ref %v", label, got.Err, ref.Err)
+	}
+	if got.FaultFired != ref.FaultFired || got.FaultTag != ref.FaultTag || got.FaultOp != ref.FaultOp ||
+		got.FaultInValueSlice != ref.FaultInValueSlice {
+		t.Errorf("%s fault outcome diverged: got fired=%v tag=%v op=%v slice=%v, ref fired=%v tag=%v op=%v slice=%v",
+			label, got.FaultFired, got.FaultTag, got.FaultOp, got.FaultInValueSlice,
+			ref.FaultFired, ref.FaultTag, ref.FaultOp, ref.FaultInValueSlice)
+	}
+	if len(got.Output) != len(ref.Output) {
+		t.Fatalf("%s output length diverged: got %d, ref %d", label, len(got.Output), len(ref.Output))
+	}
+	for i := range got.Output {
+		if got.Output[i] != ref.Output[i] {
+			t.Fatalf("%s output[%d] diverged: got %#x, ref %#x", label, i, got.Output[i], ref.Output[i])
 		}
-		if got.FaultFired != ref.FaultFired || got.FaultTag != ref.FaultTag || got.FaultOp != ref.FaultOp {
-			t.Errorf("%v fault outcome diverged: got fired=%v tag=%v op=%v, ref fired=%v tag=%v op=%v",
-				bk, got.FaultFired, got.FaultTag, got.FaultOp,
-				ref.FaultFired, ref.FaultTag, ref.FaultOp)
-		}
-		if len(got.Output) != len(ref.Output) {
-			t.Fatalf("%v output length diverged: got %d, ref %d", bk, len(got.Output), len(ref.Output))
-		}
-		for i := range got.Output {
-			if got.Output[i] != ref.Output[i] {
-				t.Fatalf("%v output[%d] diverged: got %#x, ref %#x", bk, i, got.Output[i], ref.Output[i])
-			}
-		}
-		// The accounting invariant must hold on real runs, not just the
-		// unit test: every charged instruction lands in the histogram.
-		if got, want := got.Result.Counter.OpTotal(), got.Result.Counter.Dyn; got != want {
-			t.Errorf("%v opcode histogram does not reconcile: OpTotal = %d, Dyn = %d", bk, got, want)
-		}
+	}
+	// The accounting invariant must hold on real runs, not just the
+	// unit test: every charged instruction lands in the histogram.
+	if got, want := got.Result.Counter.OpTotal(), got.Result.Counter.Dyn; got != want {
+		t.Errorf("%s opcode histogram does not reconcile: OpTotal = %d, Dyn = %d", label, got, want)
 	}
 }
 

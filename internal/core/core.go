@@ -615,8 +615,15 @@ func (p *Program) Run(s Scheme, inst bench.Instance, opts RunOpts) Outcome {
 // threaded) code object, the memory arena and the frame register
 // slabs are all reused across replicas via machine.Reset, so a fault
 // campaign pays construction cost once per worker instead of once per
-// injection. Results are bit-identical to calling Run per replica —
-// the replica-equality test in core proves it.
+// injection.
+//
+// Injector runs are campaign replicas, whose outcomes never read
+// cycles, so they run untimed (machine.Config.Untimed):
+// Outcome.Result.Cycles is 0, and every other field — counters,
+// output, error, fault attribution — equals what Run returns for the
+// same options. The golden-counters differential in internal/bench
+// proves that on every backend; the replica-equality test in core
+// proves pooling changes nothing.
 //
 // An Injector is single-goroutine (campaign workers own one each);
 // Close releases the pooled arena.
@@ -638,6 +645,7 @@ func (p *Program) NewInjector(s Scheme) *Injector {
 // the first Run; a changed engine needs a fresh Injector).
 func (in *Injector) Run(inst bench.Instance, opts RunOpts) Outcome {
 	mcfg, mgr := in.p.machineConfig(in.s, in.mod, opts)
+	mcfg.Untimed = true
 	if in.m == nil {
 		in.m = machine.New(in.mod, mcfg)
 	} else {

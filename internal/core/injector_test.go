@@ -7,12 +7,23 @@ import (
 	"rskip/internal/machine"
 )
 
+// freshReplica runs one replica on a one-shot Injector: a new machine,
+// untimed like every replica, so it differs from a pooled replica only
+// in what Reset reuses.
+func freshReplica(p *Program, s Scheme, inst bench.Instance, opts RunOpts) Outcome {
+	inj := p.NewInjector(s)
+	defer inj.Close()
+	return inj.Run(inst, opts)
+}
+
 // TestInjectorReplicaEquality is the proof promised by the Injector
 // doc: running many replicas through one pooled machine (shared
 // decode, arena and register slabs reused via Reset) is bit-identical
 // to constructing a fresh machine per replica. The plan sweep mixes
 // clean runs, error-producing strikes and multi-instruction bursts so
 // Reset is exercised after both normal and abnormal termination.
+// (That untimed replicas match timed Program.Run on everything but
+// Cycles is TestGoldenCountersThreeWay's job in internal/bench.)
 func TestInjectorReplicaEquality(t *testing.T) {
 	b, err := bench.ByName("conv1d")
 	if err != nil {
@@ -49,7 +60,7 @@ func TestInjectorReplicaEquality(t *testing.T) {
 			inj := p.NewInjector(s)
 			for i, plan := range plans {
 				opts := RunOpts{Fault: plan, MaxInstrs: budget, Backend: be}
-				fresh := p.Run(s, inst, opts)
+				fresh := freshReplica(p, s, inst, opts)
 				pooled := inj.Run(inst, opts)
 				ctx := func() string {
 					return s.String() + "/" + be.String()
@@ -84,7 +95,7 @@ func TestInjectorReplicaEquality(t *testing.T) {
 
 // TestInjectorDiscard pins the contained-panic protocol: after
 // Discard, the next Run builds a fresh machine and still produces
-// results identical to a fresh-machine run.
+// results identical to a one-shot replica's.
 func TestInjectorDiscard(t *testing.T) {
 	b, err := bench.ByName("blackscholes")
 	if err != nil {
@@ -104,7 +115,7 @@ func TestInjectorDiscard(t *testing.T) {
 	first := inj.Run(inst, RunOpts{})
 	inj.Discard()
 	second := inj.Run(inst, RunOpts{})
-	fresh := p.Run(Unsafe, inst, RunOpts{})
+	fresh := freshReplica(p, Unsafe, inst, RunOpts{})
 	if first.Result != fresh.Result || second.Result != fresh.Result {
 		t.Fatalf("post-discard results diverged: %+v / %+v / fresh %+v",
 			first.Result, second.Result, fresh.Result)

@@ -219,3 +219,44 @@ func TestBackendsAgreeCleanRun(t *testing.T) {
 		}
 	}
 }
+
+// TestResetTogglesUntimed pins Config.Untimed across Reset on every
+// backend: an untimed run on a machine a timed run left dirty reports
+// Cycles == 0 and otherwise the timed result, and a timed run after it
+// (whose init skipped nothing) reproduces the first run exactly.
+func TestResetTogglesUntimed(t *testing.T) {
+	mod, fi := faultHarness(t)
+	for _, be := range []Backend{BackendReference, BackendFast, BackendCompiled} {
+		cfg := Config{MaxInstrs: 1 << 22, TraceFn: -1, Backend: be}
+		m := New(mod, cfg)
+		run := func(untimed bool) RunResult {
+			c := cfg
+			c.Untimed = untimed
+			m.Reset(c)
+			n := int64(16)
+			a := m.Mem.Alloc(n + 4)
+			for i := int64(0); i < n+4; i++ {
+				m.Mem.SetInt(a+i, 100+i)
+			}
+			res, err := m.Run(fi, []uint64{uint64(a), uint64(m.Mem.Alloc(n)), uint64(n)})
+			if err != nil {
+				t.Fatalf("backend %v: %v", be, err)
+			}
+			return res
+		}
+		timed := run(false)
+		if timed.Cycles == 0 {
+			t.Fatalf("backend %v: timed run reported 0 cycles", be)
+		}
+		untimed := run(true)
+		want := timed
+		want.Cycles = 0
+		if untimed != want {
+			t.Errorf("backend %v: untimed %+v, want %+v", be, untimed, want)
+		}
+		if again := run(false); again != timed {
+			t.Errorf("backend %v: timed after untimed %+v, want %+v", be, again, timed)
+		}
+		m.Release()
+	}
+}

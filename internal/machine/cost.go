@@ -90,6 +90,7 @@ func (c Cost) Add(o Cost) Cost {
 // hides part but not all of its extra instructions.
 type pipeline struct {
 	width uint16
+	off   bool // untimed run (Config.Untimed): issue schedules nothing
 
 	floor   uint64 // no μop issues before this cycle
 	maxDone uint64 // completion cycle of the latest-finishing μop
@@ -111,12 +112,18 @@ const robWindow = 64
 // (power of two).
 const slotSpan = 8192
 
-func (p *pipeline) init(width int) {
+func (p *pipeline) init(width int, off bool) {
 	p.width = uint16(width)
+	p.off = off
 	p.floor = 0
 	p.maxDone = 0
 	p.last = 0
 	p.head = 0
+	if off {
+		// issue never touches the arrays while off, and the next timed
+		// init clears them, so an untimed replica skips the 16 KiB.
+		return
+	}
 	clear(p.ring[:])
 	clear(p.used[:])
 }
@@ -137,8 +144,17 @@ func (p *pipeline) advanceFloor(to uint64) {
 }
 
 // issue schedules one μop whose operands are ready at readyAt and
-// returns its completion cycle.
+// returns its completion cycle. An untimed pipeline schedules nothing
+// and returns 0, so every ready cycle and the run's total stay 0. The
+// wrapper is small enough to inline into every engine's dispatch.
 func (p *pipeline) issue(readyAt uint64, lat uint64) uint64 {
+	if p.off {
+		return 0
+	}
+	return p.issueTimed(readyAt, lat)
+}
+
+func (p *pipeline) issueTimed(readyAt uint64, lat uint64) uint64 {
 	// In-flight window: this μop cannot issue before the μop robWindow
 	// back did (monotone floor keeps the slot array consistent).
 	ri := p.head & (robWindow - 1)

@@ -159,6 +159,14 @@ type Config struct {
 	// is that comparison itself (or benchmarking the speedup). It
 	// predates Backend and overrides it when set.
 	Reference bool
+	// Untimed skips the out-of-order cycle model for this run: no μop
+	// is scheduled, so RunResult.Cycles is 0 and no register carries a
+	// ready cycle. Every other counter, the outputs, the error and the
+	// fault attribution are bit-identical to a timed run, because the
+	// model only ever produces cycles. Fault-campaign replicas set it
+	// (their outcomes never read cycles); runs that report time leave
+	// it false. Unlike the build-affecting fields, Reset may change it.
+	Untimed bool
 	// Trace, when non-nil, receives one line per executed instruction
 	// (capped by TraceLimit, default 10000) — the compiler-debugging
 	// view of a run.
@@ -190,7 +198,7 @@ func newMachineMetrics(m *obs.Metrics) *machineMetrics {
 	return &machineMetrics{
 		runs:    m.Counter("machine_runs_total", "kernel executions"),
 		instrs:  m.Counter("machine_instrs_total", "dynamic instructions executed"),
-		cycles:  m.Counter("machine_cycles_total", "simulated cycles"),
+		cycles:  m.Counter("machine_cycles_total", "simulated cycles of timed runs (untimed campaign replicas add 0)"),
 		region:  m.Counter("machine_region_instrs_total", "dynamic instructions inside detected-loop regions"),
 		runtime: m.Counter("machine_runtime_charge_total", "instructions charged by runtime hooks"),
 		runInstrs: m.Histogram("machine_run_instrs", "dynamic instructions per run",
@@ -313,7 +321,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 			cfg.Metrics.Counter("machine_arena_pool_misses_total", "memory arenas freshly allocated").Inc()
 		}
 	}
-	m.pl.init(cfg.IssueWidth)
+	m.pl.init(cfg.IssueWidth, cfg.Untimed)
 	code := cfg.Code
 	if code == nil || code.mod != mod {
 		code = CompileCode(mod)
@@ -360,7 +368,7 @@ func (m *Machine) Reset(cfg Config) {
 	}
 	m.cfg = cfg
 	m.C = Counters{}
-	m.pl.init(cfg.IssueWidth)
+	m.pl.init(cfg.IssueWidth, cfg.Untimed)
 	m.fr = m.fr[:0]
 	m.Mem.reset()
 	m.overrideActive = false
@@ -397,8 +405,10 @@ func (m *Machine) Release() {
 
 // RunResult reports one execution.
 type RunResult struct {
-	Ret     uint64
-	Instrs  uint64
+	Ret    uint64
+	Instrs uint64
+	// Cycles is the out-of-order model's completion cycle. It is 0 for
+	// a Config.Untimed run; every other field is the same either way.
 	Cycles  uint64
 	Region  uint64
 	Counter Counters
@@ -548,6 +558,9 @@ func (m *Machine) Charge(c Cost) {
 	m.C.Runtime += n
 	m.C.ops[m.hookOp] += n
 	m.C.ByTag[ir.TagRuntime] += n
+	if m.pl.off {
+		return
+	}
 	now := m.pl.now()
 	for i := 0; i < c.IntOps; i++ {
 		m.pl.issue(now, 1)

@@ -298,7 +298,7 @@ func TestPipelineProperties(t *testing.T) {
 	// completion cycle includes the latency.
 	check := func(ready uint16, lat uint8) bool {
 		var p pipeline
-		p.init(2)
+		p.init(2, false)
 		done := p.issue(uint64(ready), uint64(lat))
 		return done >= uint64(ready)+uint64(lat)
 	}
@@ -309,7 +309,7 @@ func TestPipelineProperties(t *testing.T) {
 
 func TestPipelineWidthLimit(t *testing.T) {
 	var p pipeline
-	p.init(2)
+	p.init(2, false)
 	// Six zero-latency ops all ready at cycle 0 need >= 3 cycles.
 	var last uint64
 	for i := 0; i < 6; i++ {

@@ -137,24 +137,27 @@ func (ks kernelSpec) benchmark(name string) bench.Benchmark {
 			for s := range ks.stages {
 				total += ks.outLen(s)
 			}
-			var outBases []int64
 			return bench.Instance{
 				Elements: total,
 				Setup: func(mem *machine.Memory) []uint64 {
-					outBases = outBases[:0]
 					var args []uint64
 					for s := range ks.stages {
 						in := mem.Alloc(int64(ks.n))
 						mem.CopyInts(in, inputs[s])
 						out := mem.Alloc(int64(ks.outLen(s)))
-						outBases = append(outBases, out)
 						args = append(args, uint64(in), uint64(out))
 					}
 					return append(args, uint64(int64(ks.n)))
 				},
+				// Output recomputes each stage's base from Setup's fixed
+				// layout (from address 0: n input words, then outLen(s)
+				// output words per stage) instead of sharing state with
+				// Setup, because campaign workers call both concurrently.
 				Output: func(mem *machine.Memory) []uint64 {
 					var all []uint64
-					for s, base := range outBases {
+					var base int64
+					for s := range ks.stages {
+						base += int64(ks.n)
 						for i := 0; i < ks.outLen(s); i++ {
 							w, err := mem.LoadWord(base + int64(i))
 							if err != nil {
@@ -162,6 +165,7 @@ func (ks kernelSpec) benchmark(name string) bench.Benchmark {
 							}
 							all = append(all, w)
 						}
+						base += int64(ks.outLen(s))
 					}
 					return all
 				},

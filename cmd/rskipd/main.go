@@ -6,7 +6,6 @@
 //
 //	rskipd [-addr :8321] [-workers 2] [-queue 16] [-sync 4]
 //	       [-max-body 1048576] [-checkpoint-dir dir] [-result-cache-dir dir]
-//	       [-advice-dir dir]
 //	       [-compile-timeout 30s] [-run-timeout 30s] [-max-run-timeout 2m]
 //	       [-drain-timeout 30s] [-lease-ttl 10s]
 //	       [-trace out.jsonl] [-trace-tree] [-metrics out.json]
@@ -14,13 +13,9 @@
 //	rskipd -worker -join http://host:8321 [-worker-name id] [-poll 2s] [-workers n]
 //
 // Endpoints: POST /v1/compile, POST /v1/run, POST/GET/DELETE
-// /v1/campaigns (with /{id} and /{id}/stream), POST /v1/advise,
+// /v1/campaigns (with /{id} and /{id}/stream),
 // POST /v1/fabric/{lease,heartbeat,complete}, GET /healthz, GET
 // /metrics, GET /debug/pprof/ — all on one listener.
-//
-// -advice-dir persists the advisory prediction corpus (campaign
-// outcomes and scored forecasts). Forecasts are served either way;
-// predictions advise, never influence — no campaign reads them.
 //
 // With -worker, the process runs as a fabric worker instead of a
 // server: it pulls shard leases of distributed campaigns from the
@@ -57,7 +52,6 @@ func main() {
 		maxBody        = flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 		ckDir          = flag.String("checkpoint-dir", "", "persist jobs + campaign checkpoints here (resumable across restarts)")
 		resultDir      = flag.String("result-cache-dir", "", "content-addressed per-region campaign results here (enables incremental campaigns)")
-		adviceDir      = flag.String("advice-dir", "", "persist the advisory corpus and prediction log here (empty = forecasts work, nothing persists)")
 		compileTimeout = flag.Duration("compile-timeout", 30*time.Second, "per-request build timeout")
 		runTimeout     = flag.Duration("run-timeout", 30*time.Second, "default /v1/run wall-clock timeout")
 		maxRunTimeout  = flag.Duration("max-run-timeout", 2*time.Minute, "cap on client-requested run timeouts")
@@ -118,7 +112,6 @@ func main() {
 		MaxRunTimeout:  *maxRunTimeout,
 		CheckpointDir:  *ckDir,
 		ResultCacheDir: *resultDir,
-		AdviceDir:      *adviceDir,
 		LeaseTTL:       *leaseTTL,
 		Obs:            o,
 	})

@@ -13,8 +13,7 @@
 //	rskipfi -bench sgemm [-n 1000] [-ar 0.2] [-schemes unsafe,swiftr,rskip] [-seed N]
 //	        [-fault-kind seu|skip|multibit] [-skip-width N] [-bit-width N] [-exhaustive]
 //	        [-stratify] [-incremental] [-result-cache-dir dir]
-//	        [-backend compiled|fast|reference]
-//	        [-advise] [-advice-dir dir]
+//	        [-backend compiled|reference]
 //	        [-json] [-checkpoint path] [-timeout 30s] [-target-ci 2.0] [-workers N]
 //	        [-trace out.jsonl] [-trace-tree] [-metrics out.json] [-pprof addr]
 //
@@ -36,15 +35,6 @@
 // -result-cache-dir, per-region results persist content-addressed, so
 // after a source edit only the edited region's campaign re-runs.
 //
-// -advise prints an advisory forecast per scheme before the campaigns
-// run (protection rate, interval, wall estimate from the corpus of
-// past outcomes) and a calibration line after each — forecast vs
-// realized, so the advisor's accuracy is auditable in place. With
-// -advice-dir the outcome corpus and scored predictions persist
-// across runs; without it forecasts fall back to per-scheme priors.
-// Predictions advise, never influence: the campaign engine cannot
-// read them, so a -advise run is bit-identical to one without.
-//
 // Each campaign's row (table and -json alike) carries a metrics
 // summary — the pipeline counters that moved during that campaign —
 // so injection counts, contained panics and interpreter work are
@@ -63,9 +53,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
-	"rskip/internal/advice"
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fabric"
@@ -109,66 +97,6 @@ type campaignJSON struct {
 	// Metrics holds the pipeline counters that moved during this
 	// campaign (after-minus-before snapshot deltas).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Advice is the advisory forecast recorded before this campaign
-	// ran, with its realized error — present only with -advise. The
-	// campaign never read it.
-	Advice *adviceJSON `json:"advice,omitempty"`
-}
-
-// adviceJSON is one scheme's advisory loop: the pre-campaign forecast
-// and how it compared to the realized outcome.
-type adviceJSON struct {
-	Advisory   bool       `json:"advisory"`
-	Source     string     `json:"source"`
-	Confidence string     `json:"confidence"`
-	CorpusSize int        `json:"corpus_size"`
-	Protection float64    `json:"protection_rate"`
-	CI         [2]float64 `json:"protection_ci95"`
-	WallEst    float64    `json:"wall_seconds_est,omitempty"`
-	AbsErr     float64    `json:"abs_err_pts"`
-	CIHit      bool       `json:"ci_hit"`
-}
-
-// schemePlan carries one scheme's pre-campaign forecast to the
-// post-campaign scoring step.
-type schemePlan struct {
-	label string
-	feat  advice.Features
-	fc    advice.Forecast
-	id    string
-}
-
-// observeAdvice closes the advisory loop for one finished campaign:
-// the realized outcome is fed back to the advisor, scoring the
-// forecast recorded before the campaign ran. It returns the JSON form
-// and the calibration line for the table footer. Wall actuals go to
-// stderr so stdout stays a pure function of the flags.
-func observeAdvice(advisor *advice.Advisor, pl schemePlan, r fault.Result, wall float64) (adviceJSON, string) {
-	oc, scored, err := advisor.Observe(pl.id, pl.feat, advice.ResultLabels(r, wall))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rskipfi: advice:", err)
-	}
-	fmt.Fprintf(os.Stderr, "rskipfi: %s campaign wall %.2fs\n", pl.label, wall)
-	aj := adviceJSON{
-		Advisory: true, Source: pl.fc.Source, Confidence: pl.fc.Confidence,
-		CorpusSize: pl.fc.CorpusSize,
-		Protection: pl.fc.Protection,
-		CI:         [2]float64{pl.fc.CILo, pl.fc.CIHi},
-	}
-	if pl.fc.WallKnown {
-		aj.WallEst = pl.fc.WallSeconds
-	}
-	if !scored {
-		return aj, ""
-	}
-	aj.AbsErr, aj.CIHit = oc.AbsErr, oc.CIHit
-	hit := "missed"
-	if oc.CIHit {
-		hit = "hit"
-	}
-	line := fmt.Sprintf("  %-14s forecast %.1f%%  realized %.1f%%  |err| %.1f pts  interval %s",
-		pl.label, pl.fc.Protection, r.ProtectionRate(), oc.AbsErr, hit)
-	return aj, line
 }
 
 // strataJSON is one instruction-class stratum of a -stratify campaign.
@@ -229,15 +157,13 @@ func main() {
 		schemes   = flag.String("schemes", "unsafe,swiftr,rskip", "comma-separated schemes")
 		seed      = flag.Int64("seed", 20200222, "fault sampling seed")
 		faultKind = flag.String("fault-kind", "seu", "threat model: seu (paper's single-event-upset mix), skip (instruction-skip bursts) or multibit (adjacent-bit upsets)")
-		backend   = flag.String("backend", "compiled", "execution engine: fast, compiled or reference (all bit-identical; compiled is the campaign default)")
+		backend   = flag.String("backend", "compiled", "execution engine: compiled or reference (bit-identical; compiled is the default)")
 		skipWidth = flag.Int("skip-width", 1, "consecutive instructions suppressed per skip fault")
 		bitWidth  = flag.Int("bit-width", 2, "adjacent bits flipped per multibit fault")
 		exhaust   = flag.Bool("exhaustive", false, "enumerate every fault site instead of sampling n faults (skip/multibit only; -n is ignored)")
 		stratify  = flag.Bool("stratify", false, "allocate the n replicas across instruction-class strata in proportion to the profiled stream (tighter CIs at equal n)")
 		increment = flag.Bool("incremental", false, "compositional per-region analysis: one campaign of n replicas per candidate-loop region, composed to program-level figures (pairs with -result-cache-dir)")
 		cacheDir  = flag.String("result-cache-dir", "", "content-addressed per-region result cache for -incremental: unedited regions are served from cache across runs")
-		advise    = flag.Bool("advise", false, "print an advisory forecast per scheme before the campaigns and a calibration line after (never steers the campaigns)")
-		adviceDir = flag.String("advice-dir", "", "persist the advisory outcome corpus and prediction log here (requires -advise; empty = priors only, nothing persists)")
 		trainN    = flag.Int("train", 3, "number of training inputs")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 		ckBase    = flag.String("checkpoint", "", "checkpoint file base path (per-scheme files derive from it); an interrupted sweep resumes from it")
@@ -270,12 +196,6 @@ func main() {
 	}
 	if *cacheDir != "" && !*increment {
 		fatal(errors.New("-result-cache-dir only applies to -incremental analyses"))
-	}
-	if *advise && *increment {
-		fatal(errors.New("-advise and -incremental conflict: cached regions replay at zero wall cost, which would poison the corpus' timing labels — the daemon's advisory loop handles incremental campaigns"))
-	}
-	if *adviceDir != "" && !*advise {
-		fatal(errors.New("-advice-dir only applies with -advise"))
 	}
 
 	cli, err := obs.SetupCLI(obs.CLIConfig{
@@ -383,56 +303,9 @@ func main() {
 		sels = append(sels, schemeSel{s: s, label: label})
 	}
 
-	// The advisory pass: one forecast per scheme, recorded before any
-	// campaign runs so the prediction provably predates the outcome.
-	// Feature extraction is a single traced fault-free run — read-only
-	// with respect to the program, so the campaigns stay bit-identical
-	// to a run without -advise (the inertness tests pin this).
-	var advisor *advice.Advisor
-	plans := map[string]schemePlan{}
-	if *advise {
-		var warn error
-		advisor, warn = advice.New(*adviceDir)
-		if advisor == nil {
-			fatal(warn)
-		}
-		if warn != nil {
-			fmt.Fprintln(os.Stderr, "rskipfi: advice:", warn)
-		}
-		reqN := *n
-		if *exhaust {
-			reqN = 0 // the enumerator derives the count from the region
-		}
-		at := stats.NewTable(
-			fmt.Sprintf("advisory forecasts — %s (predictions advise, never influence)", b.Name),
-			"scheme", "source", "confidence", "corpus", "protection [interval]", "wall est")
-		for _, sel := range sels {
-			sh := advice.Shape{Mix: mix, SkipWidth: *skipWidth, BitWidth: *bitWidth, Requested: reqN}
-			f, err := advice.ExtractFeatures(ctx, p, sel.s, inst, sh)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rskipfi: advice:", err)
-			}
-			fc, id, err := advisor.Forecast(f)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rskipfi: advice:", err)
-			}
-			wallEst := "-"
-			if fc.WallKnown {
-				wallEst = fmt.Sprintf("%.1fs", fc.WallSeconds)
-			}
-			at.Row(sel.label, fc.Source, fc.Confidence, fmt.Sprintf("%d", fc.CorpusSize),
-				fmt.Sprintf("%.1f%% [%.1f, %.1f]", fc.Protection, fc.CILo, fc.CIHi), wallEst)
-			plans[sel.label] = schemePlan{label: sel.label, feat: f, fc: fc, id: id}
-		}
-		if !*jsonOut {
-			fmt.Print(at.String())
-		}
-	}
-
 	t := stats.NewTable(title, headers...)
 	var jsonRows []campaignJSON
 	var summaries []string
-	var calLines []string
 	for _, sel := range sels {
 		s, label := sel.s, sel.label
 		if *increment {
@@ -488,7 +361,6 @@ func main() {
 			fcfg.N = 0 // the enumerator derives the count from the region
 		}
 		before := o.M().Snapshot()
-		start := time.Now()
 		var r fault.Result
 		var err error
 		if *fabricN > 0 {
@@ -496,7 +368,6 @@ func main() {
 		} else {
 			r, err = fault.Campaign(ctx, p, s, inst, fcfg)
 		}
-		wall := time.Since(start).Seconds()
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "rskipfi: interrupted after %d/%d %s runs", r.N, r.Requested, s)
 			if fcfg.CheckpointPath != "" {
@@ -510,20 +381,11 @@ func main() {
 			fatal(err)
 		}
 		delta := obs.Delta(before, o.M().Snapshot())
-		var adv *adviceJSON
-		if advisor != nil {
-			aj, line := observeAdvice(advisor, plans[label], r, wall)
-			adv = &aj
-			if line != "" {
-				calLines = append(calLines, line)
-			}
-		}
 		if *jsonOut {
 			row := toJSON(b.Name, label, r)
 			row.FaultModel = *faultKind
 			row.Exhaustive = r.Exhaustive
 			row.Metrics = delta
-			row.Advice = adv
 			jsonRows = append(jsonRows, row)
 			continue
 		}
@@ -559,12 +421,6 @@ func main() {
 	fmt.Println("per-campaign metrics:")
 	for _, s := range summaries {
 		fmt.Println(s)
-	}
-	if len(calLines) > 0 {
-		fmt.Println("advisory calibration (forecast vs realized; the campaigns never read their forecasts):")
-		for _, l := range calLines {
-			fmt.Println(l)
-		}
 	}
 }
 

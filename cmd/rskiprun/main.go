@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rskiprun -bench lud [-scheme rskip] [-ar 0.2] [-seed 0] [-scale perf|fi|tiny]
-//	         [-backend fast|compiled|reference] [-no-memo] [-no-di] [-cp] [-train 3]
+//	         [-backend compiled|reference] [-no-memo] [-no-di] [-cp] [-train 3]
 //	         [-trace out.jsonl] [-trace-tree] [-metrics out.json] [-pprof addr]
 package main
 
@@ -32,7 +32,7 @@ func main() {
 		ar        = flag.Float64("ar", 0.2, "acceptable range (0.2 = AR20)")
 		seed      = flag.Int("seed", 0, "test input index")
 		scaleName = flag.String("scale", "perf", "input scale: perf, fi, tiny")
-		backend   = flag.String("backend", "", "execution engine: fast, compiled or reference (all bit-identical; default fast)")
+		backend   = flag.String("backend", "", "execution engine: compiled or reference (bit-identical; default compiled)")
 		noMemo    = flag.Bool("no-memo", false, "disable approximate memoization")
 		noDI      = flag.Bool("no-di", false, "disable dynamic interpolation")
 		forceCP   = flag.Bool("cp", false, "force conventional-protection emulation in PP loops")

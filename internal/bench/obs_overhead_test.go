@@ -24,7 +24,7 @@ import (
 //	           outside the timed loop, so this prices the per-run
 //	           span-free steady state).
 //
-// Compare against BenchmarkStep/<bench>/fast from the same machine to
+// Compare against BenchmarkStep/<bench>/compiled from the same machine to
 // get the disabled-mode overhead figure recorded in EXPERIMENTS.md.
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, name := range []string{"conv1d", "sgemm"} {

@@ -6,18 +6,17 @@ import (
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
-	"rskip/internal/machine"
 )
 
 // TestCompiledBackendFaster is the CI performance bar for the
 // closure-threaded backend: over interleaved min-of-N kernel runs in
-// one process, compiled must beat the pre-decoded fast interpreter by
-// a coarse margin. The bar is deliberately loose — the measured gap
-// is ~1.3-1.5× but shared CI machines are noisy, so the test takes
+// one process, compiled must beat the seed reference interpreter by a
+// coarse margin. The bar is deliberately loose — the measured gap is
+// ~2.4-3× on sgemm but shared CI machines are noisy, so the test takes
 // the minimum of several interleaved rounds (immune to machine-wide
-// drift during the test) and only demands 1.05×. A regression that
-// makes the compiled backend pointless (at or below fast) fails; a
-// few percent of erosion does not flake the build.
+// drift during the test) and only demands 1.8×. A regression that
+// costs the compiled backend its lead fails; a few percent of erosion
+// does not flake the build.
 func TestCompiledBackendFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing bar skipped in -short")
@@ -32,9 +31,9 @@ func TestCompiledBackendFaster(t *testing.T) {
 	}
 	inst := bm.Gen(bench.TestSeed(0), bench.ScaleFI)
 
-	run := func(be machine.Backend) time.Duration {
+	run := func(reference bool) time.Duration {
 		start := time.Now()
-		o := p.Run(core.Unsafe, inst, core.RunOpts{Backend: be})
+		o := p.Run(core.Unsafe, inst, core.RunOpts{Reference: reference})
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
@@ -42,22 +41,22 @@ func TestCompiledBackendFaster(t *testing.T) {
 	}
 	// Warm both engines: the decoded and compiled code objects are
 	// built lazily and cached on the Program.
-	run(machine.BackendFast)
-	run(machine.BackendCompiled)
+	run(true)
+	run(false)
 
 	const rounds = 7
-	minFast, minComp := time.Duration(1<<62), time.Duration(1<<62)
+	minRef, minComp := time.Duration(1<<62), time.Duration(1<<62)
 	for i := 0; i < rounds; i++ {
-		if d := run(machine.BackendFast); d < minFast {
-			minFast = d
+		if d := run(true); d < minRef {
+			minRef = d
 		}
-		if d := run(machine.BackendCompiled); d < minComp {
+		if d := run(false); d < minComp {
 			minComp = d
 		}
 	}
-	ratio := float64(minFast) / float64(minComp)
-	t.Logf("sgemm min-of-%d: fast %v, compiled %v (%.2fx)", rounds, minFast, minComp, ratio)
-	if ratio < 1.05 {
-		t.Errorf("compiled backend is not meaningfully faster than fast: %.2fx (want >= 1.05x)", ratio)
+	ratio := float64(minRef) / float64(minComp)
+	t.Logf("sgemm min-of-%d: reference %v, compiled %v (%.2fx)", rounds, minRef, minComp, ratio)
+	if ratio < 1.8 {
+		t.Errorf("compiled backend is not meaningfully faster than reference: %.2fx (want >= 1.8x)", ratio)
 	}
 }

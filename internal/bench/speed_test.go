@@ -7,7 +7,6 @@ import (
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fault"
-	"rskip/internal/machine"
 )
 
 // buildFor compiles one benchmark for the speed benchmarks, failing
@@ -28,9 +27,8 @@ func buildFor(b *testing.B, name string) (*core.Program, bench.Instance) {
 // BenchmarkStep measures interpreter throughput as ns per simulated
 // dynamic instruction: one full kernel run per iteration (machine
 // construction, setup and teardown included — that is what a campaign
-// pays per injection). The compiled/fast/reference triple is the
-// speedup each execution backend buys over the seed per-instruction
-// interpreter.
+// pays per injection). The compiled/reference pair is the speedup the
+// compiled backend buys over the seed per-instruction interpreter.
 //
 // Profile the hot path with:
 //
@@ -43,8 +41,7 @@ func BenchmarkStep(b *testing.B) {
 			label string
 			opts  core.RunOpts
 		}{
-			{"compiled", core.RunOpts{Backend: machine.BackendCompiled}},
-			{"fast", core.RunOpts{Backend: machine.BackendFast}},
+			{"compiled", core.RunOpts{}},
 			{"reference", core.RunOpts{Reference: true}},
 		} {
 			b.Run(name+"/"+mode.label, func(b *testing.B) {

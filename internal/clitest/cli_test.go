@@ -234,67 +234,6 @@ func TestRskipfiIncrementalJSON(t *testing.T) {
 	}
 }
 
-// TestRskipfiAdviseTable pins the advisory sweep: the forecast table
-// (cold corpus → per-scheme priors, no wall estimate), the campaign
-// table — byte-identical to what the same flags produce without
-// -advise, fault-wise — and the calibration footer scoring each
-// forecast against its realized outcome. Cold-corpus forecasts come
-// from the fixed prior table and the campaigns are seeded, so the
-// whole report is a pure function of the flags.
-func TestRskipfiAdviseTable(t *testing.T) {
-	bin := Binary(t, "rskipfi")
-	res := Run(t, bin, "-bench", "musum", "-n", "40", "-seed", "123",
-		"-fault-kind", "skip", "-schemes", "unsafe,rskip",
-		"-train", "2", "-workers", "2", "-advise")
-	if res.Code != 0 {
-		t.Fatalf("exit %d\n%s", res.Code, res.Stderr)
-	}
-	Golden(t, "rskipfi_musum_advise_table", res.Stdout, *update)
-}
-
-// TestRskipfiAdviseWarmCorpus checks -advice-dir persistence: the
-// second run against the same directory forecasts from the corpus the
-// first run grew — source flips from priors to corpus and a wall
-// estimate appears — while the campaign figures stay identical, since
-// predictions advise but never influence.
-func TestRskipfiAdviseWarmCorpus(t *testing.T) {
-	bin := Binary(t, "rskipfi")
-	dir := filepath.Join(t.TempDir(), "advice")
-	args := []string{"-bench", "musum", "-n", "40", "-seed", "123",
-		"-fault-kind", "skip", "-schemes", "swift",
-		"-train", "2", "-workers", "2", "-advise", "-advice-dir", dir}
-	cold := Run(t, bin, args...)
-	if cold.Code != 0 {
-		t.Fatalf("cold run: exit %d\n%s", cold.Code, cold.Stderr)
-	}
-	if !strings.Contains(cold.Stdout, "priors") {
-		t.Errorf("cold forecast not priors-sourced\n%s", cold.Stdout)
-	}
-	warm := Run(t, bin, args...)
-	if warm.Code != 0 {
-		t.Fatalf("warm run: exit %d\n%s", warm.Code, warm.Stderr)
-	}
-	if !strings.Contains(warm.Stdout, "corpus") {
-		t.Errorf("warm forecast not corpus-sourced\n%s", warm.Stdout)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "corpus.jsonl")); err != nil {
-		t.Errorf("advice corpus did not persist: %v", err)
-	}
-	// The campaign section must not move when the forecast does: strip
-	// the advisory table and footer and compare what the engine printed.
-	campaign := func(out string) string {
-		i := strings.Index(out, "fault injection —")
-		j := strings.Index(out, "advisory calibration")
-		if i < 0 || j < 0 {
-			t.Fatalf("report missing campaign or calibration section\n%s", out)
-		}
-		return out[i:j]
-	}
-	if c, w := campaign(cold.Stdout), campaign(warm.Stdout); c != w {
-		t.Errorf("campaign section changed between cold and warm advisory runs:\n%s", diffLines(c, w))
-	}
-}
-
 // TestRskipfiStratifyTable pins a stratified sweep: allocation by
 // instruction class changes which replicas run, so the table differs
 // from the plain sampled golden under the same seed.
@@ -333,12 +272,6 @@ func TestRskipfiIncrementalFlagConflicts(t *testing.T) {
 		{"cache dir without incremental",
 			[]string{"-bench", "conv1d", "-result-cache-dir", "results"},
 			"-result-cache-dir"},
-		{"advise+incremental",
-			[]string{"-bench", "conv1d", "-incremental", "-advise"},
-			"-advise and -incremental"},
-		{"advice dir without advise",
-			[]string{"-bench", "conv1d", "-advice-dir", "advice"},
-			"-advice-dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,13 +82,13 @@ type Config struct {
 	// SWIFT, SWIFT-R and RSkip variants — the companion technique that
 	// fail-stops illegal control transfers.
 	EnableCFC bool
-	// Backend selects the default execution engine for this program's
-	// runs (fast pre-decoded interpreter, compiled closure-threaded
-	// code, or the seed reference interpreter); RunOpts.Backend
-	// overrides it per run. It is a run-time choice only — all
-	// backends execute the same build artifacts bit-identically — so
-	// it is deliberately excluded from Key and never affects the build
-	// cache or the build goldens.
+	// Backend selects the execution engine for this program's runs:
+	// compiled closure-threaded code (the zero value) or the seed
+	// reference interpreter; RunOpts.Reference forces the latter per
+	// run. It is a run-time choice only — both backends execute the
+	// same build artifacts bit-identically — so it is deliberately
+	// excluded from Key and never affects the build cache or the build
+	// goldens.
 	Backend machine.Backend
 }
 
@@ -455,19 +455,15 @@ type RunOpts struct {
 	// Trace/TraceLimit dump executed instructions (debugging).
 	Trace      io.Writer
 	TraceLimit uint64
-	// Reference runs the seed per-instruction interpreter instead of
-	// the pre-decoded fast path; used by the golden-counters
-	// differential test and speedup benchmarks. It overrides Backend.
+	// Reference runs this execution on the seed per-instruction
+	// interpreter whatever the program's Config.Backend says; used by
+	// the golden-counters differential test and speedup benchmarks.
 	Reference bool
-	// Backend selects the execution engine for this run; the zero
-	// value (BackendAuto) falls back to the program's Config.Backend,
-	// and that falling back to the fast interpreter.
-	Backend machine.Backend
 	// RegionTrace, when non-nil, records the owner/class layout of the
 	// in-region instruction stream. Tracing lives in the reference
 	// interpreter, so setting it forces Reference for this run; since
-	// all backends count regions bit-identically, the recorded layout
-	// holds for every backend.
+	// both backends count regions bit-identically, the recorded layout
+	// holds for either.
 	RegionTrace *machine.RegionTrace
 }
 
@@ -523,9 +519,9 @@ func (o *Outcome) DISkipRate() float64 {
 // machineConfig assembles the machine configuration (and, for RSkip,
 // the per-run rtm manager) for one execution of scheme s.
 func (p *Program) machineConfig(s Scheme, mod *ir.Module, opts RunOpts) (machine.Config, *rtm.Manager) {
-	backend := opts.Backend
-	if backend == machine.BackendAuto {
-		backend = p.Cfg.Backend
+	backend := p.Cfg.Backend
+	if opts.Reference || opts.RegionTrace != nil {
+		backend = machine.BackendReference
 	}
 	mcfg := machine.Config{
 		MaxInstrs:    opts.MaxInstrs,
@@ -536,12 +532,10 @@ func (p *Program) machineConfig(s Scheme, mod *ir.Module, opts RunOpts) (machine
 		TraceFn:      -1,
 		Code:         p.Code(s),
 		Backend:      backend,
-		Reference:    opts.Reference,
 		Metrics:      p.obs.M(),
 	}
 	if opts.RegionTrace != nil {
 		mcfg.RegionTrace = opts.RegionTrace
-		mcfg.Reference = true
 		mcfg.RegionOwner = p.RegionOwner
 	}
 	if opts.Trace != nil && opts.TraceLimit > 0 {
@@ -640,9 +634,9 @@ func (p *Program) NewInjector(s Scheme) *Injector {
 }
 
 // Run executes one replica, reusing the pooled machine. Every RunOpts
-// field is honored per call except that opts.Reference and
-// opts.Backend must not change between calls (the engine is fixed at
-// the first Run; a changed engine needs a fresh Injector).
+// field is honored per call except that opts.Reference must not change
+// between calls (the engine is fixed at the first Run; a changed
+// engine needs a fresh Injector).
 func (in *Injector) Run(inst bench.Instance, opts RunOpts) Outcome {
 	mcfg, mgr := in.p.machineConfig(in.s, in.mod, opts)
 	mcfg.Untimed = true

@@ -55,15 +55,20 @@ func TestInjectorReplicaEquality(t *testing.T) {
 		{Kind: machine.FaultResultBit, Target: 5, Bit: 3}, // repeat: same plan, later replica
 	}
 
-	for _, be := range []machine.Backend{machine.BackendFast, machine.BackendCompiled} {
+	// Both engines: the program's compiled default, and the reference
+	// interpreter forced per run.
+	for _, ref := range []bool{false, true} {
 		for _, s := range []Scheme{Unsafe, RSkip} {
 			inj := p.NewInjector(s)
 			for i, plan := range plans {
-				opts := RunOpts{Fault: plan, MaxInstrs: budget, Backend: be}
+				opts := RunOpts{Fault: plan, MaxInstrs: budget, Reference: ref}
 				fresh := freshReplica(p, s, inst, opts)
 				pooled := inj.Run(inst, opts)
 				ctx := func() string {
-					return s.String() + "/" + be.String()
+					if ref {
+						return s.String() + "/reference"
+					}
+					return s.String() + "/compiled"
 				}
 				if (fresh.Err == nil) != (pooled.Err == nil) ||
 					(fresh.Err != nil && fresh.Err.Error() != pooled.Err.Error()) {

@@ -77,8 +77,8 @@ type Options struct {
 	// the shard, the completing worker, and the wall-clock time from
 	// the shard's first lease to its completion. Purely observational —
 	// coordination decisions (leasing, stealing, retirement) never
-	// depend on it; the advisory layer uses it to compare per-shard
-	// cost forecasts with actuals. Same re-entrancy rule as OnComplete.
+	// depend on it; rskipd feeds it to its shard-time histogram. Same
+	// re-entrancy rule as OnComplete.
 	OnShardDone func(sh Shard, worker string, leased time.Duration)
 }
 

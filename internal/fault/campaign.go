@@ -239,13 +239,6 @@ func (m Mix) sum() float64 {
 	return m.RegFile + m.Result + m.Source + m.Opcode + m.Skip + m.MultiBit
 }
 
-// Weights returns the kind weights in declaration order (RegFile,
-// Result, Source, Opcode, Skip, MultiBit) — the fixed-arity feature
-// vector consumers like the advisory prediction layer blend over.
-func (m Mix) Weights() [6]float64 {
-	return [6]float64{m.RegFile, m.Result, m.Source, m.Opcode, m.Skip, m.MultiBit}
-}
-
 // DefaultMix follows the register-file-dominated SEU model of the
 // paper's gem5 setup.
 var DefaultMix = Mix{RegFile: 0.80, Result: 0.10, Source: 0.05, Opcode: 0.05}

@@ -2,38 +2,29 @@ package machine
 
 import "fmt"
 
-// Backend selects which of the machine's execution engines runs the
-// module. All backends are observationally identical — counters,
-// cycles, outputs and fault outcomes match bit for bit (the three-way
+// Backend selects which of the machine's two execution engines runs
+// the module. Both are observationally identical — counters, cycles,
+// outputs and fault outcomes match bit for bit (the two-way
 // golden-counters differential sweep in internal/bench proves it) —
 // they differ only in speed:
 //
-//   - BackendFast: the pre-decoded block interpreter (runFast). The
-//     default; ~5-7× the reference.
 //   - BackendCompiled: closure-threaded code compiled per basic block
 //     from the pre-decoded form, with per-segment batched accounting.
-//     The fastest path; campaigns should use it.
+//     The default and the only fast path.
 //   - BackendReference: the seed per-instruction interpreter (step).
-//     The executable spec the other two are differentially tested
-//     against.
+//     The executable spec the compiled backend is differentially
+//     tested against.
 type Backend uint8
 
-// Backends. BackendAuto is the zero value so an unset field resolves
-// to the surrounding default (the pre-decoded interpreter, or the
-// program-level backend in core).
+// Backends. BackendCompiled is the zero value, so every unset field
+// runs the compiled engine.
 const (
-	BackendAuto Backend = iota
-	BackendFast
-	BackendCompiled
+	BackendCompiled Backend = iota
 	BackendReference
 )
 
 func (b Backend) String() string {
 	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendFast:
-		return "fast"
 	case BackendCompiled:
 		return "compiled"
 	case BackendReference:
@@ -42,33 +33,22 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", uint8(b))
 }
 
+// UnknownBackendError reports a backend name ParseBackend does not
+// accept, so wire and CLI layers can give it a dedicated error code.
+type UnknownBackendError struct{ Name string }
+
+func (e *UnknownBackendError) Error() string {
+	return fmt.Sprintf("machine: unknown backend %q (want compiled or reference)", e.Name)
+}
+
 // ParseBackend maps the CLI/wire backend names to the enum. The empty
-// string and "auto" mean "whatever the surrounding configuration
-// defaults to" (BackendAuto).
+// string means the default, BackendCompiled.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "fast":
-		return BackendFast, nil
-	case "compiled":
+	case "", "compiled":
 		return BackendCompiled, nil
 	case "reference":
 		return BackendReference, nil
 	}
-	return BackendAuto, fmt.Errorf("machine: unknown backend %q (want fast, compiled or reference)", s)
-}
-
-// resolve returns the backend a config selects: the legacy Reference
-// bool wins (it predates Backend and the differential tests rely on
-// it forcing the spec interpreter), then an explicit Backend, then
-// the pre-decoded default.
-func (cfg *Config) resolveBackend() Backend {
-	if cfg.Reference {
-		return BackendReference
-	}
-	if cfg.Backend == BackendAuto {
-		return BackendFast
-	}
-	return cfg.Backend
+	return BackendCompiled, &UnknownBackendError{Name: s}
 }

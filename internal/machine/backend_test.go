@@ -1,37 +1,53 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
 	"rskip/internal/ir"
 )
 
+// TestParseBackend pins the wire/CLI spellings: the empty string and
+// "compiled" select the default engine, "reference" the spec
+// interpreter, and every other name — including the retired "fast" and
+// "auto" — is a typed *UnknownBackendError.
 func TestParseBackend(t *testing.T) {
 	cases := []struct {
 		in   string
 		want Backend
 		ok   bool
 	}{
-		{"", BackendAuto, true},
-		{"auto", BackendAuto, true},
-		{"fast", BackendFast, true},
+		{"", BackendCompiled, true},
 		{"compiled", BackendCompiled, true},
 		{"reference", BackendReference, true},
-		{"native", BackendAuto, false},
-		{"Fast", BackendAuto, false},
+		{"fast", 0, false},
+		{"auto", 0, false},
+		{"native", 0, false},
+		{"Compiled", 0, false},
+		{" reference", 0, false},
 	}
 	for _, c := range cases {
 		got, err := ParseBackend(c.in)
-		if (err == nil) != c.ok {
-			t.Errorf("ParseBackend(%q) err = %v, want ok=%v", c.in, err, c.ok)
+		if !c.ok {
+			var ue *UnknownBackendError
+			if !errors.As(err, &ue) || ue.Name != c.in {
+				t.Errorf("ParseBackend(%q) err = %v, want *UnknownBackendError naming it", c.in, err)
+			}
 			continue
 		}
-		if c.ok && got != c.want {
+		if err != nil {
+			t.Errorf("ParseBackend(%q) err = %v", c.in, err)
+			continue
+		}
+		if got != c.want {
 			t.Errorf("ParseBackend(%q) = %v, want %v", c.in, got, c.want)
 		}
-		if c.ok && got.String() != c.in && c.in != "" {
+		if c.in != "" && got.String() != c.in {
 			t.Errorf("round trip: %v.String() = %q, want %q", got, got.String(), c.in)
 		}
+	}
+	if Backend(0) != BackendCompiled {
+		t.Error("the zero Backend must be BackendCompiled")
 	}
 }
 
@@ -99,30 +115,28 @@ func runFaultOn(t *testing.T, mod *ir.Module, fi int, plan *FaultPlan, be Backen
 	return res, vals, err
 }
 
-var allBackends = []Backend{BackendFast, BackendCompiled, BackendReference}
+var allBackends = []Backend{BackendCompiled, BackendReference}
 
 // TestMultiBitWrapBackendsAgree injects width-2 upsets at bit 31 (the
 // wrap case) across a sweep of targets and demands bit-identical
-// outcomes from all three execution backends.
+// outcomes from both execution backends.
 func TestMultiBitWrapBackendsAgree(t *testing.T) {
 	mod, fi := faultHarness(t)
 	for target := uint64(0); target < 48; target += 5 {
 		plan := &FaultPlan{Kind: FaultMultiBit, Target: target, Bit: 31, Width: 2}
 		ref, refVals, refErr := runFaultOn(t, mod, fi, plan, BackendReference)
-		for _, be := range []Backend{BackendFast, BackendCompiled} {
-			res, vals, err := runFaultOn(t, mod, fi, plan, be)
-			if (err == nil) != (refErr == nil) ||
-				(err != nil && err.Error() != refErr.Error()) {
-				t.Fatalf("target %d backend %v: err %v, reference err %v", target, be, err, refErr)
-			}
-			if res != ref {
-				t.Fatalf("target %d backend %v: result %+v, reference %+v", target, be, res, ref)
-			}
-			for i := range refVals {
-				if vals[i] != refVals[i] {
-					t.Fatalf("target %d backend %v: out[%d] = %d, reference %d",
-						target, be, i, vals[i], refVals[i])
-				}
+		res, vals, err := runFaultOn(t, mod, fi, plan, BackendCompiled)
+		if (err == nil) != (refErr == nil) ||
+			(err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("target %d: compiled err %v, reference err %v", target, err, refErr)
+		}
+		if res != ref {
+			t.Fatalf("target %d: compiled result %+v, reference %+v", target, res, ref)
+		}
+		for i := range refVals {
+			if vals[i] != refVals[i] {
+				t.Fatalf("target %d: compiled out[%d] = %d, reference %d",
+					target, i, vals[i], refVals[i])
 			}
 		}
 	}
@@ -131,8 +145,8 @@ func TestMultiBitWrapBackendsAgree(t *testing.T) {
 // TestSkipFinalTerminatorWrapsToBlockZero pins the semantics of
 // skipping the terminator of a function's final block: control falls
 // through to (block+1) mod len(blocks) — block 0 — so the body runs a
-// second time and the Ret executes on the second pass. All three
-// backends must implement the wrap identically.
+// second time and the Ret executes on the second pass. Both backends
+// must implement the wrap identically.
 func TestSkipFinalTerminatorWrapsToBlockZero(t *testing.T) {
 	b := ir.NewBuilder("k", nil, ir.Int)
 	c := b.ConstInt(42)
@@ -158,7 +172,7 @@ func TestSkipFinalTerminatorWrapsToBlockZero(t *testing.T) {
 		return res, m.FaultFired(), err
 	}
 
-	clean, _, err := run(nil, BackendFast)
+	clean, _, err := run(nil, BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,22 +194,20 @@ func TestSkipFinalTerminatorWrapsToBlockZero(t *testing.T) {
 		t.Fatalf("instrs after wrap = %d, want %d (clean %d doubled)",
 			ref.Instrs, 2*clean.Instrs, clean.Instrs)
 	}
-	for _, be := range []Backend{BackendFast, BackendCompiled} {
-		res, fired, err := run(plan, be)
-		if err != nil {
-			t.Fatalf("backend %v: %v", be, err)
-		}
-		if !fired {
-			t.Fatalf("backend %v: fault did not fire", be)
-		}
-		if res != ref {
-			t.Fatalf("backend %v: result %+v, reference %+v", be, res, ref)
-		}
+	res, fired, err := run(plan, BackendCompiled)
+	if err != nil {
+		t.Fatalf("compiled: %v", err)
+	}
+	if !fired {
+		t.Fatal("compiled: fault did not fire")
+	}
+	if res != ref {
+		t.Fatalf("compiled: result %+v, reference %+v", res, ref)
 	}
 }
 
 // TestBackendsAgreeCleanRun is the cheap always-on slice of the
-// golden three-way sweep: one clean kernel run per backend must agree
+// golden two-way sweep: one clean kernel run per backend must agree
 // exactly (the full fault-probe sweep lives in internal/bench and is
 // skipped under -short).
 func TestBackendsAgreeCleanRun(t *testing.T) {
@@ -204,18 +216,16 @@ func TestBackendsAgreeCleanRun(t *testing.T) {
 	if refErr != nil {
 		t.Fatal(refErr)
 	}
-	for _, be := range []Backend{BackendFast, BackendCompiled} {
-		res, vals, err := runFaultOn(t, mod, fi, nil, be)
-		if err != nil {
-			t.Fatalf("backend %v: %v", be, err)
-		}
-		if res != ref {
-			t.Fatalf("backend %v: result %+v, reference %+v", be, res, ref)
-		}
-		for i := range refVals {
-			if vals[i] != refVals[i] {
-				t.Fatalf("backend %v: out[%d] = %d, reference %d", be, i, vals[i], refVals[i])
-			}
+	res, vals, err := runFaultOn(t, mod, fi, nil, BackendCompiled)
+	if err != nil {
+		t.Fatalf("compiled: %v", err)
+	}
+	if res != ref {
+		t.Fatalf("compiled: result %+v, reference %+v", res, ref)
+	}
+	for i := range refVals {
+		if vals[i] != refVals[i] {
+			t.Fatalf("compiled: out[%d] = %d, reference %d", i, vals[i], refVals[i])
 		}
 	}
 }
@@ -226,7 +236,7 @@ func TestBackendsAgreeCleanRun(t *testing.T) {
 // (whose init skipped nothing) reproduces the first run exactly.
 func TestResetTogglesUntimed(t *testing.T) {
 	mod, fi := faultHarness(t)
-	for _, be := range []Backend{BackendReference, BackendFast, BackendCompiled} {
+	for _, be := range allBackends {
 		cfg := Config{MaxInstrs: 1 << 22, TraceFn: -1, Backend: be}
 		m := New(mod, cfg)
 		run := func(untimed bool) RunResult {

@@ -6,7 +6,7 @@ import (
 	"rskip/internal/ir"
 )
 
-// Code is a module pre-decoded for fast interpretation: every function
+// Code is a module pre-decoded for fast execution: every function
 // flattened into contiguous decoded-instruction arrays with the
 // per-instruction μop weight, the first three register operands, and
 // branch targets resolved out of the ir.Instr indirections. A Code is
@@ -56,10 +56,10 @@ type dinstr struct {
 	n     uint8 // uops(op)
 	lat   uint8 // latency(op)
 	nargs uint8
-	// brk marks instructions after which the fast block loop must
-	// return to the outer dispatch: terminators (the block ended) and
-	// calls/runtime hooks (the frame stack may have changed or been
-	// reallocated).
+	// brk marks instructions after which runPlain and a compiled
+	// segment must return to the outer dispatch: terminators (the block
+	// ended) and calls/runtime hooks (the frame stack may have changed
+	// or been reallocated).
 	brk    bool
 	dst    ir.Reg
 	a0     ir.Reg

@@ -10,9 +10,9 @@ import (
 // closures: one Go func value per instruction, capturing the decoded
 // operands (register indexes, immediates, latency) as locals, so the
 // per-instruction dispatch switch and the repeated dinstr field loads
-// of the fast interpreter disappear. Two further mechanisms remove the
-// per-instruction and per-block bookkeeping that dominates the fast
-// interpreter's profile on the short blocks real kernels have:
+// of a decoded interpreter (execD) disappear. Two further mechanisms
+// remove the per-instruction and per-block bookkeeping that dominates
+// a block interpreter's profile on the short blocks real kernels have:
 //
 //   - Lazy attribution. Instructions are grouped into *segments* —
 //     maximal check-free runs ending at a break instruction
@@ -20,11 +20,11 @@ import (
 //     the counters the machine itself reads mid-run (Dyn for the
 //     hang/cancel checks, Region for fault targeting) plus one
 //     execution count in segHits; the per-opcode, per-tag and Internal
-//     attribution — five adds per instruction on the fast path — is
+//     attribution — five adds per instruction in runPlain — is
 //     folded in once per Run as Σ hits × precomputed-segment-delta,
 //     which is arithmetically the identical total.
 //
-//   - Trigger thresholds. The fast path's per-block check battery
+//   - Trigger thresholds. The exact per-block check battery
 //     (cancel poll due? budget covers block? fault target inside
 //     block? burst in flight?) collapses into two compares against
 //     precomputed conservative thresholds: dynTrigger (the earliest
@@ -32,16 +32,16 @@ import (
 //     for *any* block, via the module-wide maximum block weight) and
 //     regionTrigger (likewise for the armed fault's target). Until a
 //     trigger fires, blocks run check-free; once one fires, the exact
-//     per-block logic — kept in lockstep with runBlock — decides, and
-//     recomputes the thresholds. Entering the exact path early is
-//     always safe: it produces bit-identical counters, cycles and
-//     outcomes, just more slowly.
+//     per-block logic (runBlockSlow) decides, and recomputes the
+//     thresholds. Entering the exact path early is always safe: it
+//     produces bit-identical counters, cycles and outcomes, just more
+//     slowly.
 //
 // Counter totals, cycles, outputs and fault outcomes are bit-identical
-// to the fast and reference backends — the three-way golden sweep in
+// to the reference backend — the two-way golden sweep in
 // internal/bench proves it. (The only deliberate non-contract freedom
-// is cancellation polling cadence, which the fast path already hoists
-// to block boundaries.)
+// is cancellation polling cadence, which is hoisted to block
+// boundaries.)
 //
 // Closures capture only immutable per-module data, never machine
 // state, so one compiled body (Code.compiledForm) is shared by every
@@ -281,7 +281,7 @@ func (m *Machine) runBlockC() error {
 		return m.runSegAt(f, si)
 	}
 	// Mid-segment resume (careful mode cleared inside a block): finish
-	// it through the fast path's per-instruction loop, which charges
+	// it through runPlain's per-instruction loop, which charges
 	// the identical totals one instruction at a time. The trigger check
 	// above proved the rest of the block is safe.
 	m.invalidateNseg()
@@ -300,8 +300,9 @@ func (m *Machine) invalidateNseg() {
 }
 
 // runBlockSlow is the exact block-entry path, taken while a trigger
-// threshold is met. Its checks are kept in lockstep with runBlock
-// (fastexec.go) — any divergence breaks the bit-identity contract.
+// threshold is met: it decides whether any per-instruction check
+// (hang, fault, burst, trace) could trigger inside the block and, if
+// so, steps it exactly through stepCareful (dexec.go).
 func (m *Machine) runBlockSlow(f *frame) error {
 	blk := &m.code.fns[f.fi].blocks[f.block]
 	inRegion := m.blockInRegion(f)
@@ -387,7 +388,7 @@ func (m *Machine) unwindSegCharge(f *frame, seg *cseg, si int32, erroring int) {
 
 // foldSegCounters folds the lazy per-segment execution counts into the
 // counter struct — hits × precomputed delta lands on the identical
-// totals the fast path accumulates per instruction — and clears them
+// totals runPlain accumulates per instruction — and clears them
 // for the next run. Called once per top-level Run, so Counters is
 // fully consistent whenever a caller can observe it.
 func (m *Machine) foldSegCounters() {
@@ -458,7 +459,7 @@ func issue3(a0, a1, a2 ir.Reg, lat uint64) cop {
 }
 
 // compileIns compiles one pre-decoded instruction to a closure. Every
-// case mirrors execD (fastexec.go) exactly: the timing-model issue
+// case mirrors execD (dexec.go) exactly: the timing-model issue
 // happens first with the same operand-ready cycle, then the operation,
 // in the identical order — cycles and traps stay bit-identical. n0/n1
 // are the nextHints successor segments for branches, calls and hooks.

@@ -127,7 +127,7 @@ type Config struct {
 	RegionOwner map[int]int
 	// RegionTrace, when non-nil, records the owner/class layout of the
 	// in-region dynamic instruction stream (reference backend only; see
-	// regiontrace.go). Other backends ignore it.
+	// regiontrace.go). The compiled backend ignores it.
 	RegionTrace *RegionTrace
 	Fault       *FaultPlan
 	// Cancel, when non-nil, stops the run with a CancelError once the
@@ -146,19 +146,11 @@ type Config struct {
 	// run pass a shared Code so the decode cost is paid once; when nil
 	// (or built for a different module), New decodes on the spot.
 	Code *Code
-	// Backend selects the execution engine: the pre-decoded fast
-	// interpreter (default), the compiled closure-threaded backend, or
-	// the seed reference interpreter. All three are bit-identical in
-	// counters, cycles, outputs and fault outcomes; they differ only
-	// in speed. BackendAuto (the zero value) means BackendFast.
+	// Backend selects the execution engine: the compiled
+	// closure-threaded backend (the zero value) or the seed reference
+	// interpreter. Both are bit-identical in counters, cycles, outputs
+	// and fault outcomes; they differ only in speed.
 	Backend Backend
-	// Reference selects the seed per-instruction interpreter instead
-	// of the pre-decoded fast path. Semantics are identical — the
-	// golden-counters differential test proves counters, outputs and
-	// fault outcomes match bit for bit — so the only reason to set it
-	// is that comparison itself (or benchmarking the speedup). It
-	// predates Backend and overrides it when set.
-	Reference bool
 	// Untimed skips the out-of-order cycle model for this run: no μop
 	// is scheduled, so RunResult.Cycles is 0 and no register carries a
 	// ready cycle. Every other counter, the outputs, the error and the
@@ -232,7 +224,7 @@ type Machine struct {
 
 	code    *Code    // pre-decoded module (shared, immutable)
 	ccode   *ccode   // closure-threaded form (BackendCompiled only; shared, immutable)
-	backend Backend  // resolved execution engine
+	backend Backend  // execution engine, fixed at New
 	region  [][]bool // per-function per-block in-region flags (from cfg.RegionBlocks)
 	hookOp  ir.Op    // runtime-hook opcode whose dispatch is in progress (Charge attribution)
 	met     *machineMetrics
@@ -290,7 +282,7 @@ type frame struct {
 	retDst    ir.Reg
 	// nseg is the compiled backend's next-segment hint: -1 or exactly
 	// the global segment starting at (block, ip) when this frame is on
-	// top — see runBlockC. Other backends leave it at -1.
+	// top — see runBlockC. The reference engine leaves it at -1.
 	nseg      int32
 	inRegion  bool
 	savedArgs []uint64 // captured for CallTracer when this is the traced fn
@@ -327,7 +319,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		code = CompileCode(mod)
 	}
 	m.code = code
-	m.backend = cfg.resolveBackend()
+	m.backend = cfg.Backend
 	if m.backend == BackendCompiled {
 		m.ccode = code.compiledForm()
 	}
@@ -351,7 +343,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 // compiled code, and the register-tag cache. Campaign workers reset
 // one machine per replica instead of building one machine per run.
 //
-// The build-affecting fields — Code, Backend/Reference, IssueWidth,
+// The build-affecting fields — Code, Backend, IssueWidth,
 // MemWords, RegionBlocks — must match the config the machine was
 // created with; Reset does not re-derive the decoded code, region
 // flags or backend. Callers that need a different module or backend
@@ -527,22 +519,19 @@ func (m *Machine) popFrame() {
 // runToDepth steps until the frame stack shrinks to the given depth,
 // using whichever execution engine the config selected.
 func (m *Machine) runToDepth(depth int) error {
-	switch m.backend {
-	case BackendReference:
-		for len(m.fr) > depth {
-			if err := m.step(); err != nil {
-				// Unwind so nested invocations leave a consistent stack.
-				for len(m.fr) > depth {
-					m.popFrame()
-				}
-				return err
-			}
-		}
-		return nil
-	case BackendCompiled:
+	if m.backend == BackendCompiled {
 		return m.runCompiled(depth)
 	}
-	return m.runFast(depth)
+	for len(m.fr) > depth {
+		if err := m.step(); err != nil {
+			// Unwind so nested invocations leave a consistent stack.
+			for len(m.fr) > depth {
+				m.popFrame()
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // Charge accounts runtime-library work against the instruction and

@@ -17,11 +17,11 @@ import (
 //
 // Tracing is a profiling concern, not a campaign-hot-path one: it is
 // implemented in the reference interpreter only (the executable spec
-// the other backends are differentially tested against), and callers
-// that request a trace must run with Config.Reference set — core's
-// RunOpts plumbing does this automatically. Since all backends count
-// Region bit-identically, the layout recorded by the reference
-// interpreter is exact for every backend.
+// the compiled backend is differentially tested against), and callers
+// that request a trace must run with Config.Backend set to
+// BackendReference — core's RunOpts plumbing does this automatically.
+// Since both backends count Region bit-identically, the layout
+// recorded by the reference interpreter is exact for either.
 
 // OpClass is the coarse instruction-class taxonomy used for stratified
 // fault sampling: strata group dynamic instructions whose fault

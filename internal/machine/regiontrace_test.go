@@ -42,7 +42,7 @@ func runStagedTrace(t *testing.T, trace *RegionTrace) RunResult {
 	m := New(mod, Config{
 		RegionBlocks: region,
 		RegionTrace:  trace,
-		Reference:    true,
+		Backend:      BackendReference,
 		MaxInstrs:    1 << 22,
 		TraceFn:      -1,
 	})
@@ -125,33 +125,31 @@ func TestRegionTraceOverflowIsTyped(t *testing.T) {
 	}
 }
 
-// Non-reference backends must ignore the trace rather than record a
+// The compiled backend must ignore the trace rather than record a
 // partial or double-counted layout.
 func TestRegionTraceReferenceOnly(t *testing.T) {
-	for _, b := range []Backend{BackendFast, BackendCompiled} {
-		mod := compile(t, stagedSrc)
-		s1 := mod.FuncByName("stage1")
-		region := map[int]bool{}
-		for bi := range mod.Funcs[s1].Blocks {
-			region[bi] = true
-		}
-		var trace RegionTrace
-		m := New(mod, Config{
-			RegionBlocks: map[int]map[int]bool{s1: region},
-			RegionTrace:  &trace,
-			Backend:      b,
-			MaxInstrs:    1 << 22,
-			TraceFn:      -1,
-		})
-		n := int64(8)
-		a := m.Mem.Alloc(n)
-		out := m.Mem.Alloc(n)
-		if _, err := m.Run(s1, []uint64{uint64(a), uint64(out), uint64(n)}); err != nil {
-			t.Fatal(err)
-		}
-		if trace.Total() != 0 {
-			t.Fatalf("backend %v recorded %d trace entries; tracing is reference-only", b, trace.Total())
-		}
+	mod := compile(t, stagedSrc)
+	s1 := mod.FuncByName("stage1")
+	region := map[int]bool{}
+	for bi := range mod.Funcs[s1].Blocks {
+		region[bi] = true
+	}
+	var trace RegionTrace
+	m := New(mod, Config{
+		RegionBlocks: map[int]map[int]bool{s1: region},
+		RegionTrace:  &trace,
+		Backend:      BackendCompiled,
+		MaxInstrs:    1 << 22,
+		TraceFn:      -1,
+	})
+	n := int64(8)
+	a := m.Mem.Alloc(n)
+	out := m.Mem.Alloc(n)
+	if _, err := m.Run(s1, []uint64{uint64(a), uint64(out), uint64(n)}); err != nil {
+		t.Fatal(err)
+	}
+	if trace.Total() != 0 {
+		t.Fatalf("compiled backend recorded %d trace entries; tracing is reference-only", trace.Total())
 	}
 }
 

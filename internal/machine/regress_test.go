@@ -35,23 +35,23 @@ func buildZeroRegCallee(t *testing.T) *ir.Module {
 // instead count as fired-but-masked — the strike had no register to
 // land on.
 func TestFaultRegFileZeroRegisterFunction(t *testing.T) {
-	for _, ref := range []bool{false, true} {
+	for _, be := range allBackends {
 		mod := buildZeroRegCallee(t)
 		m := New(mod, Config{
 			TraceFn:     -1,
-			Reference:   ref,
+			Backend:     be,
 			RegionFuncs: map[int]bool{1: true},
 			Fault:       &FaultPlan{Kind: FaultRegFile, Target: 0, Bit: 3, Pick: 7},
 		})
 		res, err := m.Run(0, nil)
 		if err != nil {
-			t.Fatalf("reference=%v: %v", ref, err)
+			t.Fatalf("backend %v: %v", be, err)
 		}
 		if !m.FaultFired() {
-			t.Errorf("reference=%v: fault did not fire", ref)
+			t.Errorf("backend %v: fault did not fire", be)
 		}
 		if res.Ret != 0 {
-			t.Errorf("reference=%v: ret = %d, want 0", ref, res.Ret)
+			t.Errorf("backend %v: ret = %d, want 0", be, res.Ret)
 		}
 	}
 }
@@ -83,26 +83,26 @@ func TestChargeOpcodeAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, ref := range []bool{false, true} {
+	for _, be := range allBackends {
 		m := New(mod, Config{
-			TraceFn:   -1,
-			Reference: ref,
-			Hooks:     &chargingHooks{cost: Cost{IntOps: 4, MemOps: 2, Branches: 1}},
+			TraceFn: -1,
+			Backend: be,
+			Hooks:   &chargingHooks{cost: Cost{IntOps: 4, MemOps: 2, Branches: 1}},
 		})
 		res, err := m.Run(0, nil)
 		if err != nil {
-			t.Fatalf("reference=%v: %v", ref, err)
+			t.Fatalf("backend %v: %v", be, err)
 		}
 		c := &res.Counter
 		if c.Runtime != 7 {
-			t.Fatalf("reference=%v: Runtime = %d, want 7", ref, c.Runtime)
+			t.Fatalf("backend %v: Runtime = %d, want 7", be, c.Runtime)
 		}
 		if got := c.OpCount(ir.OpRTLoopEnter); got != 7 {
-			t.Errorf("reference=%v: hook opcode row = %d, want the 7 charged instructions", ref, got)
+			t.Errorf("backend %v: hook opcode row = %d, want the 7 charged instructions", be, got)
 		}
 		if c.OpTotal() != c.Dyn {
-			t.Errorf("reference=%v: OpTotal = %d, Dyn = %d; histogram does not reconcile",
-				ref, c.OpTotal(), c.Dyn)
+			t.Errorf("backend %v: OpTotal = %d, Dyn = %d; histogram does not reconcile",
+				be, c.OpTotal(), c.Dyn)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"time"
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
@@ -73,16 +72,6 @@ type RegionReport struct {
 	// Cached reports the campaign was served from the result cache.
 	Cached bool         `json:"cached"`
 	Result fault.Result `json:"result"`
-	// ClassMix is the region's per-class instruction shares, in
-	// machine.OpClass order — deterministic, derived from the same
-	// profile trace as Population. The advisory prediction layer
-	// learns from it; nothing in the analysis consumes it.
-	ClassMix [machine.NumOpClasses]float64 `json:"class_mix"`
-	// WallSeconds is the wall-clock cost of this region's campaign
-	// when it ran live in this analysis; zero when served from the
-	// cache. It lives here — outside fault.Result — so cached and
-	// merged results stay bit-identical across runs and backends.
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
 }
 
 // Report is the composed program-level outcome of one analysis.
@@ -261,10 +250,7 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 	for _, lay := range layouts {
 		fp := regionFP(p, s, lay.owner)
 		key := specKey(p, s, opts, lay.owner, fp, lay.count, budget)
-		var wall float64
 		res, cached, err := opts.Cache.GetOrRun(key, func() (fault.Result, error) {
-			start := time.Now()
-			defer func() { wall = time.Since(start).Seconds() }()
 			// Draw region-local targets, then map each into the global
 			// in-region index space through the current layout.
 			plans := fault.DrawPlans(regionSeed(opts.Seed, fp), opts.PerRegionN, fcfg, lay.count)
@@ -285,16 +271,11 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		} else {
 			rep.CacheMisses++
 		}
-		var classMix [machine.NumOpClasses]float64
-		for i, n := range lay.classes {
-			classMix[i] = float64(n) / float64(lay.count)
-		}
 		rep.Regions = append(rep.Regions, RegionReport{
 			Owner: lay.owner, Func: name, Fingerprint: fp,
 			Population: lay.count,
 			Weight:     float64(lay.count) / float64(trace.Total()),
 			Cached:     cached, Result: res,
-			ClassMix: classMix, WallSeconds: wall,
 		})
 	}
 

@@ -25,8 +25,7 @@ func figures(rep *Report) reportFigures {
 	regions := make([]RegionReport, len(rep.Regions))
 	copy(regions, rep.Regions)
 	for i := range regions {
-		regions[i].Cached = false  // cache traffic is not a figure
-		regions[i].WallSeconds = 0 // wall time is advisory, not a figure
+		regions[i].Cached = false // cache traffic is not a figure
 	}
 	return reportFigures{
 		Composed: rep.Composed, Protection: rep.Protection,

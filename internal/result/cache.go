@@ -194,6 +194,15 @@ func (c *Cache) GetOrRun(key string, run func() (fault.Result, error)) (res faul
 		}
 		return fault.Result{}, false, f.err
 	}
+	// A leader may have stored the entry and retired its flight between
+	// the lookup above and taking the lock; it stores before it retires,
+	// so a second lookup under the lock sees the entry and does not run
+	// the computation again.
+	if got, gerr := c.Get(key); got != nil && gerr == nil {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return *got, true, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()

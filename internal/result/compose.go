@@ -17,10 +17,6 @@ type ownerLayout struct {
 	count  uint64   // total population
 	starts []uint64 // global start of each interval
 	cum    []uint64 // population preceding each interval
-	// classes is the region's per-class instruction census — not part
-	// of the sampling layout, but reported per region so the advisory
-	// prediction layer can learn from instruction mixes.
-	classes [machine.NumOpClasses]uint64
 }
 
 // pick maps a region-local index (0 <= j < count) to the global
@@ -63,7 +59,6 @@ func layoutOwners(trace *machine.RegionTrace) []*ownerLayout {
 			l.starts = append(l.starts, pos)
 			l.count += sp.N
 		}
-		l.classes[sp.Class] += sp.N
 		pos += sp.N
 	}
 	sort.Ints(owners)

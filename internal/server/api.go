@@ -40,9 +40,9 @@ type configJSON struct {
 	FixedStride   int      `json:"fixed_stride,omitempty"`
 	IssueWidth    int      `json:"issue_width,omitempty"`
 	EnableCFC     bool     `json:"enable_cfc,omitempty"`
-	// Backend selects the execution engine ("fast", "compiled" or
-	// "reference"; absent or "auto" means the server default). All
-	// backends are bit-identical, so it never affects the build cache.
+	// Backend selects the execution engine ("compiled", the default
+	// when absent, or "reference"). Both backends are bit-identical, so
+	// it never affects the build cache.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -235,9 +235,6 @@ type campaignSubmitResponse struct {
 	State     string `json:"state"`
 	StatusURL string `json:"status_url"`
 	StreamURL string `json:"stream_url"`
-	// Advice is the advisory forecast recorded for this submission —
-	// informational only; the job runs identically with or without it.
-	Advice *adviseResponse `json:"advice,omitempty"`
 }
 
 // campaignResultJSON is the terminal (or partial, for cancelled jobs)
@@ -347,7 +344,4 @@ type healthResponse struct {
 	// to workers.
 	FabricJobs int  `json:"fabric_jobs,omitempty"`
 	Draining   bool `json:"draining"`
-	// Advice reports the advisory prediction layer's corpus size and
-	// realized forecast accuracy.
-	Advice *adviceHealthJSON `json:"advice,omitempty"`
 }

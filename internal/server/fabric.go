@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"time"
 
-	"rskip/internal/advice"
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fabric"
@@ -97,6 +95,7 @@ type fabricMetrics struct {
 	reassigned *obs.Counter
 	completed  *obs.Counter
 	jobs       *obs.Gauge
+	shard      *obs.Histogram
 }
 
 func newFabricMetrics(m *obs.Metrics) fabricMetrics {
@@ -105,6 +104,7 @@ func newFabricMetrics(m *obs.Metrics) fabricMetrics {
 		reassigned: m.Counter("fabric_leases_reassigned_total", "leases reclaimed from dead or straggling workers"),
 		completed:  m.Counter("fabric_shards_completed_total", "shards completed and merged"),
 		jobs:       m.Gauge("fabric_jobs_active", "distributed campaigns currently leasing shards"),
+		shard:      m.Histogram("fabric_shard_seconds", "distributed-shard wall time (first lease to completion)", obs.ExpBuckets(0.001, 4, 8)),
 	}
 }
 
@@ -128,28 +128,13 @@ func (s *Server) executeDistributed(ctx context.Context, j *job, p *core.Program
 	if shardSize <= 0 {
 		shardSize = defaultShardSize
 	}
-	// Advisory per-shard cost forecast: the corpus wall-time estimate
-	// scaled to shard size, compared against each shard's realized
-	// first-lease-to-completion time. Purely observational — leasing,
-	// stealing and merging never read these figures.
-	var secPerRun float64
-	if fc := s.advisor.Estimate(advice.StaticFeatures(
-		req.Bench, j.scheme, p.Cfg,
-		adviceShape(fcfg.Mix, req.SkipWidth, req.BitWidth, x.N()))); fc.WallKnown && x.N() > 0 {
-		secPerRun = fc.WallSeconds / float64(x.N())
-	}
 	coord := fabric.NewCoordinator(
 		fabric.Plan{Key: x.Key(), N: x.N(), ShardSize: shardSize},
 		fabric.Options{
 			LeaseTTL:   s.cfg.LeaseTTL,
 			OnComplete: merger.Add,
-			OnShardDone: func(shd fabric.Shard, worker string, leased time.Duration) {
-				actual := leased.Seconds()
-				s.amet.shardWall.Observe(actual)
-				if secPerRun > 0 {
-					forecast := secPerRun * float64(shd.Size())
-					s.amet.shardErr.Observe(math.Abs(forecast - actual))
-				}
+			OnShardDone: func(_ fabric.Shard, _ string, leased time.Duration) {
+				s.fmet.shard.Observe(leased.Seconds())
 			},
 			OnProgress: func(pr fabric.Progress) {
 				// Progress streams the merged prefix: exact counts for

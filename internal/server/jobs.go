@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"rskip/internal/advice"
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fault"
@@ -40,10 +39,6 @@ type jobSpec struct {
 	ID          string          `json:"id"`
 	Request     campaignRequest `json:"request"`
 	SubmittedAt string          `json:"submitted_at"`
-	// AdviceID names the submission-time advisory prediction this
-	// job's outcome will be scored against ("" = none recorded). The
-	// campaign itself never reads it.
-	AdviceID string `json:"advice_id,omitempty"`
 }
 
 // jobOutcome is the durable terminal state, persisted as
@@ -405,9 +400,7 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	s.met.jobsStarted.Inc()
 
-	wallStart := time.Now()
 	res, rep, err := s.executeCampaign(ctx, j)
-	wallSeconds := time.Since(wallStart).Seconds()
 	// An incremental analysis reports through its composed Report; the
 	// monolithic path reports the raw campaign result.
 	render := func() *campaignResultJSON {
@@ -453,7 +446,6 @@ func (s *Server) runJob(j *job) {
 		}
 		s.met.jobsFailed.Inc()
 	}
-	finished := j.state == jobDone
 	ev := j.eventLocked()
 	for ch := range j.subs {
 		select {
@@ -464,13 +456,6 @@ func (s *Server) runJob(j *job) {
 	close(j.doneCh)
 	j.mu.Unlock()
 	s.store.persistOutcome(j)
-	// Feed the realized outcome back into the advisory scoring loop —
-	// after the terminal state is published, so a slow corpus write can
-	// never delay a client, and only for completed campaigns (partial
-	// counts would poison the corpus labels).
-	if finished {
-		s.observeOutcome(j, res, rep, wallSeconds)
-	}
 }
 
 // executeCampaign builds, trains and injects. Build artifacts come
@@ -512,17 +497,6 @@ func (s *Server) executeCampaign(ctx context.Context, j *job) (fault.Result, *re
 	fcfg, err := req.faultConfig()
 	if err != nil {
 		return fault.Result{}, nil, err
-	}
-	// Warm the advisor's profile cache (region cost, instruction mix)
-	// with one traced fault-free run, once per bench × config × scheme.
-	// Executions are pure functions of their inputs, so this cannot
-	// perturb the campaign below — the advice package's inertness
-	// property test pins it. Failures are ignored: advice is advisory.
-	sh := adviceShape(fcfg.Mix, req.SkipWidth, req.BitWidth, req.N)
-	if pf := s.advisor.Enrich(advice.StaticFeatures(req.Bench, j.scheme, cfg, sh)); !pf.Profiled {
-		if f, err := advice.ExtractFeatures(ctx, p, j.scheme, inst, sh); err == nil {
-			s.advisor.Enrich(f)
-		}
 	}
 	if req.Incremental {
 		// Compositional analysis: per-region campaigns served from the

@@ -40,10 +40,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rskip/internal/advice"
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fault"
+	"rskip/internal/machine"
 	"rskip/internal/obs"
 	"rskip/internal/result"
 )
@@ -76,11 +76,6 @@ type Config struct {
 	// addressed per-region result cache. Empty rejects incremental
 	// submissions (code incremental_unavailable).
 	ResultCacheDir string
-	// AdviceDir persists the advisory prediction layer's outcome
-	// corpus and prediction log. Empty keeps the advisor memory-only:
-	// /v1/advise still answers, nothing survives a restart. The
-	// advisor is observational either way — no engine path reads it.
-	AdviceDir string
 	// LeaseTTL is how long a distributed campaign's shard lease lives
 	// without a heartbeat before the shard is reassigned to another
 	// worker (default 10s).
@@ -167,8 +162,6 @@ type Server struct {
 	mux         *http.ServeMux
 	store       *jobStore
 	resultCache *result.Cache
-	advisor     *advice.Advisor
-	amet        adviceMetrics
 	fabric      *fabricHub
 	fmet        fabricMetrics
 
@@ -213,18 +206,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.resultCache = cache
 	}
-	s.amet = newAdviceMetrics(cfg.Obs.M())
-	advisor, err := advice.New(cfg.AdviceDir)
-	if advisor == nil {
-		return nil, fmt.Errorf("server: advice dir: %w", err)
-	}
-	if err != nil {
-		// Corrupt records were dropped and the corpus healed; the
-		// advisor is usable. Warn and carry on — advice is advisory.
-		fmt.Fprintf(os.Stderr, "server: advice corpus: %v\n", err)
-	}
-	s.advisor = advisor
-	s.publishAdviceGauges()
 
 	if swept, err := s.store.sweepOrphans(); err != nil {
 		return nil, fmt.Errorf("server: sweeping orphaned files: %w", err)
@@ -304,7 +285,6 @@ func (s *Server) routes() {
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	s.handle("POST /v1/compile", "compile", s.handleCompile)
 	s.handle("POST /v1/run", "run", s.handleRun)
-	s.handle("POST /v1/advise", "advise", s.handleAdvise)
 	s.handle("POST /v1/campaigns", "campaign_submit", s.handleCampaignSubmit)
 	s.handle("GET /v1/campaigns", "campaign_list", s.handleCampaignList)
 	s.handle("GET /v1/campaigns/{id}", "campaign_status", s.handleCampaignStatus)
@@ -445,18 +425,12 @@ func (s *Server) capRunTimeout(d time.Duration) time.Duration {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, running := s.store.counts()
-	cal := s.advisor.Calibration()
 	writeJSON(w, http.StatusOK, healthResponse{
 		Status:   "ok",
 		UptimeMS: time.Since(s.started).Milliseconds(),
 		Queued:   queued, Running: running,
 		FabricJobs: s.fabric.count(),
 		Draining:   s.isDraining(),
-		Advice: &adviceHealthJSON{
-			CorpusSize:  s.advisor.CorpusSize(),
-			Predictions: cal.Predictions, Scored: cal.Scored,
-			MAE: cal.MAE, CICoverage: cal.CICoverage,
-		},
 	})
 }
 
@@ -710,10 +684,13 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		status, code := http.StatusBadRequest, "bad_campaign"
 		var unknownModel *fault.UnknownModelError
 		var conflict *fault.ConfigConflictError
+		var unknownBackend *machine.UnknownBackendError
 		if strings.Contains(err.Error(), "unknown benchmark") {
 			status, code = http.StatusNotFound, "unknown_bench"
 		} else if errors.As(err, &unknownModel) {
 			code = "unknown_fault_model"
+		} else if errors.As(err, &unknownBackend) {
+			code = "unknown_backend"
 		} else if errors.As(err, &conflict) {
 			code = "config_conflict"
 		} else if errors.Is(err, errIncrementalUnavailable) {
@@ -722,15 +699,10 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, code, "%v", err)
 		return
 	}
-	// Forecast before queueing so the prediction provably predates the
-	// outcome; the advice block is labeled advisory and nothing below
-	// this call reads it.
-	adviceResp, adviceID := s.campaignAdvice(&req, scheme)
 	j := &job{
 		spec: jobSpec{
 			ID: newJobID(), Request: req,
 			SubmittedAt: time.Now().UTC().Format(time.RFC3339Nano),
-			AdviceID:    adviceID,
 		},
 		scheme: scheme,
 		state:  jobQueued,
@@ -756,7 +728,6 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		ID: j.spec.ID, State: jobQueued,
 		StatusURL: "/v1/campaigns/" + j.spec.ID,
 		StreamURL: "/v1/campaigns/" + j.spec.ID + "/stream",
-		Advice:    adviceResp,
 	})
 }
 

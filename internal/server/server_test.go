@@ -17,6 +17,7 @@ import (
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fault"
+	"rskip/internal/obs"
 	"rskip/internal/server"
 )
 
@@ -605,14 +606,22 @@ func mustJSON(t *testing.T, v any) []byte {
 func TestSyncSaturation429(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{SyncLimit: 1})
 	_ = s
-	// Hold the only slot with a slow perf run in the background.
+	// Hold the only slot with a slow perf run in the background. The
+	// polling compiles below contend for the same slot, so the run
+	// itself may be refused with 429 before it gets in; it retries
+	// until it holds the slot, or the poll loop would wait on nothing.
 	started := make(chan struct{})
 	done := make(chan int)
 	go func() {
 		close(started)
-		code := postJSON(t, ts.URL+"/v1/run",
-			map[string]any{"bench": "sgemm", "scheme": "unsafe", "scale": "perf", "timeout_ms": 5000}, nil)
-		done <- code
+		for {
+			code := postJSON(t, ts.URL+"/v1/run",
+				map[string]any{"bench": "sgemm", "scheme": "unsafe", "scale": "perf", "timeout_ms": 5000}, nil)
+			if code != http.StatusTooManyRequests {
+				done <- code
+				return
+			}
+		}
 	}()
 	<-started
 	// Poll until the slot is actually held, then expect 429.
@@ -864,10 +873,12 @@ func TestCampaignFaultModels(t *testing.T) {
 	}
 }
 
-// TestRunBackendField exercises the wire backend selector: every
-// backend must produce identical simulated counters for the same
-// request (they are bit-identical engines), and an unknown name is a
-// structured 400 at submit time.
+// TestRunBackendField exercises the wire backend selector: both
+// backends, and the absent field, must produce identical simulated
+// counters for the same request (they are bit-identical engines), and
+// an unknown name — including the retired "fast" and "auto" — is a
+// structured 400 unknown_backend at submit time on /v1/run and on
+// /v1/campaigns.
 func TestRunBackendField(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	type counts struct {
@@ -875,7 +886,7 @@ func TestRunBackendField(t *testing.T) {
 		Cycles uint64 `json:"cycles"`
 	}
 	var ref counts
-	for i, be := range []string{"reference", "fast", "compiled"} {
+	for i, be := range []string{"reference", "compiled", ""} {
 		var resp counts
 		code := postJSON(t, ts.URL+"/v1/run", map[string]any{
 			"bench": "conv1d", "scheme": "swiftr", "scale": "tiny",
@@ -893,22 +904,54 @@ func TestRunBackendField(t *testing.T) {
 		}
 	}
 
-	var raw map[string]any
-	if code := postJSON(t, ts.URL+"/v1/run", map[string]any{
-		"bench": "conv1d", "scheme": "swiftr", "scale": "tiny",
-		"config": map[string]any{"backend": "turbo"},
-	}, &raw); code != 400 {
-		t.Fatalf("unknown backend: status %d", code)
-	} else if errCode(t, raw) != "unknown_backend" {
-		t.Errorf("unknown backend: code %v", raw)
-	}
+	for _, be := range []string{"turbo", "fast", "auto"} {
+		var raw map[string]any
+		if code := postJSON(t, ts.URL+"/v1/run", map[string]any{
+			"bench": "conv1d", "scheme": "swiftr", "scale": "tiny",
+			"config": map[string]any{"backend": be},
+		}, &raw); code != 400 {
+			t.Errorf("run backend %q: status %d, want 400", be, code)
+		} else if got := errCode(t, raw); got != "unknown_backend" {
+			t.Errorf("run backend %q: code %q, want unknown_backend", be, got)
+		}
 
-	// Campaign submissions reject bad backends before queueing.
-	if code := postJSON(t, ts.URL+"/v1/campaigns", map[string]any{
-		"bench": "conv1d", "scheme": "unsafe", "n": 1,
-		"config": map[string]any{"backend": "turbo"},
-	}, &raw); code != 400 {
-		t.Fatalf("campaign unknown backend: status %d", code)
+		// Campaign submissions reject bad backends before queueing.
+		raw = nil
+		if code := postJSON(t, ts.URL+"/v1/campaigns", map[string]any{
+			"bench": "conv1d", "scheme": "unsafe", "n": 1,
+			"config": map[string]any{"backend": be},
+		}, &raw); code != 400 {
+			t.Errorf("campaign backend %q: status %d, want 400", be, code)
+		} else if got := errCode(t, raw); got != "unknown_backend" {
+			t.Errorf("campaign backend %q: code %q, want unknown_backend", be, got)
+		}
+	}
+}
+
+// TestPersistedRetiredBackendFails restarts a daemon over a job spec
+// that a previous version persisted with the retired "fast" backend.
+// The spec passed submit-time validation back then, so it reaches the
+// resume path unvalidated; it must end as a failed job carrying the
+// unknown-backend error — never a panic, and never a silent run on
+// some other engine.
+func TestPersistedRetiredBackendFails(t *testing.T) {
+	dir := t.TempDir()
+	const id = "c-0123456789ab"
+	spec := `{"id":"` + id + `","request":{"bench":"conv1d","scheme":"unsafe","n":20,"seed":5,` +
+		`"config":{"backend":"fast"}},"submitted_at":"2020-02-22T00:00:00Z"}`
+	if err := os.WriteFile(filepath.Join(dir, id+".job.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, server.Config{CheckpointDir: dir})
+	st := waitFor(t, ts, id, 60*time.Second, terminal)
+	if st.State != "failed" {
+		t.Fatalf("resumed job ended %q (%+v), want failed", st.State, st)
+	}
+	if !strings.Contains(st.Error, `unknown backend "fast"`) {
+		t.Errorf("resumed job error %q, want the unknown-backend error", st.Error)
+	}
+	if st.Result != nil && st.Result.N != 0 {
+		t.Errorf("resumed job ran %d replicas on some engine; want none", st.Result.N)
 	}
 }
 
@@ -1118,7 +1161,8 @@ func TestOrphanSweepOnRestart(t *testing.T) {
 // counts must be bit-identical to a plain single-node submission of
 // the same campaign.
 func TestDistributedCampaignOverHTTP(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2, LeaseTTL: 2 * time.Second})
+	o := &obs.Obs{Metrics: obs.NewMetrics()}
+	_, ts := newTestServer(t, server.Config{Workers: 2, LeaseTTL: 2 * time.Second, Obs: o})
 	const n, seed = 120, 321
 	spec := map[string]any{"bench": "conv1d", "scheme": "swiftr", "n": n, "seed": seed}
 	ref := submitCampaign(t, ts, spec)
@@ -1153,6 +1197,11 @@ func TestDistributedCampaignOverHTTP(t *testing.T) {
 	if !countsEqual(distSt.Result.Counts, refSt.Result.Counts) {
 		t.Errorf("distributed counts %v != single-node counts %v",
 			distSt.Result.Counts, refSt.Result.Counts)
+	}
+	// Every completed shard feeds exactly one shard-time observation.
+	snap := o.M().Snapshot()
+	if got, want := snap["fabric_shard_seconds_count"], snap["fabric_shards_completed_total"]; got != want || want != n/30 {
+		t.Errorf("fabric_shard_seconds count %v, shards completed %v, want both %d", got, want, n/30)
 	}
 }
 

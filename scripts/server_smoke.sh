@@ -11,7 +11,7 @@ LOG="$DIR/rskipd.log"
 trap 'kill $PID 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 go build -o "$DIR/rskipd" ./cmd/rskipd
-"$DIR/rskipd" -addr "$ADDR" -checkpoint-dir "$DIR/ck" -advice-dir "$DIR/advice" 2>"$LOG" &
+"$DIR/rskipd" -addr "$ADDR" -checkpoint-dir "$DIR/ck" 2>"$LOG" &
 PID=$!
 
 # Wait for the listener.
@@ -82,48 +82,8 @@ curl -sS -X POST "http://$ADDR/v1/campaigns" \
 	grep -q '"unknown_fault_model"'
 echo "ok    skip model"
 
-# Advisory leg: after the campaigns above, /v1/advise answers from the
-# persisted outcome corpus, a fresh submission carries an advisory
-# forecast block, and the scored predictions live in their own file —
-# separate from the corpus, never read by the engine.
-curl -fsS -X POST "http://$ADDR/v1/advise" \
-	-d '{"bench":"musum","scheme":"swiftrhard","fault_model":"skip"}' |
-	grep -q '"advisory": *true'
-ADV_ID=$(curl -fsS -X POST "http://$ADDR/v1/campaigns" \
-	-d '{"bench":"conv1d","scheme":"unsafe","n":100,"batch":25}' |
-	tee "$DIR/advised_submit.json" |
-	sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
-[ -n "$ADV_ID" ]
-grep -q '"advice"' "$DIR/advised_submit.json" || {
-	echo "FAIL: campaign submission carries no advice block"
-	cat "$DIR/advised_submit.json"
-	exit 1
-}
-i=0
-until curl -fsS "http://$ADDR/v1/campaigns/$ADV_ID" | grep -q '"state": *"done"'; do
-	i=$((i + 1))
-	if [ "$i" -gt 150 ]; then
-		echo "FAIL: advised campaign $ADV_ID never finished"
-		cat "$LOG"
-		exit 1
-	fi
-	sleep 0.2
-done
-i=0
-until grep -q '"outcome"' "$DIR/advice/predictions.jsonl" 2>/dev/null; do
-	i=$((i + 1))
-	if [ "$i" -gt 50 ]; then
-		echo "FAIL: no scored prediction landed in predictions.jsonl"
-		ls -l "$DIR/advice" || true
-		exit 1
-	fi
-	sleep 0.2
-done
-echo "ok    advise"
-
 curl -fsS "http://$ADDR/metrics" >"$DIR/metrics.json"
 grep -q 'server_requests_total' "$DIR/metrics.json"
-grep -q 'advice_queries_total' "$DIR/metrics.json"
 echo "ok    metrics"
 
 # Graceful drain on SIGTERM.

@@ -496,6 +496,13 @@ func metricsSummary(label string, delta map[string]float64) string {
 		if strings.HasPrefix(k, "machine_arena_pool_") {
 			continue
 		}
+		// Prefix sharing (replicas resumed from clean-run snapshots)
+		// changes how much work a campaign does, never what it
+		// computes; the summary reports the latter, identical either
+		// way. The counter remains in -metrics.
+		if k == "fault_prefix_instrs_skipped_total" {
+			continue
+		}
 		if !inLead[k] && !strings.Contains(k, "_bucket") {
 			rest = append(rest, k)
 		}

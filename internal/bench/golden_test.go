@@ -6,7 +6,8 @@
 // bit for bit identical. This is the contract that lets every run
 // take the compiled path while the reference interpreter stays the
 // spec. The same sweep proves that untimed campaign replicas
-// (core.Injector) lose nothing but cycles.
+// (core.Injector) lose nothing but cycles, whether they run from
+// instruction 0 or resume from a snapshot of the clean run.
 package bench_test
 
 import (
@@ -22,9 +23,10 @@ import (
 // the reference interpreter and reports any observable divergence of
 // the compiled run from the timed reference. Each backend also runs it
 // as a campaign replica (a one-shot core.Injector, which runs
-// untimed): that must match the reference in everything but Cycles,
-// which must be 0.
-func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts) {
+// untimed), from instruction 0 and resumed from the latest snapshot of
+// prefix that fits the run: both must match the reference in
+// everything but Cycles, which must be 0.
+func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts, prefix *machine.Capture) {
 	t.Helper()
 	refOpts := opts
 	refOpts.Reference = true
@@ -39,9 +41,18 @@ func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Inst
 			label = "reference/untimed"
 		}
 		inj := p.NewInjector(s)
-		replica := inj.Run(gen(), o)
+		sameAsRef(t, label, inj.Run(gen(), o), ref, untimedRef)
+		target, budget := ^uint64(0), o.MaxInstrs
+		if o.Fault != nil {
+			target = o.Fault.Target
+		}
+		if budget == 0 {
+			budget = machine.DefaultMaxInstrs
+		}
+		if snap := prefix.Latest(target, budget); snap != nil {
+			sameAsRef(t, label+"/resumed", inj.Resume(gen(), o, snap), ref, untimedRef)
+		}
 		inj.Close()
-		sameAsRef(t, label, replica, ref, untimedRef)
 	}
 }
 
@@ -109,10 +120,14 @@ func TestGoldenCountersThreeWay(t *testing.T) {
 			}
 			inst := b.Gen(bench.TestSeed(1), bench.ScaleFI)
 			for _, s := range []core.Scheme{core.Unsafe, core.SWIFT, core.SWIFTR, core.RSkip, core.SWIFTRHard} {
-				clean := p.Run(s, inst, core.RunOpts{Reference: true})
+				// Snapshots taken on the reference interpreter: the
+				// compiled replicas resuming from them also prove the
+				// snapshot format engine-neutral.
+				prefix := machine.NewCapture(32)
+				clean := p.RunCapture(s, inst, core.RunOpts{Reference: true}, prefix)
 				gen := func() bench.Instance { return b.Gen(bench.TestSeed(1), bench.ScaleFI) }
 				t.Run(s.String()+"/clean", func(t *testing.T) {
-					runBoth(t, p, s, gen, core.RunOpts{})
+					runBoth(t, p, s, gen, core.RunOpts{}, prefix)
 				})
 				region := clean.Result.Region
 				if region == 0 {
@@ -129,7 +144,7 @@ func TestGoldenCountersThreeWay(t *testing.T) {
 					}
 					t.Run(fmt.Sprintf("%s/%v.w%d@%d", s, pr.kind, pr.width, plan.Target), func(t *testing.T) {
 						runBoth(t, p, s, gen,
-							core.RunOpts{Fault: &plan, MaxInstrs: budget})
+							core.RunOpts{Fault: &plan, MaxInstrs: budget}, prefix)
 					})
 				}
 			}

@@ -64,23 +64,32 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkCampaign measures end-to-end fault-injection throughput —
-// plans drawn, machines built, faults injected, outcomes classified —
-// in runs per second. This is the number that decides whether a
-// million-run campaign is an overnight job or a coffee break.
+// profile run and snapshot capture, plans drawn, replicas reset onto a
+// pooled machine and resumed from the latest snapshot, faults
+// injected, outcomes classified — in runs per second, per scheme
+// (RSkip exercises the run-time manager's state restore). This is the
+// number that decides whether a million-run campaign is an overnight
+// job or a coffee break.
 func BenchmarkCampaign(b *testing.B) {
 	p, inst := buildFor(b, "conv1d")
-	b.ResetTimer()
-	var runs int
-	for i := 0; i < b.N; i++ {
-		r, err := fault.Campaign(context.Background(), p, core.SWIFTR, inst,
-			fault.Config{N: 50, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		runs += r.N
+	if err := p.Train([]int64{bench.TrainSeed(0)}, bench.ScaleTiny); err != nil {
+		b.Fatal(err)
 	}
-	b.StopTimer()
-	if runs > 0 {
-		b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
+	for _, s := range []core.Scheme{core.Unsafe, core.SWIFT, core.SWIFTR, core.RSkip} {
+		b.Run(s.String(), func(b *testing.B) {
+			var runs int
+			for i := 0; i < b.N; i++ {
+				r, err := fault.Campaign(context.Background(), p, s, inst,
+					fault.Config{N: 50, Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				runs += r.N
+			}
+			b.StopTimer()
+			if runs > 0 {
+				b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
+			}
+		})
 	}
 }

@@ -571,10 +571,18 @@ func (p *Program) machineConfig(s Scheme, mod *ir.Module, opts RunOpts) (machine
 
 // runOn executes one instance on an already-configured machine and
 // assembles the outcome. Shared by Run (one machine per call) and
-// Injector.Run (one pooled machine across many replicas).
-func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, inst bench.Instance) Outcome {
+// Injector.Resume (one pooled machine across many replicas). A non-nil
+// snap resumes the run from that snapshot after Setup, so the
+// instance's Output reads the layout Setup created.
+func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, inst bench.Instance, snap *machine.Snapshot) Outcome {
 	args := inst.Setup(m.Mem)
-	res, err := m.Run(p.Kernel, args)
+	var res machine.RunResult
+	var err error
+	if snap != nil {
+		res, err = m.Resume(snap)
+	} else {
+		res, err = m.Run(p.Kernel, args)
+	}
 	out := Outcome{Result: res, Err: err, FaultFired: m.FaultFired()}
 	var faultFn int
 	out.FaultTag, out.FaultOp, faultFn = m.FaultSite()
@@ -597,11 +605,20 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 // Run executes one instance under the scheme. The returned outcome
 // always carries counters, even for abnormal terminations.
 func (p *Program) Run(s Scheme, inst bench.Instance, opts RunOpts) Outcome {
+	return p.RunCapture(s, inst, opts, nil)
+}
+
+// RunCapture is Run that also records snapshots of the execution into
+// c (machine.Capture; nil records none), for campaign replicas to
+// resume from through Injector.Resume. The run itself — timed, with
+// every counter and the outcome — is exactly Run's.
+func (p *Program) RunCapture(s Scheme, inst bench.Instance, opts RunOpts, c *machine.Capture) Outcome {
 	mod := p.Module(s)
 	mcfg, mgr := p.machineConfig(s, mod, opts)
+	mcfg.Capture = c
 	m := machine.New(mod, mcfg)
 	defer m.Release()
-	return p.runOn(m, mod, mgr, inst)
+	return p.runOn(m, mod, mgr, inst, nil)
 }
 
 // Injector executes many runs of one scheme through a single pooled
@@ -633,11 +650,21 @@ func (p *Program) NewInjector(s Scheme) *Injector {
 	return &Injector{p: p, s: s, mod: p.Module(s)}
 }
 
-// Run executes one replica, reusing the pooled machine. Every RunOpts
-// field is honored per call except that opts.Reference must not change
-// between calls (the engine is fixed at the first Run; a changed
-// engine needs a fresh Injector).
+// Run executes one replica from instruction 0, reusing the pooled
+// machine. Every RunOpts field is honored per call except that
+// opts.Reference must not change between calls (the engine is fixed at
+// the first Run; a changed engine needs a fresh Injector).
 func (in *Injector) Run(inst bench.Instance, opts RunOpts) Outcome {
+	return in.Resume(inst, opts, nil)
+}
+
+// Resume executes one replica from snap — a snapshot RunCapture took
+// of this scheme's fault-free run of the same instance — instead of
+// from instruction 0; nil snap is Run. The outcome equals Run's in
+// every field: the replica's fault-free prefix is the clean run's, so
+// starting at a snapshot before the fault target and within the budget
+// (machine.Capture.Latest picks one) skips work without changing it.
+func (in *Injector) Resume(inst bench.Instance, opts RunOpts, snap *machine.Snapshot) Outcome {
 	mcfg, mgr := in.p.machineConfig(in.s, in.mod, opts)
 	mcfg.Untimed = true
 	if in.m == nil {
@@ -645,7 +672,7 @@ func (in *Injector) Run(inst bench.Instance, opts RunOpts) Outcome {
 	} else {
 		in.m.Reset(mcfg)
 	}
-	return in.p.runOn(in.m, in.mod, mgr, inst)
+	return in.p.runOn(in.m, in.mod, mgr, inst, snap)
 }
 
 // Discard drops the pooled machine without releasing its arena back

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -48,12 +49,15 @@ func program(t *testing.T, name string) (*core.Program, bench.Instance) {
 // out, then simulates a SIGKILL mid-shard: it executes part of the
 // shard's range (so the executor holds half-done records), cancels
 // its node's context and never completes or releases the lease. The
-// coordinator must recover via TTL expiry and work stealing.
+// coordinator must recover via TTL expiry and work stealing. crashed
+// closes once the node has died holding a lease.
 type crashingRunner struct {
-	inner  *Runner
-	x      *fault.Executor
-	cancel context.CancelFunc
-	fuse   int32
+	inner   *Runner
+	x       *fault.Executor
+	cancel  context.CancelFunc
+	fuse    int32
+	crashed chan struct{}
+	once    sync.Once
 }
 
 func (c *crashingRunner) RunShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat) ([]byte, error) {
@@ -65,6 +69,7 @@ func (c *crashingRunner) RunShard(ctx context.Context, sh fabric.Shard, hb fabri
 		return nil, err
 	}
 	c.cancel()
+	c.once.Do(func() { close(c.crashed) })
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -116,7 +121,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				}
 				ctxA, cancelA := context.WithCancel(context.Background())
 				defer cancelA()
-				ra := &crashingRunner{inner: NewRunner(xa, 5), x: xa, cancel: cancelA, fuse: 1}
+				ra := &crashingRunner{inner: NewRunner(xa, 5), x: xa, cancel: cancelA, fuse: 1,
+					crashed: make(chan struct{})}
 
 				var wg sync.WaitGroup
 				wg.Add(2)
@@ -129,6 +135,16 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				}()
 				go func() {
 					defer wg.Done()
+					// Node B joins once A has died holding a lease.
+					// Joining earlier races A for the shards: when B
+					// takes every shard A has not leased yet, A never
+					// reaches its crash and no lease is stolen.
+					select {
+					case <-ra.crashed:
+					case <-time.After(10 * time.Second):
+						t.Error("node A never crashed")
+						return
+					}
 					if err := fabric.RunLocal(context.Background(), coord, 2, "nodeB", NewRunner(xb, 5)); err != nil {
 						t.Errorf("node B: %v", err)
 					}
@@ -204,6 +220,21 @@ func TestMergerRejectsDriftAndDamage(t *testing.T) {
 			rs[3] = fault.RunRecord{}
 			p.Records = rs
 		}, "unfinished record"},
+	}
+	// A record whose class lies outside the outcome table would crash
+	// aggregation; the merger refuses the payload instead.
+	for _, class := range []fault.Class{99, fault.NumClasses, -1} {
+		class := class
+		cases = append(cases, struct {
+			name   string
+			mut    func(p *ShardPayload)
+			errHas string
+		}{fmt.Sprintf("class %d", class), func(p *ShardPayload) {
+			rs := make([]fault.RunRecord, len(p.Records))
+			copy(rs, p.Records)
+			rs[4].Class = class
+			p.Records = rs
+		}, fmt.Sprintf("outcome class %d", class)})
 	}
 	for _, tc := range cases {
 		m := NewMerger(x)

@@ -70,6 +70,9 @@ func (m *Merger) Add(sh fabric.Shard, payload []byte) error {
 		if !p.Records[i].Done {
 			return fmt.Errorf("campaign: shard %d payload has unfinished record at index %d", sh.ID, p.Lo+i)
 		}
+		if err := p.Records[i].Validate(); err != nil {
+			return fmt.Errorf("campaign: shard %d payload record at index %d: %w", sh.ID, p.Lo+i, err)
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

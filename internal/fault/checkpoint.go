@@ -31,6 +31,17 @@ type RunRecord struct {
 	Err string `json:"err,omitempty"`
 }
 
+// Validate reports a record no run could have produced: an outcome
+// class outside [0, NumClasses). Records arriving from disk or over
+// the wire are checked before aggregation, which indexes per-class
+// tables by Class.
+func (r *RunRecord) Validate() error {
+	if r.Class < 0 || r.Class >= NumClasses {
+		return fmt.Errorf("outcome class %d outside [0, %d)", int(r.Class), int(NumClasses))
+	}
+	return nil
+}
+
 // Checkpoint is the JSON-persisted progress of one campaign.
 type Checkpoint struct {
 	Version int `json:"version"`
@@ -135,6 +146,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if len(ck.Records) != ck.N {
 		return nil, &CorruptCheckpointError{Path: path,
 			Err: fmt.Errorf("holds %d records for n = %d", len(ck.Records), ck.N)}
+	}
+	for i := range ck.Records {
+		if err := ck.Records[i].Validate(); err != nil {
+			return nil, &CorruptCheckpointError{Path: path, Err: fmt.Errorf("record %d: %w", i, err)}
+		}
 	}
 	return &ck, nil
 }

@@ -19,6 +19,13 @@ import (
 // checkpoint saves.
 const defaultBatch = 100
 
+// prefixSnapshots is the number of snapshots (at least, up to twice
+// as many) a campaign takes of its fault-free profile run. Each
+// replica resumes from the latest one before its fault target, so on
+// average it re-executes about 1/(2×prefixSnapshots) of the run
+// instead of the whole fault-free prefix (machine.Capture).
+const prefixSnapshots = 32
+
 // Campaign runs up to cfg.N fault injections of the scheme on the
 // instance. It is resilient by construction:
 //
@@ -98,8 +105,14 @@ func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 	if cfg.Stratify {
 		trace = &machine.RegionTrace{}
 	}
-	_, spp := obs.Start(ctx, "campaign/profile")
-	profile, err := runProfile(p, s, inst, trace)
+	pctx, spp := obs.Start(ctx, "campaign/profile")
+	_, sps := obs.Start(pctx, "campaign/snapshots")
+	prefix := machine.NewCapture(prefixSnapshots)
+	profile, err := runProfile(p, s, inst, trace, prefix)
+	sps.SetAttr("snapshots", prefix.Len())
+	sps.SetAttr("words", prefix.Words())
+	sps.SetAttr("capture_us", prefix.Elapsed().Microseconds())
+	sps.End()
 	spp.End()
 	if err != nil {
 		return nil, err
@@ -112,6 +125,7 @@ func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		p: p, s: s, inst: inst,
 		golden: profile.Output,
 		budget: runBudget(cfg, profile.Result.Instrs),
+		prefix: prefix,
 		met:    met,
 	}
 	switch {
@@ -292,17 +306,18 @@ func DrawPlans(seed int64, n int, cfg Config, count uint64) []machine.FaultPlan 
 	return plans
 }
 
-// runProfile executes the fault-free reference run with the same
-// panic containment the campaign gives injected runs — a scheme whose
-// clean run crashes the interpreter should surface as an error, not
-// kill the process.
-func runProfile(p *core.Program, s core.Scheme, inst bench.Instance, trace *machine.RegionTrace) (o core.Outcome, err error) {
+// runProfile executes the fault-free reference run, snapshotting it
+// into prefix for the replicas to resume from, with the same panic
+// containment the campaign gives injected runs — a scheme whose clean
+// run crashes the interpreter should surface as an error, not kill the
+// process.
+func runProfile(p *core.Program, s core.Scheme, inst bench.Instance, trace *machine.RegionTrace, prefix *machine.Capture) (o core.Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("fault: fault-free %s run panicked: %v", s, v)
 		}
 	}()
-	o = p.Run(s, inst, core.RunOpts{RegionTrace: trace})
+	o = p.RunCapture(s, inst, core.RunOpts{RegionTrace: trace}, prefix)
 	if o.Err != nil {
 		return o, fmt.Errorf("fault: fault-free %s run failed: %w", s, o.Err)
 	}
@@ -323,6 +338,7 @@ type campaignMetrics struct {
 	fired      *obs.Counter
 	panics     *obs.Counter
 	ckWrites   *obs.Counter
+	prefix     *obs.Counter
 	classes    [NumClasses]*obs.Counter
 	kinds      [machine.NumFaultKinds]*obs.Counter
 }
@@ -335,6 +351,7 @@ func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
 		fired:      m.Counter("fault_fired_total", "injections whose fault actually struck"),
 		panics:     m.Counter("fault_panics_contained_total", "worker panics contained as CoreDump"),
 		ckWrites:   m.Counter("fault_checkpoint_writes_total", "checkpoint files written"),
+		prefix:     m.Counter("fault_prefix_instrs_skipped_total", "fault-free prefix instructions replicas resumed from snapshots instead of executing"),
 	}
 	for c := Correct; c < NumClasses; c++ {
 		slug := strings.ReplaceAll(strings.ToLower(c.String()), " ", "_")
@@ -362,12 +379,15 @@ func (cm *campaignMetrics) record(rec *RunRecord, kind machine.FaultKind) {
 
 // engine holds the immutable campaign state shared by workers.
 type engine struct {
-	p       *core.Program
-	s       core.Scheme
-	inst    bench.Instance
-	cfg     Config
-	golden  []uint64
-	budget  uint64
+	p      *core.Program
+	s      core.Scheme
+	inst   bench.Instance
+	cfg    Config
+	golden []uint64
+	budget uint64
+	// prefix holds the snapshots of the fault-free profile run each
+	// replica resumes from; read-only once prepared.
+	prefix  *machine.Capture
 	plans   []machine.FaultPlan
 	records []RunRecord
 	met     *campaignMetrics
@@ -458,7 +478,11 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		e.cfg.runHook(i)
 	}
 	plan := e.plans[i]
-	o := inj.Run(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: rctx.Done()})
+	snap := e.prefix.Latest(plan.Target, e.budget)
+	if snap != nil {
+		e.met.prefix.Add(snap.Instrs())
+	}
+	o := inj.Resume(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: rctx.Done()}, snap)
 	if _, cancelled := o.Err.(*machine.CancelError); cancelled {
 		if ctx.Err() != nil {
 			// Campaign-level cancellation: the run is incomplete.

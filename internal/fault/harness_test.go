@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -110,7 +111,7 @@ func TestExhaustiveSkipMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	profile, err := runProfile(p, scheme, inst, nil)
+	profile, err := runProfile(p, scheme, inst, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +226,30 @@ func TestCorruptCheckpointTypedError(t *testing.T) {
 	// A missing file stays a clean fresh start, not an error.
 	if ck, err := LoadCheckpoint(filepath.Join(dir, "nope.ck.json")); ck != nil || err != nil {
 		t.Errorf("missing checkpoint returned (%v, %v), want (nil, nil)", ck, err)
+	}
+}
+
+// A checkpoint record with an outcome class outside the table is
+// corruption: LoadCheckpoint must refuse it with the typed error
+// instead of letting aggregation index past the per-class counts.
+func TestCheckpointRejectsOutOfRangeClass(t *testing.T) {
+	dir := t.TempDir()
+	for _, class := range []int{99, int(NumClasses), -1} {
+		t.Run(fmt.Sprint(class), func(t *testing.T) {
+			path := filepath.Join(dir, fmt.Sprintf("class%d.ck.json", class))
+			data := fmt.Sprintf(`{"version":1,"key":"k","n":2,"done":2,"records":[{"done":true},{"done":true,"class":%d}]}`, class)
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadCheckpoint(path)
+			var ce *CorruptCheckpointError
+			if !errors.As(err, &ce) {
+				t.Fatalf("LoadCheckpoint returned %v (%T), want CorruptCheckpointError", err, err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("class %d", class)) {
+				t.Errorf("error %q does not name class %d", err, class)
+			}
+		})
 	}
 }
 

@@ -84,7 +84,7 @@ func TestStratifiedAllocation(t *testing.T) {
 func TestStratifiedPlansLandInClass(t *testing.T) {
 	p, inst := sharedConv1d(t)
 	trace := &machine.RegionTrace{}
-	profile, err := runProfile(p, core.SWIFT, inst, trace)
+	profile, err := runProfile(p, core.SWIFT, inst, trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestStratifiedCheckpointKeyDistinct(t *testing.T) {
 func TestCampaignWithPlansPartitionIdentity(t *testing.T) {
 	p, inst := sharedConv1d(t)
 	trace := &machine.RegionTrace{}
-	if _, err := runProfile(p, core.SWIFT, inst, trace); err != nil {
+	if _, err := runProfile(p, core.SWIFT, inst, trace, nil); err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{N: 90, Seed: 17, Stratify: true}

@@ -159,6 +159,10 @@ type Config struct {
 	// (their outcomes never read cycles); runs that report time leave
 	// it false. Unlike the build-affecting fields, Reset may change it.
 	Untimed bool
+	// Capture, when non-nil, snapshots this run at evenly spaced region
+	// indexes for later Resume (see snapshot.go). Fault campaigns set it
+	// on their clean profile run; it does not change the run itself.
+	Capture *Capture
 	// Trace, when non-nil, receives one line per executed instruction
 	// (capped by TraceLimit, default 10000) — the compiler-debugging
 	// view of a run.
@@ -189,7 +193,7 @@ func newMachineMetrics(m *obs.Metrics) *machineMetrics {
 	}
 	return &machineMetrics{
 		runs:    m.Counter("machine_runs_total", "kernel executions"),
-		instrs:  m.Counter("machine_instrs_total", "dynamic instructions executed"),
+		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, counting prefixes resumed from snapshots (see fault_prefix_instrs_skipped_total)"),
 		cycles:  m.Counter("machine_cycles_total", "simulated cycles of timed runs (untimed campaign replicas add 0)"),
 		region:  m.Counter("machine_region_instrs_total", "dynamic instructions inside detected-loop regions"),
 		runtime: m.Counter("machine_runtime_charge_total", "instructions charged by runtime hooks"),
@@ -424,7 +428,15 @@ func (m *Machine) Run(fnIdx int, args []uint64) (RunResult, error) {
 	if err := m.pushFrame(fnIdx, args, ir.NoReg); err != nil {
 		return RunResult{}, err
 	}
-	err := m.runToDepth(0)
+	if c := m.cfg.Capture; c != nil && m.canSnapshot() {
+		return m.finish(m.runCapturing(c))
+	}
+	return m.finish(m.runToDepth(0))
+}
+
+// finish completes a top-level run: folds the lazy counters, assembles
+// the result and feeds the metrics.
+func (m *Machine) finish(err error) (RunResult, error) {
 	if m.segHits != nil {
 		m.foldSegCounters()
 	}
@@ -452,36 +464,7 @@ func (m *Machine) pushFrame(fnIdx int, args []uint64, retDst ir.Reg) error {
 		return fmt.Errorf("machine: calling %s with %d args, want %d",
 			fn.Name, len(args), len(fn.Params))
 	}
-	// Frames are pooled across calls: popFrame only shrinks len(m.fr),
-	// leaving the slot's register arrays in the backing array, so a
-	// push at the same depth reuses them (cleared — a fresh frame must
-	// observe zeroed registers) instead of allocating. Invoke-heavy
-	// runs — every suspected iteration calls an outlined recompute
-	// slice — would otherwise allocate two slices per call.
-	var f *frame
-	if cap(m.fr) > len(m.fr) {
-		m.fr = m.fr[:len(m.fr)+1]
-		f = &m.fr[len(m.fr)-1]
-	} else {
-		m.fr = append(m.fr, frame{})
-		f = &m.fr[len(m.fr)-1]
-	}
-	nr := fn.NumRegs
-	if cap(f.regs) >= nr && cap(f.ready) >= nr {
-		f.regs = f.regs[:nr]
-		f.ready = f.ready[:nr]
-		for i := range f.regs {
-			f.regs[i] = 0
-			f.ready[i] = 0
-		}
-	} else {
-		// One struct-of-arrays slab per frame: the register values and
-		// their ready cycles sit adjacent, so the value/ready pair an
-		// instruction touches shares cache lines across the whole file.
-		s := make([]uint64, 2*nr)
-		f.regs = s[:nr:nr]
-		f.ready = s[nr:]
-	}
+	f := m.newFrame(fn.NumRegs)
 	f.fn = fn
 	f.fi = fnIdx
 	f.block = 0
@@ -508,6 +491,40 @@ func (m *Machine) pushFrame(fnIdx int, args []uint64, retDst ir.Reg) error {
 		f.inRegion = m.inRegionNow(&m.fr[len(m.fr)-2])
 	}
 	return nil
+}
+
+// newFrame pushes a frame slot with nr zeroed registers; the caller
+// fills in the rest. Frames are pooled across calls: popFrame only
+// shrinks len(m.fr), leaving the slot's register arrays in the backing
+// array, so a push at the same depth reuses them (cleared — a fresh
+// frame must observe zeroed registers) instead of allocating.
+// Invoke-heavy runs — every suspected iteration calls an outlined
+// recompute slice — would otherwise allocate two slices per call.
+func (m *Machine) newFrame(nr int) *frame {
+	var f *frame
+	if cap(m.fr) > len(m.fr) {
+		m.fr = m.fr[:len(m.fr)+1]
+		f = &m.fr[len(m.fr)-1]
+	} else {
+		m.fr = append(m.fr, frame{})
+		f = &m.fr[len(m.fr)-1]
+	}
+	if cap(f.regs) >= nr && cap(f.ready) >= nr {
+		f.regs = f.regs[:nr]
+		f.ready = f.ready[:nr]
+		for i := range f.regs {
+			f.regs[i] = 0
+			f.ready[i] = 0
+		}
+	} else {
+		// One struct-of-arrays slab per frame: the register values and
+		// their ready cycles sit adjacent, so the value/ready pair an
+		// instruction touches shares cache lines across the whole file.
+		s := make([]uint64, 2*nr)
+		f.regs = s[:nr:nr]
+		f.ready = s[nr:]
+	}
+	return f
 }
 
 func (m *Machine) popFrame() {

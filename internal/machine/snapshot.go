@@ -1,0 +1,383 @@
+package machine
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"time"
+
+	"rskip/internal/ir"
+)
+
+// Prefix sharing. Every injected replica of a fault campaign executes
+// the same fault-free prefix up to its fault target, so a campaign
+// snapshots its clean profile run (Config.Capture) and starts each
+// replica from the latest snapshot before its target (Resume) instead
+// of from instruction 0. The fault-free prefix of a replica is the
+// clean run's prefix instruction for instruction, so the resumed run
+// is bit-identical to the from-zero one in counters, outputs, error
+// and fault attribution — the property test in internal/fault proves
+// it on both engines.
+//
+// Snapshots are taken only at top-level dispatch boundaries of Run
+// (between two reference steps or two compiled segments, never inside
+// a runtime hook's nested recompute call), where the frame stack,
+// counters and memory fully describe the run. The format is
+// engine-neutral: a snapshot taken on either engine resumes on either.
+
+// StatefulHooks is implemented by Hooks whose run state must travel
+// with a Snapshot — the rtm manager's loop states and statistics.
+// SaveState returns a copy the hooks never touch again; RestoreState
+// installs a private copy of one, leaving the saved state untouched
+// (one snapshot seeds many replicas).
+type StatefulHooks interface {
+	Hooks
+	SaveState() any
+	RestoreState(state any)
+}
+
+// Snapshot is the complete resumable state of a run at one top-level
+// dispatch boundary. It holds no cycle state: resumed runs are
+// untimed. A Snapshot is immutable once taken and safe to share
+// between goroutines; Resume copies everything it hands to a machine.
+type Snapshot struct {
+	mod    *ir.Module
+	mark   uint64   // the Capture threshold this snapshot was taken for
+	c      Counters // with the compiled backend's segment counts folded in
+	frames []frameState
+	mem    memState
+	hooks  any // StatefulHooks.SaveState, or nil
+
+	overrideActive bool
+	overrideAddr   int64
+	overrideVal    uint64
+	lastRet        uint64
+	faultFrameFn   int
+	hookOp         ir.Op
+}
+
+// frameState is one saved frame; ready cycles and the compiled
+// backend's segment hint are not saved (resumed runs are untimed, and
+// the hint is recomputed).
+type frameState struct {
+	fi        int
+	regs      []uint64
+	block, ip int
+	stackMark int64
+	retDst    ir.Reg
+	inRegion  bool
+	savedArgs []uint64
+}
+
+// memState is a saved memory: the two written watermark spans, the
+// sparse pages and the segment pointers.
+type memState struct {
+	size     int64    // len(words) of the saved arena
+	lo       []uint64 // words[:dirtyLoEnd]
+	hiStart  int64    // dirtyHiStart
+	hi       []uint64 // words[dirtyHiStart:]
+	pages    map[int64][]uint64
+	heapEnd  int64
+	stackPtr int64
+}
+
+// Region returns the region instruction count at the snapshot: a
+// replica whose fault targets region index Region() or later can
+// resume from it.
+func (s *Snapshot) Region() uint64 { return s.c.Region }
+
+// Instrs returns the dynamic instructions the snapshot's prefix
+// executed — the work a resumed run does not repeat.
+func (s *Snapshot) Instrs() uint64 { return s.c.Dyn }
+
+// words returns the memory words the snapshot holds.
+func (s *Snapshot) words() int {
+	n := len(s.mem.lo) + len(s.mem.hi)
+	for _, pg := range s.mem.pages {
+		n += len(pg)
+	}
+	return n
+}
+
+func clonePages(pages map[int64][]uint64) map[int64][]uint64 {
+	if pages == nil {
+		return nil
+	}
+	out := make(map[int64][]uint64, len(pages))
+	for k, pg := range pages {
+		out[k] = slices.Clone(pg)
+	}
+	return out
+}
+
+func (m *Memory) snapshot() memState {
+	return memState{
+		size:     int64(len(m.words)),
+		lo:       slices.Clone(m.words[:m.dirtyLoEnd]),
+		hiStart:  m.dirtyHiStart,
+		hi:       slices.Clone(m.words[m.dirtyHiStart:]),
+		pages:    clonePages(m.pages),
+		heapEnd:  m.heapEnd,
+		stackPtr: m.stackPtr,
+	}
+}
+
+// restore makes the memory equal to the saved one: it zeroes whatever
+// the current watermarks cover beyond the saved spans, then overlays
+// them — cheaper than a full reset when the current contents (the
+// instance's inputs) are a subset of the saved spans.
+func (m *Memory) restore(st *memState) {
+	if int64(len(m.words)) != st.size {
+		panic(fmt.Sprintf("machine: snapshot of a %d-word memory restored into %d words", st.size, len(m.words)))
+	}
+	lo := int64(len(st.lo))
+	if m.dirtyLoEnd > lo {
+		clear(m.words[lo:m.dirtyLoEnd])
+	}
+	if m.dirtyHiStart < st.hiStart {
+		clear(m.words[m.dirtyHiStart:st.hiStart])
+	}
+	copy(m.words, st.lo)
+	copy(m.words[st.hiStart:], st.hi)
+	m.dirtyLoEnd = lo
+	m.dirtyHiStart = st.hiStart
+	m.pages = clonePages(st.pages)
+	m.heapEnd = st.heapEnd
+	m.stackPtr = st.stackPtr
+}
+
+// snapshot captures the run's state. Only called at a top-level
+// dispatch boundary.
+func (m *Machine) snapshot(mark uint64) *Snapshot {
+	if m.segHits != nil {
+		// Folding mid-run is exact: the end-of-run fold adds only the
+		// counts accumulated after this point.
+		m.foldSegCounters()
+	}
+	s := &Snapshot{
+		mod:            m.Mod,
+		mark:           mark,
+		c:              m.C,
+		frames:         make([]frameState, len(m.fr)),
+		mem:            m.Mem.snapshot(),
+		overrideActive: m.overrideActive,
+		overrideAddr:   m.overrideAddr,
+		overrideVal:    m.overrideVal,
+		lastRet:        m.lastRet,
+		faultFrameFn:   m.faultFrameFn,
+		hookOp:         m.hookOp,
+	}
+	for i := range m.fr {
+		f := &m.fr[i]
+		s.frames[i] = frameState{
+			fi: f.fi, regs: slices.Clone(f.regs),
+			block: f.block, ip: f.ip,
+			stackMark: f.stackMark, retDst: f.retDst,
+			// slices.Clone keeps nil and empty apart: a non-nil
+			// savedArgs marks the traced function even without arguments.
+			inRegion: f.inRegion, savedArgs: slices.Clone(f.savedArgs),
+		}
+	}
+	if h, ok := m.cfg.Hooks.(StatefulHooks); ok {
+		s.hooks = h.SaveState()
+	}
+	return s
+}
+
+// canSnapshot reports whether every piece of run state lives where a
+// snapshot can reach it: hooks (and the call tracer, which belongs to
+// them) must save their own state.
+func (m *Machine) canSnapshot() bool {
+	if m.cfg.Hooks == nil {
+		return m.cfg.CallTracer == nil
+	}
+	_, ok := m.cfg.Hooks.(StatefulHooks)
+	return ok
+}
+
+// Resume runs to completion from snap instead of from the kernel's
+// entry, as if the run had started at instruction 0 with the same
+// arguments: counters (Dyn included), outputs, error and fault
+// attribution equal the from-zero run's. It must directly follow New
+// or Reset on a machine built for the snapshot's module, and the
+// machine must be Untimed (a snapshot holds no cycle state). The
+// armed fault must not target a region index before snap.Region(),
+// nor the budget end before snap.Instrs() — those replicas diverge
+// inside the prefix; Capture.Latest only returns snapshots that fit.
+// An instruction trace (Config.Trace) starts at the snapshot.
+func (m *Machine) Resume(snap *Snapshot) (RunResult, error) {
+	if snap.mod != m.Mod {
+		panic("machine: Resume with a snapshot of a different module")
+	}
+	if !m.pl.off {
+		panic("machine: Resume needs an Untimed machine")
+	}
+	if m.fault.armed && m.fault.plan.Target < snap.c.Region {
+		panic(fmt.Sprintf("machine: snapshot at region %d is past the fault target %d", snap.c.Region, m.fault.plan.Target))
+	}
+	if snap.c.Dyn > m.cfg.MaxInstrs {
+		panic(fmt.Sprintf("machine: snapshot at %d instructions is past the budget %d", snap.c.Dyn, m.cfg.MaxInstrs))
+	}
+	if m.cancelled() {
+		return RunResult{}, &CancelError{}
+	}
+	m.restore(snap)
+	return m.finish(m.runToDepth(0))
+}
+
+// restore installs a snapshot's state, copying every slice it hands
+// to the machine.
+func (m *Machine) restore(s *Snapshot) {
+	m.C = s.c
+	m.Mem.restore(&s.mem)
+	m.fr = m.fr[:0]
+	for i := range s.frames {
+		sf := &s.frames[i]
+		fn := m.Mod.Funcs[sf.fi]
+		f := m.newFrame(fn.NumRegs)
+		copy(f.regs, sf.regs)
+		f.fn = fn
+		f.fi = sf.fi
+		f.block = sf.block
+		f.ip = sf.ip
+		f.stackMark = sf.stackMark
+		f.retDst = sf.retDst
+		f.inRegion = sf.inRegion
+		f.savedArgs = slices.Clone(sf.savedArgs)
+		// -1 is always a valid hint: the compiled engine looks the
+		// segment up from (block, ip).
+		f.nseg = -1
+	}
+	m.overrideActive = s.overrideActive
+	m.overrideAddr = s.overrideAddr
+	m.overrideVal = s.overrideVal
+	m.lastRet = s.lastRet
+	m.faultFrameFn = s.faultFrameFn
+	m.hookOp = s.hookOp
+	if s.hooks != nil {
+		h, ok := m.cfg.Hooks.(StatefulHooks)
+		if !ok {
+			panic("machine: Resume of a snapshot with hook state on a machine without StatefulHooks")
+		}
+		h.RestoreState(s.hooks)
+	}
+	if m.backend == BackendCompiled {
+		m.recalcTriggers()
+	}
+}
+
+// captureStride is a Capture's initial snapshot spacing in region
+// instructions; it keeps the first snapshots of a long run from being
+// taken (and then thinned away) at every dispatch.
+const captureStride = 256
+
+// Capture collects snapshots of one run (Config.Capture) at evenly
+// spaced region indexes, for Resume. The run's region size is unknown
+// until it ends, so Capture samples at a fixed stride and, whenever it
+// holds more than 2×min snapshots, keeps every other one and doubles
+// the stride: a run of R region instructions ends with min to 2×min
+// snapshots about R/(min..2×min) apart (fewer when R < min ×
+// captureStride). A run whose hooks cannot save their state captures
+// nothing. After the run a Capture is read-only and safe to share.
+type Capture struct {
+	min     int
+	stride  uint64
+	next    uint64
+	snaps   []*Snapshot
+	elapsed time.Duration
+}
+
+// NewCapture returns a capture that keeps at least min snapshots of a
+// long enough run.
+func NewCapture(min int) *Capture {
+	return &Capture{min: max(min, 1), stride: captureStride, next: captureStride}
+}
+
+// take snapshots the run if it has reached the next threshold.
+func (c *Capture) take(m *Machine) {
+	t0 := time.Now()
+	c.snaps = append(c.snaps, m.snapshot(m.C.Region/c.stride*c.stride))
+	if len(c.snaps) > 2*c.min {
+		c.stride *= 2
+		kept := c.snaps[:0]
+		for _, s := range c.snaps {
+			if s.mark%c.stride == 0 {
+				kept = append(kept, s)
+			}
+		}
+		clear(c.snaps[len(kept):])
+		c.snaps = kept
+	}
+	c.next = (m.C.Region/c.stride + 1) * c.stride
+	c.elapsed += time.Since(t0)
+}
+
+// Len returns the number of snapshots held.
+func (c *Capture) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.snaps)
+}
+
+// Words returns the memory words the snapshots hold.
+func (c *Capture) Words() int {
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for _, s := range c.snaps {
+		n += s.words()
+	}
+	return n
+}
+
+// Elapsed returns the wall time spent taking snapshots.
+func (c *Capture) Elapsed() time.Duration {
+	if c == nil {
+		return 0
+	}
+	return c.elapsed
+}
+
+// Latest returns the last snapshot a run faulting at region index
+// target under an instruction budget of maxInstrs can resume from —
+// at or before target, within the budget — or nil when there is none
+// (the run starts from instruction 0).
+func (c *Capture) Latest(target, maxInstrs uint64) *Snapshot {
+	if c == nil {
+		return nil
+	}
+	i := sort.Search(len(c.snaps), func(i int) bool { return c.snaps[i].c.Region > target })
+	for i--; i >= 0; i-- {
+		if c.snaps[i].c.Dyn <= maxInstrs {
+			return c.snaps[i]
+		}
+	}
+	return nil
+}
+
+// runCapturing is the top-level dispatch loop of a run with a
+// Capture: either engine's single-step dispatch, with a snapshot
+// check between steps. Nested runs (runtime hooks' recompute calls)
+// go through runToDepth and never snapshot.
+func (m *Machine) runCapturing(c *Capture) error {
+	for len(m.fr) > 0 {
+		if m.C.Region >= c.next {
+			c.take(m)
+		}
+		var err error
+		if m.backend == BackendCompiled {
+			err = m.runBlockC()
+		} else {
+			err = m.step()
+		}
+		if err != nil {
+			for len(m.fr) > 0 {
+				m.popFrame()
+			}
+			return err
+		}
+	}
+	return nil
+}

@@ -71,6 +71,16 @@ func (it *Interp) Reset() {
 	it.Changes = it.Changes[:0]
 }
 
+// Clone returns an independent copy of the slicer: the buffered
+// points and the recorded slope changes are copied, so neither copy's
+// later Observe, Reset or Flush affects the other.
+func (it *Interp) Clone() *Interp {
+	c := *it
+	c.pts = append([]Point(nil), it.pts...)
+	c.Changes = append([]float64(nil), it.Changes...)
+	return &c
+}
+
 // Pending returns the number of buffered (not yet validated) points.
 func (it *Interp) Pending() int { return len(it.pts) }
 

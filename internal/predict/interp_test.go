@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -216,5 +217,32 @@ func TestSeedCarriesValidatedFlag(t *testing.T) {
 	second := phases[1]
 	if !second[0].Validated {
 		t.Error("phase seed point must carry the Validated flag")
+	}
+}
+
+// TestInterpCloneIndependent: a clone continues exactly like the
+// original, and neither copy's later observations reach the other.
+func TestInterpCloneIndependent(t *testing.T) {
+	it := NewInterp(0.5)
+	for i := int64(0); i < 5; i++ {
+		it.Observe(Point{Iter: i, V: float64(i)})
+	}
+	c := it.Clone()
+	feed := func(in *Interp) ([]Point, []float64) {
+		var phases []Point
+		for i := int64(5); i < 9; i++ {
+			if ph, cut := in.Observe(Point{Iter: i, V: float64(i * i)}); cut {
+				phases = append(phases, ph...)
+			}
+		}
+		return append(phases, in.Flush()...), append([]float64(nil), in.Changes...)
+	}
+	p1, ch1 := feed(it)
+	if it.Pending() != 0 || c.Pending() != 5 {
+		t.Fatalf("pending after feeding the original: %d and clone %d, want 0 and 5", it.Pending(), c.Pending())
+	}
+	p2, ch2 := feed(c)
+	if !reflect.DeepEqual(p1, p2) || !reflect.DeepEqual(ch1, ch2) {
+		t.Errorf("clone diverged from the original:\n  %v %v\n  %v %v", p1, ch1, p2, ch2)
 	}
 }

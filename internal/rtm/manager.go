@@ -3,6 +3,7 @@ package rtm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rskip/internal/ir"
 	"rskip/internal/machine"
@@ -161,6 +162,65 @@ func (m *Manager) traceMemoCall(args []uint64, ret uint64) {
 		}
 	}
 	m.pendingMemoArgs = in
+}
+
+// managerState is a saved Manager run state (machine.StatefulHooks):
+// what a resumed replica needs to continue exactly where the clean run
+// was when it was snapshotted.
+type managerState struct {
+	loops           map[int]*loopState
+	stats           map[int]*LoopStats
+	pendingMemoArgs []float64
+}
+
+// clone copies a loop state; the slices the manager later edits in
+// place are copied, the immutable loop info is shared.
+func (ls *loopState) clone() *loopState {
+	c := *ls
+	c.interp = ls.interp.Clone()
+	c.invariants = append([]uint64(nil), ls.invariants...)
+	c.fixed = append([]predict.Point(nil), ls.fixed...)
+	return &c
+}
+
+// clone copies loop statistics. The traces are only ever appended to,
+// so clipping their capacity is enough: the copy's first append
+// reallocates instead of writing into the shared array.
+func (st *LoopStats) clone() *LoopStats {
+	c := *st
+	c.TPTrace = st.TPTrace[:len(st.TPTrace):len(st.TPTrace)]
+	c.SigTrace = st.SigTrace[:len(st.SigTrace):len(st.SigTrace)]
+	return &c
+}
+
+// copyState returns a deep copy of the run state.
+func (s *managerState) copyState() *managerState {
+	c := &managerState{
+		loops:           make(map[int]*loopState, len(s.loops)),
+		stats:           make(map[int]*LoopStats, len(s.stats)),
+		pendingMemoArgs: slices.Clone(s.pendingMemoArgs), // nil means no pending call
+	}
+	for id, ls := range s.loops {
+		c.loops[id] = ls.clone()
+	}
+	for id, st := range s.stats {
+		c.stats[id] = st.clone()
+	}
+	return c
+}
+
+// SaveState implements machine.StatefulHooks: a copy of the loop
+// states, statistics (with their TP and signature traces) and the
+// pending memo inputs.
+func (m *Manager) SaveState() any {
+	return (&managerState{loops: m.loops, stats: m.Stats, pendingMemoArgs: m.pendingMemoArgs}).copyState()
+}
+
+// RestoreState implements machine.StatefulHooks: the manager continues
+// from a private copy of a SaveState result.
+func (m *Manager) RestoreState(state any) {
+	c := state.(*managerState).copyState()
+	m.loops, m.Stats, m.pendingMemoArgs = c.loops, c.stats, c.pendingMemoArgs
 }
 
 // LoopEnter implements machine.Hooks.

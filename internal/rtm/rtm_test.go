@@ -2,6 +2,7 @@ package rtm
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -249,5 +250,74 @@ func TestPredictorCostsOrdering(t *testing.T) {
 	ratio := float64(am.Instrs()) / float64(di.Instrs())
 	if ratio < 1.2 || ratio > 3.5 {
 		t.Errorf("AM/DI cost ratio %.2f far from the paper's 1.84", ratio)
+	}
+}
+
+// TestManagerStateResumes: replicas resumed from snapshots of a
+// managed clean run end with the from-zero run's statistics (TP and
+// signature traces included), counters and output — the manager's
+// SaveState/RestoreState carry everything the rest of the run reads —
+// and one snapshot seeds any number of replicas without being changed
+// by them.
+func TestManagerStateResumes(t *testing.T) {
+	rsk, fi := buildPP(t, rampSrc)
+	region := map[int]bool{}
+	for bi := range rsk.Funcs[fi].Blocks {
+		region[bi] = true
+	}
+	const n = 600
+	run := func(c *machine.Capture, snap *machine.Snapshot) (*Manager, machine.RunResult, []float64) {
+		mgr := NewManager(rsk, Config{AR: 0.2, DefaultTP: 0.25, Window: 8})
+		cfg := mgr.MachineConfig(machine.Config{
+			RegionBlocks: map[int]map[int]bool{fi: region},
+			Capture:      c,
+			Untimed:      snap != nil,
+		})
+		m := machine.New(rsk, cfg)
+		defer m.Release()
+		a := m.Mem.Alloc(n + 4)
+		for i := 0; i < n+4; i++ {
+			// A ramp with a step every 37 elements: phases cut, TPs adjust.
+			m.Mem.SetFloat(a+int64(i), float64(i+(i/37)*50))
+		}
+		out := m.Mem.Alloc(n)
+		var res machine.RunResult
+		var err error
+		if snap != nil {
+			res, err = m.Resume(snap)
+		} else {
+			res, err = m.Run(fi, []uint64{uint64(a), uint64(out), n})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mgr, res, m.Mem.ReadFloats(out, n)
+	}
+	c := machine.NewCapture(4)
+	clean, want, wantOut := run(c, nil)
+	want.Cycles = 0
+	if c.Len() == 0 {
+		t.Fatal("managed run captured no snapshots")
+	}
+	for _, st := range clean.Stats {
+		if st.Phases < 2 || st.Adjusts == 0 || st.Recomputed == 0 {
+			t.Fatalf("clean run exercised too little manager state: %+v", *st)
+		}
+	}
+	for _, target := range []uint64{want.Region / 3, want.Region / 3, want.Region - 1} {
+		snap := c.Latest(target, ^uint64(0))
+		if snap == nil {
+			t.Fatalf("no snapshot before region index %d", target)
+		}
+		mgr, got, gotOut := run(nil, snap)
+		if got != want {
+			t.Errorf("resumed at %d: %+v, want %+v", snap.Region(), got, want)
+		}
+		if !reflect.DeepEqual(mgr.Stats, clean.Stats) {
+			t.Errorf("resumed at %d: stats diverged", snap.Region())
+		}
+		if !reflect.DeepEqual(gotOut, wantOut) {
+			t.Errorf("resumed at %d: output diverged", snap.Region())
+		}
 	}
 }

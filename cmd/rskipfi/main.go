@@ -497,10 +497,11 @@ func metricsSummary(label string, delta map[string]float64) string {
 			continue
 		}
 		// Prefix sharing (replicas resumed from clean-run snapshots)
-		// changes how much work a campaign does, never what it
-		// computes; the summary reports the latter, identical either
-		// way. The counter remains in -metrics.
-		if k == "fault_prefix_instrs_skipped_total" {
+		// and convergence early-exit change how much work a campaign
+		// does, never what it computes; the summary reports the latter,
+		// identical either way. The counters remain in -metrics.
+		switch k {
+		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total":
 			continue
 		}
 		if !inLead[k] && !strings.Contains(k, "_bucket") {

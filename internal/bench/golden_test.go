@@ -7,7 +7,8 @@
 // take the compiled path while the reference interpreter stays the
 // spec. The same sweep proves that untimed campaign replicas
 // (core.Injector) lose nothing but cycles, whether they run from
-// instruction 0 or resume from a snapshot of the clean run.
+// instruction 0, resume from a snapshot of the clean run, or also stop
+// early once their state rejoins the clean run's.
 package bench_test
 
 import (
@@ -23,9 +24,10 @@ import (
 // the reference interpreter and reports any observable divergence of
 // the compiled run from the timed reference. Each backend also runs it
 // as a campaign replica (a one-shot core.Injector, which runs
-// untimed), from instruction 0 and resumed from the latest snapshot of
-// prefix that fits the run: both must match the reference in
-// everything but Cycles, which must be 0.
+// untimed), from instruction 0, resumed from the latest snapshot of
+// prefix that fits the run, and replayed against prefix with the
+// convergence early-exit: all must match the reference in everything
+// but Cycles, which must be 0.
 func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts, prefix *machine.Capture) {
 	t.Helper()
 	refOpts := opts
@@ -52,6 +54,7 @@ func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Inst
 		if snap := prefix.Latest(target, budget); snap != nil {
 			sameAsRef(t, label+"/resumed", inj.Resume(gen(), o, snap), ref, untimedRef)
 		}
+		sameAsRef(t, label+"/converged", inj.Replay(gen(), o, prefix), ref, untimedRef)
 		inj.Close()
 	}
 }

@@ -488,6 +488,13 @@ type Outcome struct {
 	// prediction-covered code: a TagValue site or an unprotected
 	// value-slice callee.
 	FaultInValueSlice bool
+	// Converged reports that a replayed replica (Injector.Replay)
+	// stopped once its state rejoined the clean run's, and
+	// ConvergedSkipped how many instructions of the clean run's
+	// remainder it therefore did not execute. Every other field is
+	// what the full run would report.
+	Converged        bool
+	ConvergedSkipped uint64
 }
 
 // SkipRate aggregates the skip rate over all PP loops of the run.
@@ -599,6 +606,7 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 	if err == nil {
 		out.Output = inst.Output(m.Mem)
 	}
+	out.ConvergedSkipped, out.Converged = m.Converged()
 	return out
 }
 
@@ -665,14 +673,40 @@ func (in *Injector) Run(inst bench.Instance, opts RunOpts) Outcome {
 // starting at a snapshot before the fault target and within the budget
 // (machine.Capture.Latest picks one) skips work without changing it.
 func (in *Injector) Resume(inst bench.Instance, opts RunOpts, snap *machine.Snapshot) Outcome {
+	return in.run(inst, opts, snap, nil)
+}
+
+// run executes one untimed replica on the pooled machine, from snap
+// (nil: instruction 0), checking for convergence against c when
+// non-nil.
+func (in *Injector) run(inst bench.Instance, opts RunOpts, snap *machine.Snapshot, c *machine.Capture) Outcome {
 	mcfg, mgr := in.p.machineConfig(in.s, in.mod, opts)
 	mcfg.Untimed = true
+	mcfg.Converge = c
 	if in.m == nil {
 		in.m = machine.New(in.mod, mcfg)
 	} else {
 		in.m.Reset(mcfg)
 	}
 	return in.p.runOn(in.m, in.mod, mgr, inst, snap)
+}
+
+// Replay executes one replica against c, a capture RunCapture took of
+// this scheme's fault-free run of the same instance: it resumes from
+// the latest snapshot the fault target and budget allow (from
+// instruction 0 when there is none) and, once the fault has fired,
+// stops as soon as its state rejoins the clean run's, taking the clean
+// run's end (machine.Config.Converge). The outcome equals Run's in
+// every field; Converged and ConvergedSkipped report the early exit.
+func (in *Injector) Replay(inst bench.Instance, opts RunOpts, c *machine.Capture) Outcome {
+	target, budget := ^uint64(0), opts.MaxInstrs
+	if opts.Fault != nil {
+		target = opts.Fault.Target
+	}
+	if budget == 0 {
+		budget = machine.DefaultMaxInstrs
+	}
+	return in.run(inst, opts, c.Latest(target, budget), c)
 }
 
 // Discard drops the pooled machine without releasing its arena back

@@ -23,7 +23,10 @@ const defaultBatch = 100
 // as many) a campaign takes of its fault-free profile run. Each
 // replica resumes from the latest one before its fault target, so on
 // average it re-executes about 1/(2×prefixSnapshots) of the run
-// instead of the whole fault-free prefix (machine.Capture).
+// instead of the whole fault-free prefix (machine.Capture). The same
+// snapshots are the replicas' convergence check points, so the spacing
+// also sets how soon a replica whose state rejoined the clean run's
+// notices and stops.
 const prefixSnapshots = 32
 
 // Campaign runs up to cfg.N fault injections of the scheme on the
@@ -339,8 +342,12 @@ type campaignMetrics struct {
 	panics     *obs.Counter
 	ckWrites   *obs.Counter
 	prefix     *obs.Counter
-	classes    [NumClasses]*obs.Counter
-	kinds      [machine.NumFaultKinds]*obs.Counter
+	converged  *obs.Counter
+	// convergedSkipped counts the clean-run remainder converged
+	// replicas did not execute.
+	convergedSkipped *obs.Counter
+	classes          [NumClasses]*obs.Counter
+	kinds            [machine.NumFaultKinds]*obs.Counter
 }
 
 func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
@@ -352,6 +359,9 @@ func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
 		panics:     m.Counter("fault_panics_contained_total", "worker panics contained as CoreDump"),
 		ckWrites:   m.Counter("fault_checkpoint_writes_total", "checkpoint files written"),
 		prefix:     m.Counter("fault_prefix_instrs_skipped_total", "fault-free prefix instructions replicas resumed from snapshots instead of executing"),
+		converged:  m.Counter("fault_converged_total", "replicas stopped early because their state rejoined the clean run's"),
+		convergedSkipped: m.Counter("fault_converged_instrs_skipped_total",
+			"clean-run instructions converged replicas took from the clean run's end instead of executing"),
 	}
 	for c := Correct; c < NumClasses; c++ {
 		slug := strings.ReplaceAll(strings.ToLower(c.String()), " ", "_")
@@ -478,11 +488,14 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		e.cfg.runHook(i)
 	}
 	plan := e.plans[i]
-	snap := e.prefix.Latest(plan.Target, e.budget)
-	if snap != nil {
+	if snap := e.prefix.Latest(plan.Target, e.budget); snap != nil {
 		e.met.prefix.Add(snap.Instrs())
 	}
-	o := inj.Resume(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: rctx.Done()}, snap)
+	o := inj.Replay(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: rctx.Done()}, e.prefix)
+	if o.Converged {
+		e.met.converged.Inc()
+		e.met.convergedSkipped.Add(o.ConvergedSkipped)
+	}
 	if _, cancelled := o.Err.(*machine.CancelError); cancelled {
 		if ctx.Err() != nil {
 			// Campaign-level cancellation: the run is incomplete.

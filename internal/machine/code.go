@@ -3,6 +3,7 @@ package machine
 import (
 	"sync"
 
+	"rskip/internal/analysis"
 	"rskip/internal/ir"
 )
 
@@ -22,6 +23,11 @@ type Code struct {
 	// "one compiled code object per module".
 	compiledOnce sync.Once
 	compiled     *ccode
+
+	// live is the per-function live-register solution replicas compare
+	// registers by (converge.go), solved on first use.
+	liveOnce sync.Once
+	live     []*analysis.Liveness
 }
 
 // compiledForm returns the closure-threaded form, compiling it on

@@ -231,7 +231,9 @@ func (m *Machine) recalcTriggers() {
 			r = 0
 		}
 	}
-	m.regionTrigger = r
+	// A replica checking for convergence leaves the fast path at its
+	// next check point (noCheck otherwise).
+	m.regionTrigger = min(r, m.conv.at)
 }
 
 // blockInRegion reports whether the frame's current block executes
@@ -302,8 +304,12 @@ func (m *Machine) invalidateNseg() {
 // runBlockSlow is the exact block-entry path, taken while a trigger
 // threshold is met: it decides whether any per-instruction check
 // (hang, fault, burst, trace) could trigger inside the block and, if
-// so, steps it exactly through stepCareful (dexec.go).
+// so, steps it exactly through stepCareful (dexec.go). At top level it
+// also runs a due convergence check (converge.go).
 func (m *Machine) runBlockSlow(f *frame) error {
+	if m.C.Region >= m.conv.at && m.nest == 0 && m.converged() {
+		return errConverged
+	}
 	blk := &m.code.fns[f.fi].blocks[f.block]
 	inRegion := m.blockInRegion(f)
 	if m.cfg.Cancel != nil && m.C.Dyn >= m.cancelAt {

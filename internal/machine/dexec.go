@@ -104,11 +104,13 @@ func (m *Machine) stepCareful(f *frame, blk *dblock, inRegion bool) error {
 		// land: the fault is recorded as fired but masked (equivalent
 		// to hitting a dead register), instead of the seed's
 		// divide-by-zero panic.
+		hit := ir.NoReg
 		if f.fn.NumRegs > 0 {
-			hit := ir.Reg(m.fault.plan.Pick % f.fn.NumRegs)
+			hit = ir.Reg(m.fault.plan.Pick % f.fn.NumRegs)
 			m.fault.firedTag = m.regTagOf(f.fi, hit)
 			m.flipBit(f, hit)
 		}
+		m.struckDead(f.fi, f.block, f.ip-1, hit, false)
 		return m.execD(f, d)
 	case faultPre:
 		if d.nargs > 0 {
@@ -117,12 +119,16 @@ func (m *Machine) stepCareful(f *frame, blk *dblock, inRegion bool) error {
 		return m.execD(f, d)
 	case faultPost:
 		dst := d.dst
+		fi, block, ip := f.fi, f.block, f.ip-1
 		if err := m.execD(f, d); err != nil {
 			return err
 		}
 		// As in the seed: f.regs still aliases the same backing array
 		// even if the frame was popped or m.fr reallocated.
 		m.flipBit(f, dst)
+		if m.fault.plan.Kind != FaultSourceBit {
+			m.struckDead(fi, block, ip, dst, true)
+		}
 		return nil
 	case faultSkip:
 		m.pl.issue(readyD(f, d), 1)

@@ -60,11 +60,13 @@ func (m *Machine) step() error {
 		// from a region call site) gives the strike nowhere to land:
 		// record the fault as fired but masked, like a hit on a dead
 		// register, instead of panicking on Pick % 0.
+		hit := ir.NoReg
 		if f.fn.NumRegs > 0 {
-			hit := ir.Reg(m.fault.plan.Pick % f.fn.NumRegs)
+			hit = ir.Reg(m.fault.plan.Pick % f.fn.NumRegs)
 			m.fault.firedTag = m.regTagOf(f.fi, hit)
 			m.flipBit(f, hit)
 		}
+		m.struckDead(f.fi, f.block, f.ip-1, hit, false)
 		return m.exec(f, in)
 	case faultPre:
 		if len(in.Args) > 0 {
@@ -73,6 +75,7 @@ func (m *Machine) step() error {
 		return m.exec(f, in)
 	case faultPost:
 		dst := in.Dst
+		fi, block, ip := f.fi, f.block, f.ip-1
 		if err := m.exec(f, in); err != nil {
 			return err
 		}
@@ -80,6 +83,9 @@ func (m *Machine) step() error {
 		// (OpCall); f.regs still aliases the same backing array, so the
 		// flip lands on the intended architectural register.
 		m.flipBit(f, dst)
+		if m.fault.plan.Kind != FaultSourceBit {
+			m.struckDead(fi, block, ip, dst, true)
+		}
 		return nil
 	case faultSkip:
 		m.pl.issue(readyOf(f, in), 1)

@@ -145,6 +145,10 @@ func (m *Machine) decideFault(inRegion bool, in *ir.Instr) faultAction {
 	m.fault.firedTag = in.Tag
 	m.fault.firedOp = in.Op
 	m.fault.firedFn = m.faultFrameFn
+	if m.conv.c != nil {
+		// Convergence checks start at the first snapshot from here on.
+		m.conv.seek(m.C.Region)
+	}
 	// Careful: Dst is only meaningful when the opcode writes one; the
 	// zero value of an absent Dst is register 0, not NoReg.
 	hasDst := in.Op.HasDst() && in.Dst != ir.NoReg

@@ -163,6 +163,12 @@ type Config struct {
 	// indexes for later Resume (see snapshot.go). Fault campaigns set it
 	// on their clean profile run; it does not change the run itself.
 	Capture *Capture
+	// Converge, when non-nil on an Untimed run with an armed fault,
+	// holds a Capture of the same instance's clean run: once the fault
+	// has fired, the run stops as soon as its state rejoins the clean
+	// run's and takes the clean run's end (see converge.go). Outcomes
+	// are unchanged; runs with Trace or RegionTrace never stop early.
+	Converge *Capture
 	// Trace, when non-nil, receives one line per executed instruction
 	// (capped by TraceLimit, default 10000) — the compiler-debugging
 	// view of a run.
@@ -193,7 +199,7 @@ func newMachineMetrics(m *obs.Metrics) *machineMetrics {
 	}
 	return &machineMetrics{
 		runs:    m.Counter("machine_runs_total", "kernel executions"),
-		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, counting prefixes resumed from snapshots (see fault_prefix_instrs_skipped_total)"),
+		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, counting prefixes resumed from snapshots and tails taken from the clean run (see fault_prefix_instrs_skipped_total, fault_converged_instrs_skipped_total)"),
 		cycles:  m.Counter("machine_cycles_total", "simulated cycles of timed runs (untimed campaign replicas add 0)"),
 		region:  m.Counter("machine_region_instrs_total", "dynamic instructions inside detected-loop regions"),
 		runtime: m.Counter("machine_runtime_charge_total", "instructions charged by runtime hooks"),
@@ -239,6 +245,9 @@ type Machine struct {
 	segHits       []uint64
 	dynTrigger    uint64
 	regionTrigger uint64
+
+	conv convState // convergence check against the clean run (converge.go)
+	nest int       // runtime-hook recompute runs in progress
 
 	// pl sits last: its fixed slot/ring arrays span several pages, and
 	// keeping them past the scalar fields keeps every other hot field
@@ -332,6 +341,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 	if cfg.Fault != nil {
 		m.fault = faultState{plan: *cfg.Fault, armed: true}
 	}
+	m.armConvergence()
 	if m.backend == BackendCompiled {
 		m.segHits = make([]uint64, len(m.ccode.segs))
 		m.recalcTriggers()
@@ -379,6 +389,8 @@ func (m *Machine) Reset(cfg Config) {
 	m.lastRet = 0
 	m.cancelAt = 0
 	m.hookOp = ir.OpRTObserve
+	m.nest = 0
+	m.armConvergence()
 	if m.backend == BackendCompiled {
 		// Run folds-and-clears segHits on every exit, so the counts are
 		// already zero unless the previous run died in a contained panic
@@ -434,9 +446,14 @@ func (m *Machine) Run(fnIdx int, args []uint64) (RunResult, error) {
 	return m.finish(m.runToDepth(0))
 }
 
-// finish completes a top-level run: folds the lazy counters, assembles
-// the result and feeds the metrics.
+// finish completes a top-level run: takes the clean run's end if the
+// run converged, folds the lazy counters, assembles the result and
+// feeds the metrics.
 func (m *Machine) finish(err error) (RunResult, error) {
+	if err == errConverged {
+		m.jumpToEnd()
+		err = nil
+	}
 	if m.segHits != nil {
 		m.foldSegCounters()
 	}
@@ -534,13 +551,21 @@ func (m *Machine) popFrame() {
 }
 
 // runToDepth steps until the frame stack shrinks to the given depth,
-// using whichever execution engine the config selected.
+// using whichever execution engine the config selected. The reference
+// engine runs a due convergence check (converge.go) between top-level
+// steps; the compiled engine does so in runBlockSlow.
 func (m *Machine) runToDepth(depth int) error {
 	if m.backend == BackendCompiled {
 		return m.runCompiled(depth)
 	}
 	for len(m.fr) > depth {
-		if err := m.step(); err != nil {
+		var err error
+		if m.C.Region >= m.conv.at && m.nest == 0 && m.converged() {
+			err = errConverged
+		} else {
+			err = m.step()
+		}
+		if err != nil {
 			// Unwind so nested invocations leave a consistent stack.
 			for len(m.fr) > depth {
 				m.popFrame()
@@ -601,7 +626,9 @@ func (m *Machine) CallRecompute(loop *ir.LoopInfo, iter int64, invariants []uint
 	if err := m.pushFrame(loop.RecomputeFn, args, ir.NoReg); err != nil {
 		return 0, err
 	}
+	m.nest++
 	err := m.runToDepth(depth)
+	m.nest--
 	m.overrideActive, m.overrideAddr, m.overrideVal = savedActive, savedAddr, savedVal
 	if err != nil {
 		return 0, err

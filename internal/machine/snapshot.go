@@ -20,8 +20,8 @@ import (
 // it on both engines.
 //
 // Snapshots are taken only at top-level dispatch boundaries of Run
-// (between two reference steps or two compiled segments, never inside
-// a runtime hook's nested recompute call), where the frame stack,
+// that both engines visit (compiled segment starts, never inside a
+// runtime hook's nested recompute call), where the frame stack,
 // counters and memory fully describe the run. The format is
 // engine-neutral: a snapshot taken on either engine resumes on either.
 
@@ -30,10 +30,16 @@ import (
 // SaveState returns a copy the hooks never touch again; RestoreState
 // installs a private copy of one, leaving the saved state untouched
 // (one snapshot seeds many replicas).
+//
+// SameState reports whether the hooks' current run state equals a
+// SaveState result in everything the rest of the run can read — the
+// convergence check (converge.go) compares it at snapshot points. It
+// must be exact: float fields compare by bits, not by ==.
 type StatefulHooks interface {
 	Hooks
 	SaveState() any
 	RestoreState(state any)
+	SameState(saved any) bool
 }
 
 // Snapshot is the complete resumable state of a run at one top-level
@@ -277,13 +283,19 @@ const captureStride = 256
 // holds more than 2×min snapshots, keeps every other one and doubles
 // the stride: a run of R region instructions ends with min to 2×min
 // snapshots about R/(min..2×min) apart (fewer when R < min ×
-// captureStride). A run whose hooks cannot save their state captures
-// nothing. After the run a Capture is read-only and safe to share.
+// captureStride). A run that finishes without error also records its
+// final state (no frames, every runtime hook flushed). The snapshots
+// double as the convergence check points of replicas run with
+// Config.Converge, so their spacing also sets how soon a replica whose
+// state rejoined the clean run's notices and takes the final state. A
+// run whose hooks cannot save their state captures nothing. After the
+// run a Capture is read-only and safe to share.
 type Capture struct {
 	min     int
 	stride  uint64
 	next    uint64
 	snaps   []*Snapshot
+	final   *Snapshot // the end of a run that finished without error
 	elapsed time.Duration
 }
 
@@ -312,7 +324,16 @@ func (c *Capture) take(m *Machine) {
 	c.elapsed += time.Since(t0)
 }
 
-// Len returns the number of snapshots held.
+// end records the finished run's final state — no frames, every
+// runtime hook flushed — which converged replicas take as their own.
+func (c *Capture) end(m *Machine) {
+	t0 := time.Now()
+	c.final = m.snapshot(m.C.Region)
+	c.elapsed += time.Since(t0)
+}
+
+// Len returns the number of resumable snapshots held (the final state
+// is not one).
 func (c *Capture) Len() int {
 	if c == nil {
 		return 0
@@ -320,7 +341,8 @@ func (c *Capture) Len() int {
 	return len(c.snaps)
 }
 
-// Words returns the memory words the snapshots hold.
+// Words returns the memory words the snapshots hold, the final state
+// included.
 func (c *Capture) Words() int {
 	if c == nil {
 		return 0
@@ -328,6 +350,9 @@ func (c *Capture) Words() int {
 	n := 0
 	for _, s := range c.snaps {
 		n += s.words()
+	}
+	if c.final != nil {
+		n += c.final.words()
 	}
 	return n
 }
@@ -360,10 +385,13 @@ func (c *Capture) Latest(target, maxInstrs uint64) *Snapshot {
 // runCapturing is the top-level dispatch loop of a run with a
 // Capture: either engine's single-step dispatch, with a snapshot
 // check between steps. Nested runs (runtime hooks' recompute calls)
-// go through runToDepth and never snapshot.
+// go through runToDepth and never snapshot. Snapshots sit only where
+// the compiled engine dispatches a segment, so a compiled replica
+// reaches every snapshot point of a reference-engine capture and can
+// check for convergence there.
 func (m *Machine) runCapturing(c *Capture) error {
 	for len(m.fr) > 0 {
-		if m.C.Region >= c.next {
+		if m.C.Region >= c.next && m.atSegStart() {
 			c.take(m)
 		}
 		var err error
@@ -379,5 +407,13 @@ func (m *Machine) runCapturing(c *Capture) error {
 			return err
 		}
 	}
+	c.end(m)
 	return nil
+}
+
+// atSegStart reports whether the top frame stands at the start of a
+// compiled segment: a block entry, or just past a call or runtime hook.
+func (m *Machine) atSegStart() bool {
+	f := &m.fr[len(m.fr)-1]
+	return f.ip == 0 || m.code.fns[f.fi].blocks[f.block].ins[f.ip-1].brk
 }

@@ -81,6 +81,47 @@ func (it *Interp) Clone() *Interp {
 	return &c
 }
 
+// Same reports whether two slicers are in the same state: TP, the
+// buffered points, the slope state and the recorded slope changes.
+// Floats compare by bits (== would equate -0 and +0 and never equate
+// NaNs); a nil and an empty buffer are the same state.
+func (it *Interp) Same(o *Interp) bool {
+	return math.Float64bits(it.TP) == math.Float64bits(o.TP) &&
+		math.Float64bits(it.prevSlope) == math.Float64bits(o.prevSlope) &&
+		it.haveSlope == o.haveSlope &&
+		SameFloats(it.Changes, o.Changes) && SamePoints(it.pts, o.pts)
+}
+
+// SameFloats compares two float slices by bits; nil equals empty.
+func SameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SamePoints compares two point slices field by field, floats by
+// bits. MemoIn keeps nil (no memo inputs) apart from empty.
+func SamePoints(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		p, q := &a[i], &b[i]
+		if p.Iter != q.Iter || math.Float64bits(p.V) != math.Float64bits(q.V) || p.Bits != q.Bits ||
+			p.Addr != q.Addr || p.Old != q.Old || p.Validated != q.Validated ||
+			(p.MemoIn == nil) != (q.MemoIn == nil) || !SameFloats(p.MemoIn, q.MemoIn) {
+			return false
+		}
+	}
+	return true
+}
+
 // Pending returns the number of buffered (not yet validated) points.
 func (it *Interp) Pending() int { return len(it.pts) }
 

@@ -246,3 +246,60 @@ func TestInterpCloneIndependent(t *testing.T) {
 		t.Errorf("clone diverged from the original:\n  %v %v\n  %v %v", p1, ch1, p2, ch2)
 	}
 }
+
+// TestInterpSame: the slicer equality notices every field — floats by
+// bits, so -0 and +0 differ — and treats nil and empty buffers alike;
+// point equality keeps nil memo inputs apart from empty ones.
+func TestInterpSame(t *testing.T) {
+	base := func() *Interp {
+		it := NewInterp(0.25)
+		it.Observe(Point{Iter: 0, V: 1})
+		it.Observe(Point{Iter: 1, V: 2})
+		it.Observe(Point{Iter: 2, V: 3})
+		return it
+	}
+	if !base().Same(base()) || !base().Same(base().Clone()) {
+		t.Fatal("identical slicers differ")
+	}
+	for name, mut := range map[string]func(it *Interp){
+		"TP":        func(it *Interp) { it.TP = 0.5 },
+		"points":    func(it *Interp) { it.pts[1].V = 2.5 },
+		"slope":     func(it *Interp) { it.prevSlope = math.Copysign(0, -1) },
+		"haveSlope": func(it *Interp) { it.haveSlope = false },
+		"changes":   func(it *Interp) { it.Changes[0] = math.Copysign(it.Changes[0], -1) },
+		"memo":      func(it *Interp) { it.pts[0].MemoIn = []float64{} },
+	} {
+		it := base()
+		mut(it)
+		if it.Same(base()) || base().Same(it) {
+			t.Errorf("a change in %s goes unnoticed", name)
+		}
+	}
+	a, b := NewInterp(0.25), NewInterp(0.25)
+	a.pts, a.Changes = []Point{}, []float64{}
+	if !a.Same(b) {
+		t.Error("empty and nil buffers differ")
+	}
+	pt := reflect.TypeOf(Point{})
+	for i := 0; i < pt.NumField(); i++ {
+		p, q := Point{}, Point{}
+		f := reflect.ValueOf(&q).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Float64:
+			f.SetFloat(math.Copysign(0, -1))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 0, 0))
+		default:
+			t.Fatalf("Point.%s has a kind the test cannot perturb", pt.Field(i).Name)
+		}
+		if SamePoints([]Point{p}, []Point{q}) {
+			t.Errorf("a change in Point.%s goes unnoticed", pt.Field(i).Name)
+		}
+	}
+}

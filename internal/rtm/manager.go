@@ -99,7 +99,8 @@ type loopState struct {
 	active     bool
 }
 
-// Manager implements machine.Hooks.
+// Manager implements machine.Hooks, and machine.StatefulHooks so that
+// campaign replicas can resume from and converge to its clean runs.
 type Manager struct {
 	cfg   Config
 	mod   *ir.Module
@@ -113,6 +114,8 @@ type Manager struct {
 	// inputs, consumed by the next Observe.
 	pendingMemoArgs []float64
 }
+
+var _ machine.StatefulHooks = (*Manager)(nil)
 
 // NewManager creates a manager for the transformed module.
 func NewManager(mod *ir.Module, cfg Config) *Manager {
@@ -221,6 +224,52 @@ func (m *Manager) SaveState() any {
 func (m *Manager) RestoreState(state any) {
 	c := state.(*managerState).copyState()
 	m.loops, m.Stats, m.pendingMemoArgs = c.loops, c.stats, c.pendingMemoArgs
+}
+
+// SameState implements machine.StatefulHooks: the manager's loop
+// states, statistics and pending memo inputs equal a SaveState
+// result's. Floats compare by bits. Slices whose nil-ness the run or
+// its caller can observe keep nil apart from empty: the pending memo
+// inputs (nil means no pending call) and the statistics' traces
+// (reported as they are); the loop states' internal buffers do not.
+func (m *Manager) SameState(saved any) bool {
+	s := saved.(*managerState)
+	if len(m.Stats) != len(s.stats) || len(m.loops) != len(s.loops) ||
+		(m.pendingMemoArgs == nil) != (s.pendingMemoArgs == nil) ||
+		!predict.SameFloats(m.pendingMemoArgs, s.pendingMemoArgs) {
+		return false
+	}
+	for id, st := range m.Stats {
+		if o, ok := s.stats[id]; !ok || !st.same(o) {
+			return false
+		}
+	}
+	for id, ls := range m.loops {
+		if o, ok := s.loops[id]; !ok || !ls.same(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// same compares two loop states; the loop info is shared, not copied,
+// so it compares by identity.
+func (ls *loopState) same(o *loopState) bool {
+	return ls.info == o.info && ls.sinceAdj == o.sinceAdj && ls.active == o.active &&
+		slices.Equal(ls.invariants, o.invariants) && predict.SamePoints(ls.fixed, o.fixed) &&
+		ls.interp.Same(o.interp)
+}
+
+// same compares two loop statistics field by field, the TP trace by
+// bits. (TestLoopStatsSameCoversEveryField pins the field list.)
+func (st *LoopStats) same(o *LoopStats) bool {
+	return st.Observed == o.Observed && st.SkippedDI == o.SkippedDI && st.SkippedAM == o.SkippedAM &&
+		st.SkippedFB == o.SkippedFB && st.Recomputed == o.Recomputed && st.Mispredicted == o.Mispredicted &&
+		st.Detected == o.Detected && st.Recovered == o.Recovered && st.Unrecovered == o.Unrecovered &&
+		st.Phases == o.Phases && st.Adjusts == o.Adjusts && st.AMProbes == o.AMProbes && st.AMWrong == o.AMWrong &&
+		st.DIDisabled == o.DIDisabled && st.AMDisabled == o.AMDisabled &&
+		(st.TPTrace == nil) == (o.TPTrace == nil) && predict.SameFloats(st.TPTrace, o.TPTrace) &&
+		(st.SigTrace == nil) == (o.SigTrace == nil) && slices.Equal(st.SigTrace, o.SigTrace)
 }
 
 // LoopEnter implements machine.Hooks.

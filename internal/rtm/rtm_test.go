@@ -321,3 +321,90 @@ func TestManagerStateResumes(t *testing.T) {
 		}
 	}
 }
+
+// perturb sets field i of the struct v points to away from its zero
+// value, whatever its kind; it reports false for kinds it cannot set.
+func perturb(v reflect.Value, i int) bool {
+	f := v.Elem().Field(i)
+	switch f.Kind() {
+	case reflect.Int:
+		f.SetInt(1)
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Slice:
+		f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestLoopStatsSameCoversEveryField: the typed statistics equality
+// notices a change in any field, keeps a nil trace apart from an empty
+// one (both are reported as they are), and compares TPs by bits.
+func TestLoopStatsSameCoversEveryField(t *testing.T) {
+	typ := reflect.TypeOf(LoopStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		var a, b LoopStats
+		if !perturb(reflect.ValueOf(&b), i) {
+			t.Fatalf("field %s has a kind the test cannot perturb", typ.Field(i).Name)
+		}
+		if a.same(&b) || b.same(&a) {
+			t.Errorf("a change in %s goes unnoticed", typ.Field(i).Name)
+		}
+	}
+	a, b := LoopStats{TPTrace: []float64{}}, LoopStats{}
+	if a.same(&b) {
+		t.Error("an empty TP trace equals a nil one")
+	}
+	a, b = LoopStats{TPTrace: []float64{0}}, LoopStats{TPTrace: []float64{math.Copysign(0, -1)}}
+	if a.same(&b) {
+		t.Error("TP traces holding +0 and -0 compare equal")
+	}
+}
+
+// TestManagerSameState: a manager's state equals its own SaveState
+// result at any point of a run and stops equalling it once the run
+// moves on; pending memo inputs keep nil apart from empty.
+func TestManagerSameState(t *testing.T) {
+	rsk, fi := buildPP(t, rampSrc)
+	region := map[int]bool{}
+	for bi := range rsk.Funcs[fi].Blocks {
+		region[bi] = true
+	}
+	mgr := NewManager(rsk, Config{AR: 0.2, DefaultTP: 0.25, Window: 8})
+	if !mgr.SameState(mgr.SaveState()) {
+		t.Fatal("a fresh manager differs from its own saved state")
+	}
+	saved := mgr.SaveState()
+	m := machine.New(rsk, mgr.MachineConfig(machine.Config{RegionBlocks: map[int]map[int]bool{fi: region}}))
+	defer m.Release()
+	const n = 200
+	a := m.Mem.Alloc(n + 4)
+	for i := 0; i < n+4; i++ {
+		m.Mem.SetFloat(a+int64(i), float64(i+(i/37)*50))
+	}
+	out := m.Mem.Alloc(n)
+	if _, err := m.Run(fi, []uint64{uint64(a), uint64(out), n}); err != nil {
+		t.Fatal(err)
+	}
+	if mgr.SameState(saved) {
+		t.Error("a manager that ran a loop still equals its fresh state")
+	}
+	end := mgr.SaveState()
+	if !mgr.SameState(end) {
+		t.Error("a manager differs from its own saved state after a run")
+	}
+	mgr.pendingMemoArgs = []float64{}
+	if mgr.SameState(end) {
+		t.Error("empty pending memo inputs equal none")
+	}
+	mgr.pendingMemoArgs = nil
+	for _, ls := range mgr.loops {
+		ls.sinceAdj++
+		if mgr.SameState(end) {
+			t.Error("a changed loop state goes unnoticed")
+		}
+		ls.sinceAdj--
+	}
+}

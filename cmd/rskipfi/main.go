@@ -496,12 +496,13 @@ func metricsSummary(label string, delta map[string]float64) string {
 		if strings.HasPrefix(k, "machine_arena_pool_") {
 			continue
 		}
-		// Prefix sharing (replicas resumed from clean-run snapshots)
-		// and convergence early-exit change how much work a campaign
-		// does, never what it computes; the summary reports the latter,
-		// identical either way. The counters remain in -metrics.
+		// Prefix sharing (replicas resumed from clean-run snapshots),
+		// convergence early-exit and hang proofs change how much work a
+		// campaign does, never what it computes; the summary reports the
+		// latter, identical either way. The counters remain in -metrics.
 		switch k {
-		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total":
+		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total",
+			"fault_hang_proofs_total", "fault_hang_instrs_skipped_total":
 			continue
 		}
 		if !inLead[k] && !strings.Contains(k, "_bucket") {

@@ -470,6 +470,11 @@ type RunOpts struct {
 // Outcome reports one execution.
 type Outcome struct {
 	Result machine.RunResult
+	// Output is the instance's output, read from memory only when the
+	// run ended without error; an erroring run (Segfault, Trap, Hang,
+	// Detect) leaves it nil on every engine. A Hang's memory is thus
+	// never observed, which lets a replica's hang proof skip its
+	// runaway loop's stores (machine.Config.Converge).
 	Output []uint64
 	// Stats holds per-loop run-time management statistics (RSkip runs
 	// only).
@@ -495,6 +500,14 @@ type Outcome struct {
 	// what the full run would report.
 	Converged        bool
 	ConvergedSkipped uint64
+	// HangProved reports that a replayed replica proved the loop it
+	// spun in exhausts the budget and skipped to the iteration that
+	// does, and HangSkipped how many instructions it therefore did not
+	// execute. Every other field is what the full run would report: a
+	// Hang's memory is never read (Output stays nil), which is what
+	// lets the proof leave memory stale.
+	HangProved  bool
+	HangSkipped uint64
 }
 
 // SkipRate aggregates the skip rate over all PP loops of the run.
@@ -607,6 +620,7 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 		out.Output = inst.Output(m.Mem)
 	}
 	out.ConvergedSkipped, out.Converged = m.Converged()
+	out.HangSkipped, out.HangProved = m.HangProved()
 	return out
 }
 

@@ -20,6 +20,12 @@ const checkpointVersion = 1
 // pure function of its index — which is what makes a campaign
 // resumable: aggregating saved records with freshly executed ones
 // yields counts bit-identical to an uninterrupted run.
+//
+// A record reads the run's output only when it ended without error:
+// a Hang record depends on nothing but Fired, the error and the rtm
+// statistics, never on the memory the runaway run left behind. Hang
+// proofs (see internal/machine) rely on this to skip a runaway loop's
+// iterations without performing their stores.
 type RunRecord struct {
 	Done      bool  `json:"done,omitempty"`
 	Class     Class `json:"class,omitempty"`

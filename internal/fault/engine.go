@@ -346,8 +346,13 @@ type campaignMetrics struct {
 	// convergedSkipped counts the clean-run remainder converged
 	// replicas did not execute.
 	convergedSkipped *obs.Counter
-	classes          [NumClasses]*obs.Counter
-	kinds            [machine.NumFaultKinds]*obs.Counter
+	// hangProofs and hangSkipped count replicas that proved their
+	// runaway loop exhausts the budget, and the iterations' instructions
+	// they skipped.
+	hangProofs  *obs.Counter
+	hangSkipped *obs.Counter
+	classes     [NumClasses]*obs.Counter
+	kinds       [machine.NumFaultKinds]*obs.Counter
 }
 
 func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
@@ -362,6 +367,9 @@ func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
 		converged:  m.Counter("fault_converged_total", "replicas stopped early because their state rejoined the clean run's"),
 		convergedSkipped: m.Counter("fault_converged_instrs_skipped_total",
 			"clean-run instructions converged replicas took from the clean run's end instead of executing"),
+		hangProofs: m.Counter("fault_hang_proofs_total", "replicas that proved their runaway loop exhausts the budget and skipped to the iteration that does"),
+		hangSkipped: m.Counter("fault_hang_instrs_skipped_total",
+			"runaway-loop instructions hang-proved replicas skipped instead of executing"),
 	}
 	for c := Correct; c < NumClasses; c++ {
 		slug := strings.ReplaceAll(strings.ToLower(c.String()), " ", "_")
@@ -495,6 +503,10 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 	if o.Converged {
 		e.met.converged.Inc()
 		e.met.convergedSkipped.Add(o.ConvergedSkipped)
+	}
+	if o.HangProved {
+		e.met.hangProofs.Inc()
+		e.met.hangSkipped.Add(o.HangSkipped)
 	}
 	if _, cancelled := o.Err.(*machine.CancelError); cancelled {
 		if ctx.Err() != nil {

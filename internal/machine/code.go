@@ -28,6 +28,11 @@ type Code struct {
 	// registers by (converge.go), solved on first use.
 	liveOnce sync.Once
 	live     []*analysis.Liveness
+
+	// loops is the per-function natural-loop forest hang proofs walk
+	// (hangproof.go), found on first use.
+	loopsOnce sync.Once
+	loops     []loopForest
 }
 
 // compiledForm returns the closure-threaded form, compiling it on

@@ -219,6 +219,9 @@ func (m *Machine) recalcTriggers() {
 	if m.cfg.Cancel != nil && m.cancelAt < t {
 		t = m.cancelAt
 	}
+	// A replica due for a hang-proof attempt leaves the fast path
+	// (noCheck otherwise).
+	t = min(t, m.hang.at)
 	if m.cfg.Trace != nil || m.fault.skipsLeft > 0 {
 		t = 0
 	}
@@ -305,10 +308,14 @@ func (m *Machine) invalidateNseg() {
 // threshold is met: it decides whether any per-instruction check
 // (hang, fault, burst, trace) could trigger inside the block and, if
 // so, steps it exactly through stepCareful (dexec.go). At top level it
-// also runs a due convergence check (converge.go).
+// also runs a due convergence check (converge.go), and at any depth a
+// due hang-proof attempt (hangproof.go).
 func (m *Machine) runBlockSlow(f *frame) error {
 	if m.C.Region >= m.conv.at && m.nest == 0 && m.converged() {
 		return errConverged
+	}
+	if m.C.Dyn >= m.hang.at {
+		m.tryHangProof(f)
 	}
 	blk := &m.code.fns[f.fi].blocks[f.block]
 	inRegion := m.blockInRegion(f)

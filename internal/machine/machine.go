@@ -166,8 +166,11 @@ type Config struct {
 	// Converge, when non-nil on an Untimed run with an armed fault,
 	// holds a Capture of the same instance's clean run: once the fault
 	// has fired, the run stops as soon as its state rejoins the clean
-	// run's and takes the clean run's end (see converge.go). Outcomes
-	// are unchanged; runs with Trace or RegionTrace never stop early.
+	// run's and takes the clean run's end (see converge.go). On the
+	// compiled engine, a run that outlives the clean run also tries to
+	// prove the loop it spins in exhausts the budget, and skips to the
+	// iteration that does (see hangproof.go). Outcomes are unchanged;
+	// runs with Trace or RegionTrace never stop or skip early.
 	Converge *Capture
 	// Trace, when non-nil, receives one line per executed instruction
 	// (capped by TraceLimit, default 10000) — the compiler-debugging
@@ -199,7 +202,7 @@ func newMachineMetrics(m *obs.Metrics) *machineMetrics {
 	}
 	return &machineMetrics{
 		runs:    m.Counter("machine_runs_total", "kernel executions"),
-		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, counting prefixes resumed from snapshots and tails taken from the clean run (see fault_prefix_instrs_skipped_total, fault_converged_instrs_skipped_total)"),
+		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, counting prefixes resumed from snapshots, tails taken from the clean run and runaway-loop iterations skipped by hang proofs (see fault_prefix_instrs_skipped_total, fault_converged_instrs_skipped_total, fault_hang_instrs_skipped_total)"),
 		cycles:  m.Counter("machine_cycles_total", "simulated cycles of timed runs (untimed campaign replicas add 0)"),
 		region:  m.Counter("machine_region_instrs_total", "dynamic instructions inside detected-loop regions"),
 		runtime: m.Counter("machine_runtime_charge_total", "instructions charged by runtime hooks"),
@@ -247,6 +250,7 @@ type Machine struct {
 	regionTrigger uint64
 
 	conv convState // convergence check against the clean run (converge.go)
+	hang hangState // hang-proof attempts (hangproof.go)
 	nest int       // runtime-hook recompute runs in progress
 
 	// pl sits last: its fixed slot/ring arrays span several pages, and
@@ -342,6 +346,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		m.fault = faultState{plan: *cfg.Fault, armed: true}
 	}
 	m.armConvergence()
+	m.armHangProof()
 	if m.backend == BackendCompiled {
 		m.segHits = make([]uint64, len(m.ccode.segs))
 		m.recalcTriggers()
@@ -391,6 +396,7 @@ func (m *Machine) Reset(cfg Config) {
 	m.hookOp = ir.OpRTObserve
 	m.nest = 0
 	m.armConvergence()
+	m.armHangProof()
 	if m.backend == BackendCompiled {
 		// Run folds-and-clears segHits on every exit, so the counts are
 		// already zero unless the previous run died in a contained panic

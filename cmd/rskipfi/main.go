@@ -4,9 +4,9 @@
 //
 // The campaign engine is resilient: Ctrl-C cancels cleanly (with
 // -checkpoint, progress is saved and a re-run resumes where it left
-// off to bit-identical counts), -timeout bounds each run by wall-clock
-// time, and -target-ci stops a scheme early once the protection-rate
-// interval is tight enough.
+// off to bit-identical counts), every run is bounded by a
+// deterministic instruction budget, and -target-ci stops a scheme
+// early once the protection-rate interval is tight enough.
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 //	        [-fault-kind seu|skip|multibit] [-skip-width N] [-bit-width N] [-exhaustive]
 //	        [-stratify] [-incremental] [-result-cache-dir dir]
 //	        [-backend compiled|reference]
-//	        [-json] [-checkpoint path] [-timeout 30s] [-target-ci 2.0] [-workers N]
+//	        [-json] [-checkpoint path] [-target-ci 2.0] [-batch N] [-workers N] [-fabric N]
 //	        [-trace out.jsonl] [-trace-tree] [-metrics out.json] [-pprof addr]
 //
 // -fault-kind selects the threat model: the default "seu" is the
@@ -51,13 +51,11 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fabric"
-	fabcamp "rskip/internal/fabric/campaign"
 	"rskip/internal/fault"
 	"rskip/internal/machine"
 	"rskip/internal/obs"
@@ -167,11 +165,10 @@ func main() {
 		trainN    = flag.Int("train", 3, "number of training inputs")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 		ckBase    = flag.String("checkpoint", "", "checkpoint file base path (per-scheme files derive from it); an interrupted sweep resumes from it")
-		timeout   = flag.Duration("timeout", 0, "per-run wall-clock deadline (0 = none; timed-out runs classify as Hang)")
 		targetCI  = flag.Float64("target-ci", 0, "adaptive sampling: stop once the 95% CI on the protection rate is this many percentage points wide or less (0 = off)")
 		batch     = flag.Int("batch", 0, "runs per adaptive/checkpoint batch (0 = default)")
 		workers   = flag.Int("workers", 0, "campaign parallelism (0 = GOMAXPROCS)")
-		fabricN   = flag.Int("fabric", 0, "run each campaign through the in-process fabric with this many simulated nodes, each with its own executor — a differential check of the distributed path (0 = off; conflicts with -checkpoint, -timeout and -target-ci)")
+		fabricN   = flag.Int("fabric", 0, "lease each campaign's shards to this many simulated nodes, each with its own executor, merged by one ledger — a differential check of the distributed path (0 = one executor)")
 		tracePath = flag.String("trace", "", "write spans as JSON lines to this file")
 		traceTree = flag.Bool("trace-tree", false, "print the span tree to stderr at exit")
 		metrics   = flag.String("metrics", "", "write the metrics registry as JSON to this file")
@@ -351,7 +348,7 @@ func main() {
 		}
 		fcfg := fault.Config{
 			N: *n, Seed: *seed, Workers: *workers, Batch: *batch,
-			RunTimeout: *timeout, TargetCI: *targetCI,
+			TargetCI:       *targetCI,
 			CheckpointPath: schemeCheckpoint(*ckBase, s),
 			Mix:            mix,
 			SkipWidth:      *skipWidth, BitWidth: *bitWidth,
@@ -424,48 +421,31 @@ func main() {
 	}
 }
 
-// runFabric runs one campaign through the in-process fabric with
-// `nodes` simulated nodes. Each node owns its own executor — its own
-// build, profile run and record array — and drives one lease loop, so
-// the shards of the campaign interleave across nodes exactly as they
-// would across machines. The merged result must be bit-identical to
-// fault.Campaign with the same config; this is the CLI-reachable
-// differential check of the distributed path.
+// runFabric runs one campaign with `nodes` simulated nodes. Each node
+// owns its own executor — its own profile run and record array — and
+// drives one lease loop on one coordinator, so the shards of the
+// campaign interleave across nodes exactly as they would across
+// machines, and the first node's ledger merges them. The result must
+// be bit-identical to fault.Campaign with the same config; this is the
+// CLI-reachable differential check of the distributed path.
 func runFabric(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, fcfg fault.Config, nodes int) (fault.Result, error) {
-	// The executor rejects single-node-only options (adaptive stop,
-	// checkpoints, per-run timeouts); surface that as a flag conflict.
-	xc, err := fault.NewExecutor(ctx, p, s, inst, fcfg)
-	if err != nil {
-		return fault.Result{}, err
-	}
-	merger := fabcamp.NewMerger(xc)
-	shard := fcfg.Batch
-	if shard <= 0 {
-		shard = 100
-	}
-	coord := fabric.NewCoordinator(
-		fabric.Plan{Key: xc.Key(), N: xc.N(), ShardSize: shard},
-		fabric.Options{OnComplete: merger.Add},
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < nodes; i++ {
-		xi, err := fault.NewExecutor(ctx, p, s, inst, fcfg)
+	xs := make([]fabric.ShardRunner, nodes)
+	var first *fault.Executor
+	for i := range xs {
+		x, err := fault.NewExecutor(ctx, p, s, inst, fcfg)
 		if err != nil {
-			coord.Abort(err)
-			break
+			return fault.Result{}, err
 		}
-		wg.Add(1)
-		go func(i int, xi *fault.Executor) {
-			defer wg.Done()
-			_ = fabric.RunLocal(ctx, coord, 1, fmt.Sprintf("node%d", i), fabcamp.NewRunner(xi, 0))
-		}(i, xi)
+		if first == nil {
+			first = x
+		}
+		xs[i] = x
 	}
-	err = coord.Wait(ctx)
-	wg.Wait()
+	l, err := fault.NewLedger(first, 0)
 	if err != nil {
 		return fault.Result{}, err
 	}
-	return merger.Result()
+	return l.Drive(ctx, l.Coordinator(fabric.Options{}), xs...)
 }
 
 // metricsSummary renders the counters a campaign moved as one compact

@@ -33,17 +33,6 @@ const (
 type lease struct {
 	worker  string
 	expires time.Time
-	done    int // intra-shard progress, from heartbeats
-}
-
-// Progress is a coordinator progress snapshot: completed runs
-// (completed shards plus heartbeat-reported intra-shard progress)
-// over the plan total.
-type Progress struct {
-	Done        int // runs completed (heartbeat-estimated for leased shards)
-	N           int // total runs in the plan
-	DoneShards  int
-	TotalShards int
 }
 
 // Stats are the coordinator's lifetime counters, for metrics and the
@@ -63,16 +52,18 @@ type Options struct {
 	// Now injects a clock for tests (default time.Now).
 	Now func() time.Time
 	// OnComplete, when set, receives each shard's payload exactly once,
-	// in completion order; the coordinator does not retain payloads. A
-	// returned error aborts the plan (Wait returns it) — it means the
+	// in completion order; the coordinator keeps no payload. A
+	// returned error ends the plan (Wait returns it, wrapped): the
 	// payload was undecodable or inconsistent, which re-running cannot
-	// fix. When nil, payloads are retained for Payloads().
+	// fix, the sink could not persist it, or the sink has seen enough
+	// (a campaign's early stop).
 	// The callback runs without the coordinator lock held and must not
 	// call back into the Coordinator.
 	OnComplete func(Shard, []byte) error
-	// OnProgress, when set, is notified after every heartbeat and
-	// completion. Same re-entrancy rule as OnComplete.
-	OnProgress func(Progress)
+	// Completed, when set, reports shards an earlier run already
+	// finished — a resumed campaign's ledger. They count as done from
+	// construction on and are never leased.
+	Completed func(Shard) bool
 	// OnShardDone, when set, observes each successful first completion:
 	// the shard, the completing worker, and the wall-clock time from
 	// the shard's first lease to its completion. Purely observational —
@@ -84,7 +75,7 @@ type Options struct {
 
 // Coordinator owns one plan's shard lifecycle: it leases shards to
 // workers, tracks heartbeats, steals expired leases back for
-// reassignment, and collects completed payloads. It is
+// reassignment, and hands completed payloads to its sink. It is
 // transport-agnostic — rskipd exposes its three methods (Lease,
 // Heartbeat, Complete) over HTTP JSON, and the in-process pool
 // (RunLocal) calls them directly.
@@ -97,9 +88,7 @@ type Coordinator struct {
 	state       []shardState
 	leases      map[int]*lease // by shard ID, leased shards only
 	firstLeased []time.Time    // by shard ID; zero until first leased
-	payloads    [][]byte       // by shard ID (nil when OnComplete is set)
-	remaining   int            // shards not yet done
-	sunk        int            // shards whose OnComplete/payload store finished
+	sunk        int            // shards whose OnComplete finished
 	stats       Stats
 	workers     map[string]bool
 	abortErr    error
@@ -123,14 +112,16 @@ func NewCoordinator(plan Plan, opt Options) *Coordinator {
 		state:       make([]shardState, len(shards)),
 		leases:      map[int]*lease{},
 		firstLeased: make([]time.Time, len(shards)),
-		remaining:   len(shards),
 		workers:     map[string]bool{},
 		done:        make(chan struct{}),
 	}
-	if opt.OnComplete == nil {
-		c.payloads = make([][]byte, len(shards))
+	for id, sh := range shards {
+		if opt.Completed != nil && opt.Completed(sh) {
+			c.state[id] = shardDone
+			c.sunk++
+		}
 	}
-	if len(shards) == 0 {
+	if c.sunk == len(shards) {
 		c.closeOnce.Do(func() { close(c.done) })
 	}
 	return c
@@ -167,12 +158,10 @@ func (c *Coordinator) Lease(worker string) (sh Shard, ok bool) {
 	return Shard{}, false
 }
 
-// Heartbeat extends the worker's lease on the shard and records
-// intra-shard progress (done runs out of the shard's size). It
-// returns ErrLeaseLost when the lease expired and the shard was (or
+// Heartbeat extends the worker's lease on the shard. It returns ErrLeaseLost when the lease expired and the shard was (or
 // is about to be) handed to someone else, and ErrUnknownShard for IDs
 // outside the plan.
-func (c *Coordinator) Heartbeat(worker string, shardID, done int) error {
+func (c *Coordinator) Heartbeat(worker string, shardID int) error {
 	now := c.opt.Now()
 	c.mu.Lock()
 	if shardID < 0 || shardID >= len(c.shards) {
@@ -186,14 +175,7 @@ func (c *Coordinator) Heartbeat(worker string, shardID, done int) error {
 		return ErrLeaseLost
 	}
 	l.expires = now.Add(c.opt.LeaseTTL)
-	if done > l.done {
-		l.done = done
-	}
-	pr, notify := c.progressLocked()
 	c.mu.Unlock()
-	if notify != nil {
-		notify(pr)
-	}
 	return nil
 }
 
@@ -215,14 +197,12 @@ func (c *Coordinator) Complete(worker string, shardID int, payload []byte) error
 	}
 	c.state[shardID] = shardDone
 	delete(c.leases, shardID)
-	c.remaining--
 	c.stats.ShardsCompleted++
 	sh := c.shards[shardID]
 	var leased time.Duration
 	if first := c.firstLeased[shardID]; !first.IsZero() {
 		leased = c.opt.Now().Sub(first)
 	}
-	pr, notify := c.progressLocked()
 	sink := c.opt.OnComplete
 	observe := c.opt.OnShardDone
 	c.mu.Unlock()
@@ -233,23 +213,16 @@ func (c *Coordinator) Complete(worker string, shardID int, payload []byte) error
 	var sinkErr error
 	if sink != nil {
 		sinkErr = sink(sh, payload)
-	} else {
-		c.mu.Lock()
-		c.payloads[shardID] = payload
-		c.mu.Unlock()
 	}
 
 	c.mu.Lock()
 	if sinkErr != nil && c.abortErr == nil {
-		c.abortErr = fmt.Errorf("fabric: shard %d payload rejected: %w", shardID, sinkErr)
+		c.abortErr = fmt.Errorf("fabric: merging shard %d: %w", shardID, sinkErr)
 	}
 	c.sunk++
 	finished := c.sunk == len(c.shards) || c.abortErr != nil
 	c.mu.Unlock()
 
-	if notify != nil {
-		notify(pr)
-	}
 	if finished {
 		c.closeOnce.Do(func() { close(c.done) })
 	}
@@ -282,23 +255,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// progressLocked snapshots progress and the notifier under the lock.
-func (c *Coordinator) progressLocked() (Progress, func(Progress)) {
-	pr := Progress{N: c.plan.N, TotalShards: len(c.shards)}
-	for id, st := range c.state {
-		switch st {
-		case shardDone:
-			pr.Done += c.shards[id].Size()
-			pr.DoneShards++
-		case shardLeased:
-			if l := c.leases[id]; l != nil {
-				pr.Done += l.done
-			}
-		}
-	}
-	return pr, c.opt.OnProgress
-}
-
 // Abort fails the plan: Wait/Err surface err, Done closes, and
 // workers observing Done stop leasing. The first abort wins.
 func (c *Coordinator) Abort(err error) {
@@ -323,14 +279,6 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// Progress reports the current completion estimate.
-func (c *Coordinator) Progress() Progress {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pr, _ := c.progressLocked()
-	return pr
-}
-
 // Stats reports the coordinator's lifetime counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
@@ -348,24 +296,4 @@ func (c *Coordinator) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.abortErr
-}
-
-// Payloads returns every shard's payload in shard order. It errors
-// until the plan completes, and when OnComplete streamed the payloads
-// away instead of retaining them.
-func (c *Coordinator) Payloads() ([][]byte, error) {
-	select {
-	case <-c.done:
-	default:
-		return nil, errors.New("fabric: plan not complete")
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.payloads == nil {
-		return nil, errors.New("fabric: payloads were streamed to OnComplete, not retained")
-	}
-	return c.payloads, nil
 }

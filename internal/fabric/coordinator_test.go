@@ -27,6 +27,22 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// payloadSink is an OnComplete that keeps every payload by shard ID.
+type payloadSink struct {
+	mu  sync.Mutex
+	got map[int]string
+}
+
+func (s *payloadSink) add(sh Shard, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.got == nil {
+		s.got = map[int]string{}
+	}
+	s.got[sh.ID] = string(payload)
+	return nil
+}
+
 func newTestCoordinator(n, shardSize int, clk *fakeClock, opt Options) *Coordinator {
 	opt.Now = clk.now
 	if opt.LeaseTTL == 0 {
@@ -37,7 +53,8 @@ func newTestCoordinator(n, shardSize int, clk *fakeClock, opt Options) *Coordina
 
 func TestLeaseLifecycle(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := newTestCoordinator(10, 5, clk, Options{})
+	var sink payloadSink
+	c := newTestCoordinator(10, 5, clk, Options{OnComplete: sink.add})
 
 	sh1, ok := c.Lease("w1")
 	if !ok || sh1.Lo != 0 || sh1.Hi != 5 {
@@ -61,12 +78,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	default:
 		t.Fatal("plan not done after all completions")
 	}
-	got, err := c.Payloads()
-	if err != nil {
-		t.Fatalf("payloads: %v", err)
-	}
-	if string(got[0]) != "a" || string(got[1]) != "b" {
-		t.Fatalf("payloads = %q", got)
+	if sink.got[0] != "a" || sink.got[1] != "b" {
+		t.Fatalf("payloads = %q", sink.got)
 	}
 	if st := c.Stats(); st.LeasesGranted != 2 || st.ShardsCompleted != 2 || st.Workers != 3 {
 		t.Fatalf("stats = %+v", st)
@@ -75,7 +88,8 @@ func TestLeaseLifecycle(t *testing.T) {
 
 func TestExpiredLeaseIsStolen(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := newTestCoordinator(4, 4, clk, Options{LeaseTTL: time.Second})
+	var sink payloadSink
+	c := newTestCoordinator(4, 4, clk, Options{LeaseTTL: time.Second, OnComplete: sink.add})
 
 	sh, ok := c.Lease("dead")
 	if !ok {
@@ -83,7 +97,7 @@ func TestExpiredLeaseIsStolen(t *testing.T) {
 	}
 	// Healthy heartbeats keep the lease alive past the nominal TTL.
 	clk.advance(900 * time.Millisecond)
-	if err := c.Heartbeat("dead", sh.ID, 1); err != nil {
+	if err := c.Heartbeat("dead", sh.ID); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
 	clk.advance(900 * time.Millisecond)
@@ -96,7 +110,7 @@ func TestExpiredLeaseIsStolen(t *testing.T) {
 	if !ok || stolen.ID != sh.ID {
 		t.Fatalf("steal = %+v, %v", stolen, ok)
 	}
-	if err := c.Heartbeat("dead", sh.ID, 2); !errors.Is(err, ErrLeaseLost) {
+	if err := c.Heartbeat("dead", sh.ID); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("dead worker heartbeat = %v, want ErrLeaseLost", err)
 	}
 	if st := c.Stats(); st.LeasesExpired != 1 {
@@ -109,12 +123,8 @@ func TestExpiredLeaseIsStolen(t *testing.T) {
 	if err := c.Complete("thief", sh.ID, []byte("second")); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("second completion = %v, want ErrLeaseLost", err)
 	}
-	got, err := c.Payloads()
-	if err != nil {
-		t.Fatalf("payloads: %v", err)
-	}
-	if string(got[0]) != "late-but-first" {
-		t.Fatalf("payload = %q, want first completion", got[0])
+	if sink.got[0] != "late-but-first" {
+		t.Fatalf("payload = %q, want first completion", sink.got[0])
 	}
 }
 
@@ -128,16 +138,17 @@ func TestReleaseReassignsImmediately(t *testing.T) {
 	}
 	// Releasing someone else's lease is a no-op.
 	c.Release("w1", sh.ID)
-	if err := c.Heartbeat("w2", sh.ID, 0); err != nil {
+	if err := c.Heartbeat("w2", sh.ID); err != nil {
 		t.Fatalf("w2's lease damaged by stale release: %v", err)
 	}
 }
 
-func TestProgressAndOnComplete(t *testing.T) {
+// OnComplete receives each shard once, after heartbeats kept its
+// lease alive, and the plan is done once every shard has been sunk.
+func TestOnCompleteSinksEachShardOnce(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	var mu sync.Mutex
 	var sunk []int
-	var last Progress
 	c := newTestCoordinator(10, 5, clk, Options{
 		OnComplete: func(sh Shard, payload []byte) error {
 			mu.Lock()
@@ -145,18 +156,10 @@ func TestProgressAndOnComplete(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		OnProgress: func(p Progress) {
-			mu.Lock()
-			last = p
-			mu.Unlock()
-		},
 	})
 	sh, _ := c.Lease("w")
-	if err := c.Heartbeat("w", sh.ID, 3); err != nil {
+	if err := c.Heartbeat("w", sh.ID); err != nil {
 		t.Fatal(err)
-	}
-	if pr := c.Progress(); pr.Done != 3 || pr.N != 10 {
-		t.Fatalf("progress after heartbeat = %+v", pr)
 	}
 	if err := c.Complete("w", sh.ID, nil); err != nil {
 		t.Fatal(err)
@@ -165,16 +168,16 @@ func TestProgressAndOnComplete(t *testing.T) {
 	if err := c.Complete("w", sh2.ID, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Complete("w", sh2.ID, nil); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("second completion = %v, want ErrLeaseLost", err)
+	}
+	if err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(sunk) != 2 {
 		t.Fatalf("OnComplete saw shards %v, want 2", sunk)
-	}
-	if last.Done != 10 || last.DoneShards != 2 {
-		t.Fatalf("final progress = %+v", last)
-	}
-	if _, err := c.Payloads(); err == nil {
-		t.Fatal("Payloads succeeded although OnComplete streamed them away")
 	}
 }
 
@@ -193,10 +196,11 @@ func TestOnCompleteErrorAbortsPlan(t *testing.T) {
 }
 
 func TestRunLocalCompletesPlan(t *testing.T) {
-	c := NewCoordinator(Plan{Key: "k", N: 100, ShardSize: 7}, Options{})
+	var sink payloadSink
+	c := NewCoordinator(Plan{Key: "k", N: 100, ShardSize: 7}, Options{OnComplete: sink.add})
 	runner := RunnerFunc(func(ctx context.Context, sh Shard, hb Heartbeat) ([]byte, error) {
 		if hb != nil {
-			if err := hb(sh.Size()); err != nil {
+			if err := hb(); err != nil {
 				return nil, err
 			}
 		}
@@ -205,13 +209,9 @@ func TestRunLocalCompletesPlan(t *testing.T) {
 	if err := RunLocal(context.Background(), c, 4, "local", runner); err != nil {
 		t.Fatalf("RunLocal: %v", err)
 	}
-	payloads, err := c.Payloads()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, sh := range c.Plan().Shards() {
-		if want := fmt.Sprintf("%d-%d", sh.Lo, sh.Hi); string(payloads[i]) != want {
-			t.Fatalf("payload[%d] = %q, want %q", i, payloads[i], want)
+		if want := fmt.Sprintf("%d-%d", sh.Lo, sh.Hi); sink.got[i] != want {
+			t.Fatalf("payload[%d] = %q, want %q", i, sink.got[i], want)
 		}
 	}
 }
@@ -281,5 +281,39 @@ func TestOnShardDoneObservesFirstLeaseToCompletion(t *testing.T) {
 		if seen[i] != want[i] {
 			t.Errorf("observation %d = %+v, want %+v", i, seen[i], want[i])
 		}
+	}
+}
+
+// Shards an earlier run completed (a resumed ledger) are done from
+// construction on: never leased, and a plan whose shards are all done
+// is complete before any worker arrives.
+func TestCompletedShardsAreNeverLeased(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	c := newTestCoordinator(30, 10, clk, Options{
+		Completed:  func(sh Shard) bool { return sh.ID != 1 },
+		OnComplete: func(Shard, []byte) error { return nil },
+	})
+	sh, ok := c.Lease("w")
+	if !ok || sh.ID != 1 {
+		t.Fatalf("lease = %+v, %v; want only shard 1", sh, ok)
+	}
+	if _, ok := c.Lease("w"); ok {
+		t.Fatal("a completed shard was leased")
+	}
+	if err := c.Complete("w", sh.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.ShardsCompleted != 1 {
+		t.Errorf("stats %+v, want the one shard completed here", st)
+	}
+
+	all := newTestCoordinator(30, 10, clk, Options{Completed: func(Shard) bool { return true }})
+	select {
+	case <-all.Done():
+	default:
+		t.Fatal("a plan with every shard completed is not done")
 	}
 }

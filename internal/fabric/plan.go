@@ -16,10 +16,9 @@
 // CIs) follows.
 //
 // The package is deliberately dependency-free (stdlib only) so the
-// fault engine can build its own batch loop on fabric.Ranges without
-// an import cycle; the campaign-specific glue (executing a shard via
-// the fault engine, merging record payloads) lives in
-// fabric/campaign.
+// fault engine can run every campaign on it without an import cycle:
+// fault.Executor is a ShardRunner, and fault.Ledger is the merge sink
+// a campaign's Coordinator feeds.
 package fabric
 
 import "fmt"
@@ -47,7 +46,7 @@ func (s Shard) Key(planKey string) string {
 }
 
 // Split decomposes the shard into consecutive sub-ranges of at most
-// size runs — the granularity at which a worker heartbeats progress
+// size runs — the granularity at which a worker heartbeats its lease
 // and checks for cancellation mid-shard.
 func (s Shard) Split(size int) []Shard {
 	sub := Ranges(s.Size(), size)
@@ -93,9 +92,9 @@ func (p Plan) NumShards() int {
 
 // Ranges splits [0, n) into consecutive half-open ranges of at most
 // size, in order. It is the one range-split in the codebase: the
-// fault engine's batch loop, a shard's heartbeat sub-batches and the
-// coordinator's shard table all derive from it, so "batch", "shard"
-// and "checkpoint interval" can never disagree about boundary
+// coordinator's shard table, a shard's heartbeat sub-batches and the
+// ledger's early-stop boundaries all derive from it, so "batch",
+// "shard" and "checkpoint interval" can never disagree about boundary
 // arithmetic. size <= 0 yields a single range covering everything;
 // n <= 0 yields none.
 func Ranges(n, size int) []Shard {

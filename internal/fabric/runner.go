@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Heartbeat reports intra-shard progress (done runs) back to the
-// lease. A non-nil error — usually ErrLeaseLost — tells the runner to
-// abandon the shard: someone else owns it now.
-type Heartbeat func(done int) error
+// Heartbeat extends the runner's lease. A non-nil error — usually
+// ErrLeaseLost — tells the runner to abandon the shard: someone else
+// owns it now.
+type Heartbeat func() error
 
 // ShardRunner executes one shard of a plan and returns its serialized
 // result payload. Implementations must be deterministic in the shard
@@ -93,8 +93,8 @@ func runWorkerLoop(ctx context.Context, c *Coordinator, id string, r ShardRunner
 			}
 			continue
 		}
-		payload, err := r.RunShard(ctx, sh, func(done int) error {
-			return c.Heartbeat(id, sh.ID, done)
+		payload, err := r.RunShard(ctx, sh, func() error {
+			return c.Heartbeat(id, sh.ID)
 		})
 		switch {
 		case err == nil:

@@ -15,7 +15,7 @@ import "encoding/json"
 // shard and leases again); 410 means the job is gone (finished,
 // cancelled, or the daemon restarted) and the worker drops any state
 // for it. Payload contents are opaque to the protocol — campaigns put
-// a fabric/campaign.ShardPayload there.
+// a fault.ShardPayload there.
 
 // WireLeaseRequest asks for the next available shard of any job the
 // coordinator is running.
@@ -47,13 +47,11 @@ type WireLease struct {
 	Spec json.RawMessage `json:"spec"`
 }
 
-// WireHeartbeat extends a lease and reports intra-shard progress.
+// WireHeartbeat extends a lease.
 type WireHeartbeat struct {
 	Worker string `json:"worker"`
 	JobID  string `json:"job_id"`
 	Shard  int    `json:"shard"`
-	// Done is the number of completed runs within the shard.
-	Done int `json:"done"`
 }
 
 // WireComplete delivers a finished shard's payload.

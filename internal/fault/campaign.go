@@ -8,18 +8,19 @@
 // validation accepted.
 //
 // Campaigns are built to survive their own experiment: they honor
-// context cancellation, bound each run by an optional wall-clock
-// deadline, contain interpreter panics as CoreDump outcomes instead
-// of killing the process, persist progress as JSON checkpoints that
+// context cancellation, bound each run by a deterministic instruction
+// budget, contain interpreter panics as CoreDump outcomes instead of
+// killing the process, persist progress as JSON checkpoints that
 // resume bit-identically, and can stop early once the protection-rate
-// confidence interval is tight enough (adaptive sampling).
+// confidence interval is tight enough (adaptive sampling). Every
+// campaign runs one loop: Executors execute shards leased from a
+// fabric coordinator, and a Ledger merges them (see ledger.go).
 package fault
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"rskip/internal/core"
 	"rskip/internal/machine"
@@ -35,7 +36,7 @@ const (
 	SDC                   // silent data corruption
 	Segfault              // illegal memory access
 	CoreDump              // trap / abnormal termination (including contained interpreter panics)
-	Hang                  // exceeded the instruction budget or the per-run deadline
+	Hang                  // exceeded the instruction budget
 	Detected              // SWIFT-only: detection signaled (no recovery)
 	NumClasses
 )
@@ -104,32 +105,30 @@ type Config struct {
 	// order and silently unbalance the allocation); Validate rejects
 	// both combinations with a ConfigConflictError.
 	Stratify bool
-	// RunTimeout, when positive, bounds each injected run by
-	// wall-clock time; a run that exceeds it is classified Hang. Note
-	// that wall-clock deadlines make outcomes timing-dependent — leave
-	// zero when bit-exact reproducibility matters (the instruction
-	// budget already catches runaway executions deterministically).
-	RunTimeout time.Duration
-	// TargetCI, when positive, enables adaptive sampling: the engine
-	// injects in Batch-sized rounds and stops as soon as the width of
-	// the 95% Wilson confidence interval on the protection rate drops
-	// to TargetCI percentage points or below (capped at N runs).
+	// TargetCI, when positive, enables adaptive sampling: the campaign
+	// stops at the first Batch boundary, in run order, where the width
+	// of the 95% Wilson confidence interval on the protection rate of
+	// the runs before it is TargetCI percentage points or below (capped
+	// at N runs). The ledger decides the stop on the merged prefix, so
+	// a distributed campaign stops exactly where a single process does.
 	TargetCI float64
-	// Batch is the number of runs between early-stop checks and
-	// checkpoint saves (default 100).
+	// Batch is the number of runs between early-stop checks (default
+	// 100). A single-process campaign leases shards of Batch runs, so
+	// it is also the checkpoint interval; every executor heartbeats its
+	// lease after each Batch runs.
 	Batch int
 	// CheckpointPath, when non-empty, persists campaign progress to
-	// this file after every batch. If the file already holds a
+	// this file after every merged shard. If the file already holds a
 	// checkpoint of the same campaign (same benchmark, scheme, N,
 	// seed, mix and hang factor), completed runs are not re-executed —
 	// the campaign resumes where it left off and produces final counts
 	// bit-identical to an uninterrupted run.
 	CheckpointPath string
-	// OnProgress, when set, receives a snapshot after every completed
-	// batch (after its checkpoint save, so a consumer that observes a
-	// snapshot knows the matching checkpoint is durable). It is called
-	// on the campaign goroutine between batches — keep it fast; slow
-	// consumers belong behind a channel. rskipd's streaming progress
+	// OnProgress, when set, receives a snapshot after every merged
+	// shard (after its checkpoint save, so a consumer that observes a
+	// snapshot knows the matching checkpoint is durable). Calls are
+	// serialized, in merge order — keep it fast; slow consumers belong
+	// behind a channel. rskipd's streaming progress
 	// endpoint feeds from this hook.
 	OnProgress func(Progress)
 
@@ -151,9 +150,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Batch < 0 {
 		return fmt.Errorf("fault: config: Batch = %d, want >= 0", cfg.Batch)
-	}
-	if cfg.RunTimeout < 0 {
-		return fmt.Errorf("fault: config: RunTimeout = %v, want >= 0", cfg.RunTimeout)
 	}
 	if cfg.TargetCI < 0 || math.IsNaN(cfg.TargetCI) {
 		return fmt.Errorf("fault: config: TargetCI = %v, want >= 0", cfg.TargetCI)
@@ -211,7 +207,7 @@ func (cfg *Config) Validate() error {
 }
 
 // Progress is one campaign progress snapshot, delivered to
-// Config.OnProgress after each batch.
+// Config.OnProgress after each merged shard.
 type Progress struct {
 	// Done is the number of completed (classified) runs so far,
 	// including runs restored from a checkpoint.

@@ -48,7 +48,8 @@ func (r *RunRecord) Validate() error {
 	return nil
 }
 
-// Checkpoint is the JSON-persisted progress of one campaign.
+// Checkpoint is the JSON-persisted progress of one campaign, as its
+// Ledger writes it.
 type Checkpoint struct {
 	Version int `json:"version"`
 	// Key fingerprints the campaign identity (benchmark, scheme, N,
@@ -117,9 +118,10 @@ func plansHash(plans []machine.FaultPlan) string {
 
 // CorruptCheckpointError reports a checkpoint file that exists but
 // cannot be decoded — truncated by a crash mid-write outside the
-// atomic rename path, or damaged on disk. Callers distinguish it from
-// key mismatches (a healthy checkpoint of a different campaign) to
-// decide whether deleting the file is safe.
+// atomic rename path, damaged on disk, or written in another format
+// version. Callers distinguish it from key mismatches (a healthy
+// checkpoint of a different campaign) to decide whether deleting the
+// file is safe.
 type CorruptCheckpointError struct {
 	Path string
 	Err  error
@@ -133,7 +135,8 @@ func (e *CorruptCheckpointError) Unwrap() error { return e.Err }
 
 // LoadCheckpoint reads a campaign checkpoint. A missing file is not an
 // error — it returns (nil, nil) so callers can treat it as a fresh
-// start.
+// start. A file that does not decode to a well-formed checkpoint is a
+// *CorruptCheckpointError.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -147,7 +150,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, &CorruptCheckpointError{Path: path, Err: err}
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("fault: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
+		return nil, &CorruptCheckpointError{Path: path,
+			Err: fmt.Errorf("version %d, want %d", ck.Version, checkpointVersion)}
 	}
 	if len(ck.Records) != ck.N {
 		return nil, &CorruptCheckpointError{Path: path,
@@ -161,33 +165,35 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return &ck, nil
 }
 
-// Save writes the checkpoint atomically (temp file + rename) so a
-// crash mid-save never corrupts resumable progress.
-func (ck *Checkpoint) Save(path string) error {
-	data, err := json.Marshal(ck)
+// TempPattern is the os.CreateTemp pattern of WriteFileAtomic's
+// in-flight files for target file name base. A crash between the temp
+// write and the rename leaves one behind; the target itself is never
+// torn.
+func TempPattern(base string) string { return "." + base + ".tmp-*" }
+
+// WriteFileAtomic replaces path with data through a temp file in the
+// same directory and a rename, so a reader — or a restart after a
+// crash at any point — sees the old file or the new one, never a torn
+// mix. It is the one persistence primitive of campaign checkpoints and
+// rskipd's job store.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), TempPattern(filepath.Base(path)))
 	if err != nil {
-		return fmt.Errorf("fault: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ck-*.json")
-	if err != nil {
-		return fmt.Errorf("fault: writing checkpoint: %w", err)
+		return err
 	}
 	tmpName := tmp.Name()
 	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmpName)
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("fault: writing checkpoint: %w", werr)
+	if werr == nil {
+		werr = cerr
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("fault: writing checkpoint: %w", err)
+	if werr == nil {
+		werr = os.Rename(tmpName, path)
 	}
-	return nil
+	if werr != nil {
+		os.Remove(tmpName)
+	}
+	return werr
 }
 
 // validateFor checks that the checkpoint belongs to this campaign.

@@ -30,11 +30,14 @@ const defaultBatch = 100
 const prefixSnapshots = 32
 
 // Campaign runs up to cfg.N fault injections of the scheme on the
-// instance. It is resilient by construction:
+// instance. It runs the one campaign loop every execution mode shares:
+// an Executor leasing shards of Batch runs from a fabric coordinator
+// through one in-process lease loop, merged by a Ledger. It is
+// resilient by construction:
 //
 //   - Cancelling ctx stops the campaign promptly (in-flight runs are
 //     interrupted through the machine's cancellation channel); the
-//     partial Result — N reports how many runs completed — is
+//     partial Result — N reports how many runs the ledger merged — is
 //     returned alongside an error wrapping ctx.Err().
 //   - A panic inside a worker's interpreter run is contained and
 //     classified CoreDump, with the panic value recorded in
@@ -61,24 +64,34 @@ func Campaign(ctx context.Context, p *core.Program, s core.Scheme, inst bench.In
 	sp.SetAttr("n", cfg.N)
 	defer sp.End()
 
-	e, err := prepare(ctx, p, s, inst, cfg, nil)
+	x, err := newExecutor(ctx, p, s, inst, cfg, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	if e.cfg.Exhaustive {
-		sp.SetAttr("exhaustive_n", e.cfg.N)
+	if x.e.cfg.Exhaustive {
+		sp.SetAttr("exhaustive_n", x.e.cfg.N)
 	}
-	return e.execute(ctx, e.key)
+	return x.run(ctx)
+}
+
+// run completes the executor's campaign in this process: a
+// coordinator over shards of Batch runs, one lease loop, one ledger.
+func (x *Executor) run(ctx context.Context) (Result, error) {
+	l, err := NewLedger(x, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	return l.Drive(ctx, l.Coordinator(fabric.Options{}), x)
 }
 
 // prepare builds the campaign engine every execution mode shares —
-// the single-node Campaign loop, the explicit-plan compositional
-// entry point, and the fabric Executor: config defaults, the
-// fault-free profile run, the deterministic plan list (drawn,
-// enumerated or caller-supplied), the record array and the campaign
-// key. Because every downstream consumer starts from this one
-// function, a shard of a fabric campaign and a batch of a single-node
-// campaign are provably executing the same plans.
+// the single-process Campaign, the explicit-plan compositional entry
+// point, and the executors of a distributed campaign: config
+// defaults, the fault-free profile run, the deterministic plan list
+// (drawn, enumerated or caller-supplied), the record array and the
+// campaign key. Because every downstream consumer starts from this one
+// function, every shard of every campaign is provably executing the
+// plans a single process would.
 func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config, plans []machine.FaultPlan) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -197,81 +210,11 @@ func CampaignWithPlans(ctx context.Context, p *core.Program, s core.Scheme, inst
 	sp.SetAttr("n", cfg.N)
 	defer sp.End()
 
-	e, err := prepare(ctx, p, s, inst, cfg, plans)
+	x, err := newExecutor(ctx, p, s, inst, cfg, plans)
 	if err != nil {
 		return Result{}, err
 	}
-	return e.execute(ctx, e.key)
-}
-
-// execute drives the batched worker pool over the engine's prepared
-// plan list: checkpoint resume, batch loop with checkpoint saves and
-// progress snapshots, adaptive early stop, final aggregation.
-func (e *engine) execute(ctx context.Context, key string) (Result, error) {
-	cfg := e.cfg
-	if cfg.CheckpointPath != "" {
-		ck, err := LoadCheckpoint(cfg.CheckpointPath)
-		if err != nil {
-			return Result{}, err
-		}
-		if ck != nil {
-			if err := ck.validateFor(key, cfg.N); err != nil {
-				return Result{}, err
-			}
-			copy(e.records, ck.Records)
-			e.met.skipped.Add(uint64(countDone(e.records)))
-		}
-	}
-
-	stop := cfg.N // index bound of the aggregated (and attempted) runs
-	earlyStopped := false
-	var runErr error
-batches:
-	// The batch boundaries are fabric range splits: the same
-	// arithmetic that decomposes a distributed campaign into shards
-	// drives the single-node checkpoint/early-stop loop, so the two
-	// execution modes can never disagree about range edges.
-	for _, rng := range fabric.Ranges(cfg.N, cfg.Batch) {
-		lo, hi := rng.Lo, rng.Hi
-		_, spb := obs.Start(ctx, "campaign/batch")
-		spb.SetAttr("lo", lo)
-		spb.SetAttr("hi", hi)
-		batchErr := e.runBatch(ctx, lo, hi)
-		spb.End()
-		if cfg.CheckpointPath != "" {
-			ck := &Checkpoint{Version: checkpointVersion, Key: key, N: cfg.N,
-				Done: countDone(e.records), Records: e.records}
-			if serr := ck.Save(cfg.CheckpointPath); serr != nil && batchErr == nil {
-				batchErr = serr
-			} else if serr == nil {
-				e.met.ckWrites.Inc()
-			}
-		}
-		if cfg.OnProgress != nil {
-			agg := e.aggregate(cfg.N)
-			cfg.OnProgress(Progress{Done: agg.N, N: cfg.N, Result: agg})
-		}
-		if batchErr != nil {
-			runErr = batchErr
-			break batches
-		}
-		if cfg.TargetCI > 0 {
-			agg := e.aggregate(hi)
-			if lo2, hi2 := agg.ProtectionCI(); hi2-lo2 <= cfg.TargetCI {
-				stop = hi
-				earlyStopped = hi < cfg.N
-				break batches
-			}
-		}
-	}
-
-	res := e.aggregate(stop)
-	res.EarlyStopped = earlyStopped
-	res.Exhaustive = cfg.Exhaustive
-	if runErr != nil {
-		return res, fmt.Errorf("fault: campaign interrupted after %d/%d runs: %w", res.N, cfg.N, runErr)
-	}
-	return res, nil
+	return x.run(ctx)
 }
 
 // runBudget resolves the per-run instruction budget: an explicit
@@ -420,11 +363,11 @@ type engine struct {
 	strata   []StratumResult
 }
 
-// runBatch executes every not-yet-done run in [lo, hi) on a worker
+// runRange executes every not-yet-done run in [lo, hi) on a worker
 // pool. It returns ctx.Err() if cancelled; records written by
 // in-flight workers before the cancellation are kept (they are valid
 // completed runs and will not be re-executed on resume).
-func (e *engine) runBatch(ctx context.Context, lo, hi int) error {
+func (e *engine) runRange(ctx context.Context, lo, hi int) error {
 	workers := e.cfg.Workers
 	if n := hi - lo; workers > n {
 		workers = n
@@ -483,15 +426,6 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 	if ctx.Err() != nil {
 		return RunRecord{}, false
 	}
-	rctx := ctx
-	if e.cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, e.cfg.RunTimeout)
-		defer cancel()
-	}
-	// The hook runs after the per-run deadline starts ticking, so a
-	// hook that sleeps past RunTimeout deterministically expires the
-	// deadline before the run begins.
 	if e.cfg.runHook != nil {
 		e.cfg.runHook(i)
 	}
@@ -499,7 +433,7 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 	if snap := e.prefix.Latest(plan.Target, e.budget); snap != nil {
 		e.met.prefix.Add(snap.Instrs())
 	}
-	o := inj.Replay(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: rctx.Done()}, e.prefix)
+	o := inj.Replay(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: ctx.Done()}, e.prefix)
 	if o.Converged {
 		e.met.converged.Inc()
 		e.met.convergedSkipped.Add(o.ConvergedSkipped)
@@ -509,13 +443,8 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		e.met.hangSkipped.Add(o.HangSkipped)
 	}
 	if _, cancelled := o.Err.(*machine.CancelError); cancelled {
-		if ctx.Err() != nil {
-			// Campaign-level cancellation: the run is incomplete.
-			return RunRecord{}, false
-		}
-		// Per-run deadline exceeded: a wall-clock hang.
-		return RunRecord{Done: true, Class: Hang, Fired: o.FaultFired,
-			Err: fmt.Sprintf("run exceeded deadline %v", e.cfg.RunTimeout)}, true
+		// Campaign-level cancellation: the run is incomplete.
+		return RunRecord{}, false
 	}
 	cls, fn, recov := classify(&o, e.golden)
 	r := RunRecord{Done: true, Class: cls, Fired: o.FaultFired, FalseNeg: fn, Recovered: recov}
@@ -525,18 +454,12 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 	return r, true
 }
 
-// aggregate folds records[:stop] into a Result. Because each record
-// is a pure function of its index, the aggregate is independent of
-// worker count, interruption and resume history.
-func (e *engine) aggregate(stop int) Result {
-	return e.aggregateRecords(e.records, stop)
-}
-
 // aggregateRecords folds recs[:stop] into a Result using the
 // engine's stratification tables. It is the one aggregation in the
-// package: the single-node path feeds it the engine's own record
-// array, and the fabric merge feeds it records reassembled from
-// shards — identical inputs, identical fold, identical figures.
+// package: the ledger feeds it the records it merged from shards.
+// Because each record is a pure function of its index, the aggregate
+// is independent of worker count, shard size, completion order,
+// interruption and resume history.
 func (e *engine) aggregateRecords(recs []RunRecord, stop int) Result {
 	res := Result{Scheme: e.s, Requested: e.cfg.N}
 	if e.strata != nil {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
@@ -75,7 +74,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative N", Config{N: -5}, "N = -5"},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative batch", Config{Batch: -2}, "Batch"},
-		{"negative timeout", Config{RunTimeout: -time.Second}, "RunTimeout"},
 		{"negative target CI", Config{TargetCI: -1}, "TargetCI"},
 		{"negative mix weight", Config{Mix: Mix{RegFile: 0.5, Result: -0.1}}, "Mix.Result"},
 		{"cancelling mix weights", Config{Mix: Mix{RegFile: 1, Result: -1}}, "Mix.Result"},
@@ -259,6 +257,21 @@ func TestAdaptiveSamplingEarlyStop(t *testing.T) {
 	if hi-lo > 30 {
 		t.Errorf("stopped with CI width %.1f > target 30", hi-lo)
 	}
+	// Oracle: plans are drawn in index order, so a campaign of b runs
+	// aggregates the first b runs of the capped one. The stop is the
+	// first batch boundary whose prefix meets the target.
+	for b := 50; b <= 400; b += 50 {
+		prefix, err := Campaign(context.Background(), p, core.Unsafe, inst, Config{N: b, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := prefix.ProtectionCI(); hi-lo <= 30 {
+			if r.N != b || r.Counts != prefix.Counts {
+				t.Errorf("stopped at %d runs %v, want the first qualifying prefix: %d runs %v", r.N, r.Counts, b, prefix.Counts)
+			}
+			break
+		}
+	}
 	// A tight target the cap cannot reach runs to completion.
 	full, err := Campaign(context.Background(), p, core.Unsafe, inst,
 		Config{N: 100, Seed: 21, Batch: 50, TargetCI: 0.01})
@@ -267,32 +280,6 @@ func TestAdaptiveSamplingEarlyStop(t *testing.T) {
 	}
 	if full.EarlyStopped || full.N != 100 {
 		t.Errorf("unreachable target should cap at N: %+v", full)
-	}
-}
-
-// A per-run wall-clock deadline classifies the run as Hang instead of
-// stalling the campaign. The hook sleeps past the deadline before the
-// interpreter starts, so the cancellation is observed deterministically
-// at run entry.
-func TestRunTimeoutClassifiesHang(t *testing.T) {
-	p, inst := sharedConv1d(t)
-	cfg := Config{N: 6, Seed: 3, RunTimeout: time.Microsecond,
-		runHook: func(i int) { time.Sleep(5 * time.Millisecond) }}
-	r, err := Campaign(context.Background(), p, core.Unsafe, inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Counts[Hang] != 6 {
-		t.Errorf("Hang = %d, want all 6 deadline-bounded runs: %+v", r.Counts[Hang], r)
-	}
-	found := false
-	for msg := range r.Errors[Hang] {
-		if strings.Contains(msg, "deadline") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("deadline not recorded in taxonomy: %v", r.Errors)
 	}
 }
 

@@ -2,67 +2,49 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
+	"rskip/internal/fabric"
+	"rskip/internal/machine"
 	"rskip/internal/obs"
 )
 
-// Executor is the fabric-facing view of a campaign: the same prepared
-// engine Campaign drives, but with the run loop inverted. Instead of
-// executing [0, N) itself, an Executor executes whichever index
-// ranges it is handed — shard leases from a fabric coordinator — and
-// exposes the records so they can be shipped to wherever the merge
-// happens. Because prepare() pre-draws the full plan list
+// Executor executes a prepared campaign shard by shard. It is the one
+// runner every campaign uses: Campaign drives a single Executor through
+// an in-process lease loop, rskipd serves its shards to remote worker
+// daemons as well, and every worker runs the leases it takes on an
+// Executor of its own. Because prepare() pre-draws the full plan list
 // deterministically, two Executors built from the same (program,
 // scheme, instance, config) on different nodes execute identical
 // plans for identical indexes; their records can be interleaved
-// freely and aggregated to the exact single-node Result.
+// freely and merged (Ledger) to the exact single-process Result.
 //
 // Executors are long-lived: a worker daemon keeps one per campaign
 // key and serves every shard of that campaign (including re-leased
 // shards stolen from a dead peer) from it. Records persist across
-// RunRange calls, so re-running a range a worker already holds is a
-// cheap no-op — the engine skips Done records.
+// calls, so re-running a range an executor already holds is a cheap
+// no-op — the engine skips Done records.
 type Executor struct {
 	e *engine
-	// mu serializes RunRange (and guards Records against a concurrent
-	// range). Within-range parallelism comes from Config.Workers; two
-	// lease loops sharing one executor — or a stolen lease landing
-	// back on the node still running it — must not race on the record
-	// array, and with deterministic records, waiting is always
-	// correct.
+	// mu serializes range execution (and guards the record array
+	// against a concurrent range). Within-range parallelism comes from
+	// Config.Workers; two lease loops sharing one executor — or a
+	// stolen lease landing back on the node still running it — must
+	// not race on the record array, and with deterministic records,
+	// waiting is always correct.
 	mu sync.Mutex
 }
 
-// NewExecutor prepares a campaign for range-at-a-time execution.
-// Options that only make sense when one process owns the whole run
-// loop are rejected:
-//
-//   - TargetCI: early stopping aggregates a prefix; a shard executor
-//     sees no global prefix, and stopping mid-plan would break the
-//     bit-identity between distributed and single-node results.
-//   - CheckpointPath: the fabric's lease/complete protocol is the
-//     persistence mechanism; a per-node checkpoint file would alias
-//     the coordinator's view of which indexes are done.
-//   - RunTimeout: wall-clock deadlines classify runs by elapsed time,
-//     which varies across nodes — the one config knob that would make
-//     a record not a pure function of its index.
+// NewExecutor prepares a campaign for shard-at-a-time execution: the
+// fault-free profile run, the plan list and the campaign key. The
+// options the ledger owns — TargetCI, CheckpointPath, OnProgress —
+// take effect in NewLedger; an executor that only serves leases
+// ignores them.
 func NewExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config) (*Executor, error) {
-	if cfg.TargetCI > 0 {
-		return nil, &ConfigConflictError{Options: "fabric execution and TargetCI",
-			Reason: "adaptive early stop needs the global run prefix, which no single shard executor sees"}
-	}
-	if cfg.CheckpointPath != "" {
-		return nil, &ConfigConflictError{Options: "fabric execution and CheckpointPath",
-			Reason: "shard leases and completions are the persistence mechanism; a local checkpoint would shadow the coordinator"}
-	}
-	if cfg.RunTimeout > 0 {
-		return nil, &ConfigConflictError{Options: "fabric execution and RunTimeout",
-			Reason: "wall-clock deadlines classify by elapsed time, so a record would no longer be a pure function of its index across nodes"}
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -70,7 +52,11 @@ func NewExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench
 	sp.SetAttr("scheme", s.String())
 	sp.SetAttr("bench", p.Bench.Name)
 	defer sp.End()
-	e, err := prepare(ctx, p, s, inst, cfg, nil)
+	return newExecutor(ctx, p, s, inst, cfg, nil)
+}
+
+func newExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config, plans []machine.FaultPlan) (*Executor, error) {
+	e, err := prepare(ctx, p, s, inst, cfg, plans)
 	if err != nil {
 		return nil, err
 	}
@@ -92,56 +78,80 @@ func (x *Executor) N() int { return x.e.cfg.N }
 // completed before the cancellation are kept and will not re-execute
 // on a later call.
 func (x *Executor) RunRange(ctx context.Context, lo, hi int) error {
-	if lo < 0 || hi > x.e.cfg.N || lo > hi {
-		return fmt.Errorf("fault: executor range [%d, %d) outside plan [0, %d)", lo, hi, x.e.cfg.N)
+	if err := x.checkRange(lo, hi); err != nil {
+		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, sp := obs.Start(ctx, "fault/executor_range")
+	ctx, sp := obs.Start(ctx, "campaign/batch")
 	sp.SetAttr("lo", lo)
 	sp.SetAttr("hi", hi)
 	defer sp.End()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.e.runBatch(ctx, lo, hi)
+	return x.e.runRange(ctx, lo, hi)
 }
 
-// Records copies out the records for [lo, hi) — a shard's payload.
-// Records of runs RunRange has not completed have Done = false; the
-// merger rejects those, so a worker only ships ranges it finished.
-func (x *Executor) Records(lo, hi int) ([]RunRecord, error) {
+func (x *Executor) checkRange(lo, hi int) error {
 	if lo < 0 || hi > x.e.cfg.N || lo > hi {
-		return nil, fmt.Errorf("fault: executor range [%d, %d) outside plan [0, %d)", lo, hi, x.e.cfg.N)
+		return fmt.Errorf("fault: executor range [%d, %d) outside plan [0, %d)", lo, hi, x.e.cfg.N)
 	}
+	return nil
+}
+
+// RunShard implements fabric.ShardRunner. It executes the shard in
+// sub-batches of Config.Batch runs, heartbeating after each, and
+// returns the finished shard's records as a JSON ShardPayload. A
+// heartbeat error (lease lost, job gone) abandons the shard at once:
+// the records already executed stay in the executor, so if the shard
+// comes back it completes almost for free.
+func (x *Executor) RunShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat) ([]byte, error) {
+	if err := x.runShard(ctx, sh, hb); err != nil {
+		return nil, err
+	}
+	p := ShardPayload{Key: sh.Key(x.e.key), Lo: sh.Lo, Hi: sh.Hi, Records: x.records(sh.Lo, sh.Hi)}
+	b, err := json.Marshal(&p)
+	if err != nil {
+		return nil, fmt.Errorf("fault: encoding shard payload: %w", err)
+	}
+	return b, nil
+}
+
+func (x *Executor) runShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat) error {
+	if err := x.checkRange(sh.Lo, sh.Hi); err != nil {
+		return err
+	}
+	for _, sub := range sh.Split(x.e.cfg.Batch) {
+		if err := x.RunRange(ctx, sub.Lo, sub.Hi); err != nil {
+			return err
+		}
+		if hb != nil {
+			if err := hb(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// records copies out the records of [lo, hi), a checked range.
+func (x *Executor) records(lo, hi int) []RunRecord {
 	out := make([]RunRecord, hi-lo)
 	x.mu.Lock()
 	copy(out, x.e.records[lo:hi])
 	x.mu.Unlock()
-	return out, nil
+	return out
 }
 
-// Aggregate folds a full-length record array — reassembled from shard
-// payloads — through the engine's own aggregation, the same fold the
-// single-node path uses. len(recs) must equal N: partial aggregation
-// is the merger's job (it aggregates the records it has), and
-// demanding the full array here keeps the exactness contract visible
-// at the call site.
-func (x *Executor) Aggregate(recs []RunRecord) (Result, error) {
-	if len(recs) != x.e.cfg.N {
-		return Result{}, fmt.Errorf("fault: aggregate over %d records, want %d", len(recs), x.e.cfg.N)
-	}
-	return x.e.aggregateRecords(recs, len(recs)), nil
-}
-
-// AggregatePrefix folds recs[:stop] — the merger's partial-progress
-// view. recs must still be full-length (indexes are positional).
-func (x *Executor) AggregatePrefix(recs []RunRecord, stop int) (Result, error) {
-	if len(recs) != x.e.cfg.N {
-		return Result{}, fmt.Errorf("fault: aggregate over %d records, want %d", len(recs), x.e.cfg.N)
-	}
-	if stop < 0 || stop > len(recs) {
-		return Result{}, fmt.Errorf("fault: aggregate prefix %d outside [0, %d]", stop, len(recs))
-	}
-	return x.e.aggregateRecords(recs, stop), nil
+// ShardPayload is the wire form of one completed shard: the records
+// for [Lo, Hi), tagged with the shard key so a ledger can refuse a
+// payload from a drifted configuration or a mislabelled range.
+type ShardPayload struct {
+	// Key is fabric.Shard.Key(planKey) — the campaign key plus the
+	// index range, derived independently by the worker.
+	Key     string      `json:"key"`
+	Lo      int         `json:"lo"`
+	Hi      int         `json:"hi"`
+	Records []RunRecord `json:"records"`
 }

@@ -2,18 +2,17 @@ package fault
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"rskip/internal/core"
+	"rskip/internal/fabric"
 )
 
-// The executor exactness contract: executing a campaign's index
-// ranges out of order (and redundantly) through an Executor, then
-// aggregating the reassembled records, must equal fault.Campaign over
-// the same config bit-for-bit.
+// The executor exactness contract: executing a campaign's shards out
+// of order (and redundantly) through an Executor, then merging their
+// payloads in yet another order, must equal fault.Campaign over the
+// same config bit-for-bit.
 func TestExecutorMatchesCampaign(t *testing.T) {
 	p, inst := sharedConv1d(t)
 	cfg := Config{N: 60, Seed: 7, Workers: 2, Batch: 16}
@@ -30,27 +29,28 @@ func TestExecutorMatchesCampaign(t *testing.T) {
 	if x.N() != cfg.N {
 		t.Fatalf("N = %d, want %d", x.N(), cfg.N)
 	}
-	// Out-of-order ranges, with an overlap re-run ([20,40) twice) to
-	// prove re-leased shards are harmless.
-	for _, r := range [][2]int{{40, 60}, {20, 40}, {0, 20}, {20, 40}} {
-		if err := x.RunRange(context.Background(), r[0], r[1]); err != nil {
-			t.Fatalf("RunRange(%v): %v", r, err)
-		}
-	}
-	recs := make([]RunRecord, 0, cfg.N)
-	for _, r := range [][2]int{{0, 20}, {20, 40}, {40, 60}} {
-		part, err := x.Records(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, part...)
-	}
-	got, err := x.Aggregate(recs)
+	l, err := NewLedger(x, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("executor aggregate diverged from campaign:\n got %+v\nwant %+v", got, want)
+	shards := l.Plan().Shards()
+	// Out-of-order shards, with a re-run of shard 1 to prove re-leased
+	// shards are harmless.
+	payloads := map[int][]byte{}
+	for _, id := range []int{2, 1, 0, 1} {
+		b, err := x.RunShard(context.Background(), shards[id], nil)
+		if err != nil {
+			t.Fatalf("RunShard(%v): %v", shards[id], err)
+		}
+		payloads[id] = b
+	}
+	for _, id := range []int{1, 2, 0} {
+		if err := l.Add(shards[id], payloads[id]); err != nil {
+			t.Fatalf("Add(%v): %v", shards[id], err)
+		}
+	}
+	if got := l.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged shards diverged from campaign:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -75,17 +75,17 @@ func TestExecutorKeyMatchesCampaignKey(t *testing.T) {
 	}
 }
 
-func TestExecutorRejectsSingleNodeOnlyOptions(t *testing.T) {
+// The options the ledger owns are plain inputs to an executor: a
+// worker building one from a spec that carries them must not refuse
+// the shard.
+func TestExecutorAcceptsCampaignOptions(t *testing.T) {
 	p, inst := sharedConv1d(t)
 	for name, cfg := range map[string]Config{
 		"TargetCI":       {N: 10, TargetCI: 0.05},
 		"CheckpointPath": {N: 10, CheckpointPath: t.TempDir() + "/ck.json"},
-		"RunTimeout":     {N: 10, RunTimeout: time.Second},
 	} {
-		_, err := NewExecutor(context.Background(), p, core.RSkip, inst, cfg)
-		var conflict *ConfigConflictError
-		if !errors.As(err, &conflict) {
-			t.Errorf("%s: NewExecutor err = %v, want ConfigConflictError", name, err)
+		if _, err := NewExecutor(context.Background(), p, core.RSkip, inst, cfg); err != nil {
+			t.Errorf("%s: NewExecutor = %v, want accepted", name, err)
 		}
 	}
 }
@@ -100,14 +100,8 @@ func TestExecutorRangeValidation(t *testing.T) {
 		if err := x.RunRange(context.Background(), r[0], r[1]); err == nil {
 			t.Errorf("RunRange(%v) accepted an out-of-plan range", r)
 		}
-		if _, err := x.Records(r[0], r[1]); err == nil {
-			t.Errorf("Records(%v) accepted an out-of-plan range", r)
+		if _, err := x.RunShard(context.Background(), fabric.Shard{Lo: r[0], Hi: r[1]}, nil); err == nil {
+			t.Errorf("RunShard(%v) accepted an out-of-plan range", r)
 		}
-	}
-	if _, err := x.Aggregate(make([]RunRecord, 5)); err == nil {
-		t.Error("Aggregate accepted a short record array")
-	}
-	if _, err := x.AggregatePrefix(make([]RunRecord, 10), 11); err == nil {
-		t.Error("AggregatePrefix accepted stop > N")
 	}
 }

@@ -189,8 +189,9 @@ type campaignRequest struct {
 	Batch   int         `json:"batch,omitempty"`
 	// TargetCI enables adaptive sampling (percentage points).
 	TargetCI float64 `json:"target_ci,omitempty"`
-	// RunTimeoutMS bounds each injected run by wall-clock time
-	// (capped by the server's max-run-timeout).
+	// RunTimeoutMS is retired: a wall-clock deadline made outcomes
+	// depend on host speed. A positive value is rejected (code
+	// retired_field) rather than silently ignored.
 	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
 	// FaultModel selects the threat model: "seu" (default), "skip"
 	// (instruction-skip bursts) or "multibit" (adjacent-bit upsets).
@@ -213,11 +214,12 @@ type campaignRequest struct {
 	// unchanged. Requires the server to run with -result-cache-dir;
 	// conflicts with Exhaustive, TargetCI and Stratify.
 	Incremental bool `json:"incremental,omitempty"`
-	// Distributed runs the campaign through the fabric coordinator:
-	// shards are leased to remote workers (rskipd -worker -join) over
-	// /v1/fabric/* and to the in-process pool, and merged to a result
-	// bit-identical to the single-node campaign. Conflicts with
-	// Incremental, TargetCI and RunTimeoutMS (code config_conflict).
+	// Distributed also leases the campaign's shards to remote workers
+	// (rskipd -worker -join) over /v1/fabric/*, beside the in-process
+	// pool. Every campaign runs through the same coordinator and ledger,
+	// so the result — early stop and resume included — is bit-identical
+	// to the single-node campaign. Conflicts with Incremental (code
+	// config_conflict).
 	Distributed bool `json:"distributed,omitempty"`
 	// ShardSize is the runs-per-lease granularity of a distributed
 	// campaign (default 250).

@@ -12,26 +12,22 @@ import (
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fabric"
-	"rskip/internal/fabric/campaign"
 	"rskip/internal/fault"
 	"rskip/internal/obs"
 )
 
-// The coordinator side of distributed campaigns: jobs submitted with
-// "distributed": true run through a fabric.Coordinator instead of the
-// monolithic fault.Campaign loop. Shard leases are served to remote
-// workers over /v1/fabric/* (wire types in internal/fabric/wire.go)
-// and to the in-process pool via fabric.RunLocal — the same
-// Coordinator methods either way, so the two paths cannot diverge.
+// Every campaign job runs through a fabric.Coordinator merged by a
+// fault.Ledger (runCampaign). "distributed": true only registers the
+// coordinator in the hub, so its shards are also leased to remote
+// workers over /v1/fabric/* (wire types in internal/fabric/wire.go);
+// the in-process pool calls the same Coordinator methods through
+// fabric.RunLocal, so the two paths cannot diverge.
 
 // fabricJob is one distributed campaign's lease surface.
 type fabricJob struct {
 	id    string
 	coord *fabric.Coordinator
-	key   string
-	n     int
 	spec  json.RawMessage // the campaignRequest, verbatim
-	ttl   time.Duration
 }
 
 // fabricHub indexes the distributed jobs currently leasing shards.
@@ -108,93 +104,59 @@ func newFabricMetrics(m *obs.Metrics) fabricMetrics {
 	}
 }
 
-// executeDistributed runs one campaign through the fabric: an
-// executor for the plan identity (and local execution), a merger for
-// the exact reassembly, a coordinator for the lease lifecycle, and —
-// unless the client opted out — an in-process lease loop so the
-// coordinator node contributes cycles alongside remote workers.
-func (s *Server) executeDistributed(ctx context.Context, j *job, p *core.Program, inst bench.Instance, fcfg fault.Config) (fault.Result, error) {
+// runCampaign runs one campaign job to its end: an executor for the
+// plan identity and local execution, a ledger for the exact merge,
+// checkpoints, progress and early stop, and a coordinator for the
+// lease lifecycle. A plain job leases shards of Batch runs to one
+// in-process lease loop. A distributed job leases shards of ShardSize
+// runs to LocalWorkers loops (0: one, < 0: none) and, through the hub,
+// to any remote worker.
+func (s *Server) runCampaign(ctx context.Context, j *job, p *core.Program, inst bench.Instance, fcfg fault.Config) (fault.Result, error) {
 	req := j.spec.Request
-	ctx, sp := obs.Start(ctx, "server/fabric_job")
-	sp.SetAttr("id", j.spec.ID)
-	defer sp.End()
-
 	x, err := fault.NewExecutor(ctx, p, j.scheme, inst, fcfg)
 	if err != nil {
 		return fault.Result{}, err
 	}
-	merger := campaign.NewMerger(x)
-	shardSize := req.ShardSize
-	if shardSize <= 0 {
-		shardSize = defaultShardSize
+	shardSize, loops := 0, 1
+	opt := fabric.Options{LeaseTTL: s.cfg.LeaseTTL}
+	if req.Distributed {
+		shardSize = req.ShardSize
+		if shardSize <= 0 {
+			shardSize = defaultShardSize
+		}
+		if req.LocalWorkers != 0 {
+			loops = max(req.LocalWorkers, 0)
+		}
+		opt.OnShardDone = func(_ fabric.Shard, _ string, leased time.Duration) {
+			s.fmet.shard.Observe(leased.Seconds())
+		}
 	}
-	coord := fabric.NewCoordinator(
-		fabric.Plan{Key: x.Key(), N: x.N(), ShardSize: shardSize},
-		fabric.Options{
-			LeaseTTL:   s.cfg.LeaseTTL,
-			OnComplete: merger.Add,
-			OnShardDone: func(_ fabric.Shard, _ string, leased time.Duration) {
-				s.fmet.shard.Observe(leased.Seconds())
-			},
-			OnProgress: func(pr fabric.Progress) {
-				// Progress streams the merged prefix: exact counts for
-				// completed shards (heartbeat-estimated Done for leased
-				// ones comes from pr, not from the records).
-				partial, err := merger.Partial()
-				if err != nil {
-					return
-				}
-				j.publishProgress(fault.Progress{Done: pr.Done, N: pr.N, Result: partial})
-			},
-		})
-
-	spec, err := json.Marshal(&req)
+	l, err := fault.NewLedger(x, shardSize)
 	if err != nil {
-		return fault.Result{}, fmt.Errorf("encoding fabric spec: %w", err)
-	}
-	fj := &fabricJob{id: j.spec.ID, coord: coord, key: x.Key(), n: x.N(),
-		spec: spec, ttl: s.cfg.LeaseTTL}
-	s.fabric.add(fj)
-	s.fmet.jobs.Set(float64(s.fabric.count()))
-	defer func() {
-		s.fabric.remove(j.spec.ID)
-		s.fmet.jobs.Set(float64(s.fabric.count()))
-		st := coord.Stats()
-		s.fmet.granted.Add(uint64(st.LeasesGranted))
-		s.fmet.reassigned.Add(uint64(st.LeasesExpired))
-		s.fmet.completed.Add(uint64(st.ShardsCompleted))
-	}()
-
-	// The in-process pool: one lease loop per local worker slot, all
-	// over this job's executor (RunRange parallelizes internally via
-	// Config.Workers). LocalWorkers < 0 makes this node a pure
-	// coordinator that only serves remote leases.
-	if req.LocalWorkers >= 0 {
-		loops := req.LocalWorkers
-		if loops == 0 {
-			loops = 1
-		}
-		runner := campaign.NewRunner(x, fcfg.Batch)
-		go func() {
-			// RunLocal returns when the plan completes or aborts; its
-			// error surfaces through coord.Wait below.
-			_ = fabric.RunLocal(ctx, coord, loops, "local", runner)
-		}()
-	}
-
-	if err := coord.Wait(ctx); err != nil {
-		if ctx.Err() != nil {
-			// Cancelled (client DELETE or drain): report the merged
-			// partial result, like the single-node path does.
-			partial, perr := merger.Partial()
-			if perr != nil {
-				return fault.Result{}, err
-			}
-			return partial, fmt.Errorf("fault: campaign interrupted after %d/%d runs: %w", partial.N, x.N(), ctx.Err())
-		}
 		return fault.Result{}, err
 	}
-	return merger.Result()
+	coord := l.Coordinator(opt)
+	if req.Distributed {
+		spec, err := json.Marshal(&req)
+		if err != nil {
+			return fault.Result{}, fmt.Errorf("encoding fabric spec: %w", err)
+		}
+		s.fabric.add(&fabricJob{id: j.spec.ID, coord: coord, spec: spec})
+		s.fmet.jobs.Set(float64(s.fabric.count()))
+		defer func() {
+			s.fabric.remove(j.spec.ID)
+			s.fmet.jobs.Set(float64(s.fabric.count()))
+			st := coord.Stats()
+			s.fmet.granted.Add(uint64(st.LeasesGranted))
+			s.fmet.reassigned.Add(uint64(st.LeasesExpired))
+			s.fmet.completed.Add(uint64(st.ShardsCompleted))
+		}()
+	}
+	local := make([]fabric.ShardRunner, loops)
+	for i := range local {
+		local[i] = x
+	}
+	return l.Drive(ctx, coord, local...)
 }
 
 // defaultShardSize balances lease-protocol overhead against work-
@@ -220,8 +182,8 @@ func (s *Server) handleFabricLease(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		writeJSON(w, http.StatusOK, fabric.WireLease{
-			JobID: fj.id, PlanKey: fj.key, N: fj.n, Shard: sh,
-			LeaseTTLMS: fj.ttl.Milliseconds(), Spec: fj.spec,
+			JobID: fj.id, PlanKey: fj.coord.Plan().Key, N: fj.coord.Plan().N, Shard: sh,
+			LeaseTTLMS: s.cfg.LeaseTTL.Milliseconds(), Spec: fj.spec,
 		})
 		return
 	}
@@ -254,7 +216,7 @@ func (s *Server) handleFabricHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.fabricCall(w, hb.JobID, func(fj *fabricJob) error {
-		return fj.coord.Heartbeat(hb.Worker, hb.Shard, hb.Done)
+		return fj.coord.Heartbeat(hb.Worker, hb.Shard)
 	})
 }
 

@@ -23,8 +23,9 @@ import (
 // Job states. queued → running → {done, failed, cancelled}. A drain
 // interrupts running jobs back to queued-on-disk: the job file stays,
 // no result file is written, and the next daemon on the same
-// checkpoint dir re-enqueues it — fault checkpoints make the re-run
-// bit-identical to an uninterrupted campaign.
+// checkpoint dir re-enqueues it — the campaign ledger's checkpoint
+// makes the re-run bit-identical to an uninterrupted campaign,
+// distributed or not.
 const (
 	jobQueued    = "queued"
 	jobRunning   = "running"
@@ -225,8 +226,12 @@ func newJobID() string {
 // Persistence file layout under the checkpoint dir:
 //
 //	<id>.job.json     the job spec (written at submit)
-//	<id>.ck.json      the fault engine's campaign checkpoint
+//	<id>.ck.json      the campaign ledger's checkpoint
 //	<id>.result.json  the terminal outcome (written at completion)
+//
+// Every file is written through fault.WriteFileAtomic, so a crash
+// leaves an intact file or none, plus at most a temp file the startup
+// sweep removes.
 
 func (st *jobStore) specPath(id string) string   { return filepath.Join(st.dir, id+".job.json") }
 func (st *jobStore) ckPath(id string) string     { return filepath.Join(st.dir, id+".ck.json") }
@@ -241,7 +246,7 @@ func (st *jobStore) persistSpec(j *job) error {
 	}
 	data, err := json.MarshalIndent(&j.spec, "", "  ")
 	if err == nil {
-		err = os.WriteFile(st.specPath(j.spec.ID), data, 0o644)
+		err = fault.WriteFileAtomic(st.specPath(j.spec.ID), data)
 	}
 	if err != nil {
 		return fmt.Errorf("persisting job spec: %w", err)
@@ -261,7 +266,7 @@ func (st *jobStore) persistOutcome(j *job) {
 	id := j.spec.ID
 	j.mu.Unlock()
 	if data, err := json.MarshalIndent(&oc, "", "  "); err == nil {
-		_ = os.WriteFile(st.resultPath(id), data, 0o644)
+		_ = fault.WriteFileAtomic(st.resultPath(id), data)
 	}
 	// A terminal job never resumes, so its campaign checkpoint is dead
 	// weight from here on; the startup sweep catches the ones a crash
@@ -274,8 +279,9 @@ func (st *jobStore) persistOutcome(j *job) {
 // sweepOrphans removes checkpoint-dir files no future daemon will
 // ever read again:
 //
-//   - .ck-*.json temp files (a crash between the checkpoint writer's
-//     temp write and its atomic rename)
+//   - temp files of an atomic write a crash cut short between the
+//     temp write and the rename (fault.TempPattern; .ck-*.json from
+//     daemons that wrote checkpoints under their own pattern)
 //   - <id>.job.json (+ result) of jobs cancelled before their first
 //     checkpoint — the record holds no runs and nothing resumable, so
 //     it only accumulates across restarts
@@ -295,7 +301,8 @@ func (st *jobStore) sweepOrphans() (int, error) {
 			swept++
 		}
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(st.dir, ".ck-*.json")); tmps != nil {
+	for _, pat := range []string{fault.TempPattern("*"), ".ck-*.json"} {
+		tmps, _ := filepath.Glob(filepath.Join(st.dir, pat))
 		for _, t := range tmps {
 			remove(t)
 		}
@@ -422,9 +429,9 @@ func (s *Server) runJob(j *job) {
 		j.done = res.N
 		s.met.jobsDone.Inc()
 	case ctx.Err() != nil && !j.userCancel && s.isDraining():
-		// Drain interruption: leave the job resumable. The last batch's
-		// checkpoint is already on disk; a restarted daemon on the same
-		// checkpoint dir completes the campaign bit-identically.
+		// Drain interruption: leave the job resumable. The ledger saved
+		// its checkpoint after every merged shard; a restarted daemon on
+		// the same checkpoint dir completes the campaign bit-identically.
 		j.state = jobQueued
 		j.result = render()
 		j.done = res.N
@@ -518,25 +525,11 @@ func (s *Server) executeCampaign(ctx context.Context, j *job) (fault.Result, *re
 		}
 		return rep.Composed, rep, nil
 	}
-	if req.Distributed {
-		// Distributed campaigns publish progress through the fabric
-		// coordinator's merge callbacks; RunTimeout and CheckpointPath
-		// are rejected at submit (the executor enforces it again).
-		res, err := s.executeDistributed(ctx, j, p, inst, fcfg)
-		return res, nil, err
-	}
 	fcfg.OnProgress = j.publishProgress
-	// Campaigns default to the deterministic instruction budget only:
-	// a wall-clock per-run timeout makes outcomes timing-dependent,
-	// which would break bit-identical resume. Clients opt in.
-	fcfg.RunTimeout = 0
-	if req.RunTimeoutMS > 0 {
-		fcfg.RunTimeout = s.capRunTimeout(time.Duration(req.RunTimeoutMS) * time.Millisecond)
-	}
 	if s.store.dir != "" {
 		fcfg.CheckpointPath = s.store.ckPath(j.spec.ID)
 	}
-	res, err := fault.Campaign(ctx, p, j.scheme, inst, fcfg)
+	res, err := s.runCampaign(ctx, j, p, inst, fcfg)
 	return res, nil, err
 }
 
@@ -576,18 +569,9 @@ func validateCampaignRequest(req *campaignRequest, hasResultCache bool) (core.Sc
 				Reason: "the incremental analyzer already stratifies by region; per-class strata inside a region are not cacheable yet"}
 		}
 	}
-	if req.Distributed {
-		switch {
-		case req.Incremental:
-			return 0, &fault.ConfigConflictError{Options: "distributed and incremental",
-				Reason: "the compositional analyzer shards by region through the result cache; fabric sharding by index would nest the two decompositions"}
-		case req.TargetCI > 0:
-			return 0, &fault.ConfigConflictError{Options: "distributed and target_ci",
-				Reason: "adaptive early stop needs the global run prefix, which no shard executor sees"}
-		case req.RunTimeoutMS > 0:
-			return 0, &fault.ConfigConflictError{Options: "distributed and run_timeout_ms",
-				Reason: "wall-clock deadlines classify by elapsed time, which varies across nodes and would break bit-identical merges"}
-		}
+	if req.Distributed && req.Incremental {
+		return 0, &fault.ConfigConflictError{Options: "distributed and incremental",
+			Reason: "the compositional analyzer shards by region through the result cache; fabric sharding by index would nest the two decompositions"}
 	}
 	if req.N == 0 && !req.Exhaustive {
 		req.N = 1000
@@ -612,16 +596,34 @@ func validateCampaignRequest(req *campaignRequest, hasResultCache bool) (core.Sc
 
 // faultConfig maps the wire request to the engine config. ModelMix
 // rejection surfaces as *fault.UnknownModelError so the HTTP layer can
-// give it a dedicated error code.
+// give it a dedicated error code, and a retired field as
+// *retiredFieldError. Submit, resume and remote workers all pass
+// through here, so a job file persisted with a retired field fails
+// instead of running as some other campaign.
 func (req *campaignRequest) faultConfig() (fault.Config, error) {
+	if req.RunTimeoutMS > 0 {
+		return fault.Config{}, errRunTimeoutRetired
+	}
 	mix, err := fault.ModelMix(req.FaultModel)
 	if err != nil {
 		return fault.Config{}, err
 	}
 	return fault.Config{
 		N: req.N, Seed: req.Seed, Workers: req.Workers, Batch: req.Batch,
-		TargetCI: req.TargetCI, RunTimeout: time.Duration(req.RunTimeoutMS) * time.Millisecond,
-		Mix: mix, SkipWidth: req.SkipWidth, BitWidth: req.BitWidth,
+		TargetCI: req.TargetCI,
+		Mix:      mix, SkipWidth: req.SkipWidth, BitWidth: req.BitWidth,
 		Exhaustive: req.Exhaustive, Stratify: req.Stratify,
 	}, nil
 }
+
+// retiredFieldError rejects a campaign field the daemon no longer
+// honours. Unknown JSON fields are ignored, so without it a client
+// relying on a dropped field would silently get a different campaign.
+type retiredFieldError struct{ Field, Reason string }
+
+func (e *retiredFieldError) Error() string {
+	return fmt.Sprintf("%q is no longer supported: %s", e.Field, e.Reason)
+}
+
+var errRunTimeoutRetired = &retiredFieldError{Field: "run_timeout_ms",
+	Reason: "a wall-clock deadline made outcomes depend on host speed; every run is bounded by its deterministic instruction budget"}

@@ -65,8 +65,9 @@ type Config struct {
 	// DefaultRunTimeout applies to /v1/run requests that set no
 	// timeout_ms (default 30s).
 	DefaultRunTimeout time.Duration
-	// MaxRunTimeout caps client-requested run and per-injection
-	// timeouts (default 2m).
+	// MaxRunTimeout caps the timeout_ms a /v1/run request may ask for
+	// (default 2m). Campaign runs have no wall-clock deadline: the
+	// instruction budget bounds them.
 	MaxRunTimeout time.Duration
 	// CheckpointDir persists job specs, campaign checkpoints and
 	// terminal results, making jobs resumable across restarts. Empty
@@ -259,7 +260,7 @@ func (s *Server) isDraining() bool {
 
 // Drain stops the daemon gracefully: new submissions are refused,
 // workers stop picking up queued jobs, and running campaigns are
-// interrupted — their latest batch checkpoint is already durable, so
+// interrupted — their latest shard checkpoint is already durable, so
 // a new daemon on the same checkpoint dir resumes them. Drain returns
 // once the workers have exited or ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
@@ -685,6 +686,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		var unknownModel *fault.UnknownModelError
 		var conflict *fault.ConfigConflictError
 		var unknownBackend *machine.UnknownBackendError
+		var retired *retiredFieldError
 		if strings.Contains(err.Error(), "unknown benchmark") {
 			status, code = http.StatusNotFound, "unknown_bench"
 		} else if errors.As(err, &unknownModel) {
@@ -693,6 +695,8 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 			code = "unknown_backend"
 		} else if errors.As(err, &conflict) {
 			code = "config_conflict"
+		} else if errors.As(err, &retired) {
+			code = "retired_field"
 		} else if errors.Is(err, errIncrementalUnavailable) {
 			code = "incremental_unavailable"
 		}

@@ -345,14 +345,16 @@ type statusResp struct {
 	N      int    `json:"n"`
 	Error  string `json:"error"`
 	Result *struct {
-		N           int            `json:"n"`
-		Counts      map[string]int `json:"counts"`
-		Exhaustive  bool           `json:"exhaustive"`
-		Protection  float64        `json:"protection_rate"`
-		Incremental bool           `json:"incremental"`
-		Regions     int            `json:"regions"`
-		CacheHits   int            `json:"cache_hits"`
-		CacheMisses int            `json:"cache_misses"`
+		N            int            `json:"n"`
+		Requested    int            `json:"requested"`
+		EarlyStopped bool           `json:"early_stopped"`
+		Counts       map[string]int `json:"counts"`
+		Exhaustive   bool           `json:"exhaustive"`
+		Protection   float64        `json:"protection_rate"`
+		Incremental  bool           `json:"incremental"`
+		Regions      int            `json:"regions"`
+		CacheHits    int            `json:"cache_hits"`
+		CacheMisses  int            `json:"cache_misses"`
 	} `json:"result"`
 }
 
@@ -1205,13 +1207,13 @@ func TestDistributedCampaignOverHTTP(t *testing.T) {
 	}
 }
 
-// TestDistributedRejectsConflictingOptions: the options that need a
-// global view of the run sequence are refused at submit time.
+// TestDistributedRejectsConflictingOptions: a distributed campaign
+// cannot also be incremental — the compositional analyzer shards by
+// region, the fabric by index. TargetCI is no longer a conflict (see
+// TestDistributedTargetCI).
 func TestDistributedRejectsConflictingOptions(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	for _, extra := range []map[string]any{
-		{"target_ci": 0.05},
-		{"run_timeout_ms": 100},
 		{"incremental": true},
 	} {
 		body := map[string]any{"bench": "conv1d", "scheme": "unsafe", "n": 50, "distributed": true}

@@ -12,7 +12,6 @@ import (
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/fabric"
-	"rskip/internal/fabric/campaign"
 	"rskip/internal/fault"
 	"rskip/internal/httpx"
 	"rskip/internal/obs"
@@ -150,15 +149,12 @@ func (w *Worker) runLease(ctx context.Context, lease fabric.WireLease) error {
 	if err != nil {
 		return err
 	}
-	// Heartbeat cadence: at least a few beats per TTL, even when the
-	// spec's batch is large relative to the lease.
-	runner := campaign.NewRunner(x, 0)
-	hb := func(done int) error {
+	hb := func() error {
 		return w.post("/v1/fabric/heartbeat", fabric.WireHeartbeat{
-			Worker: w.name, JobID: lease.JobID, Shard: lease.Shard.ID, Done: done,
+			Worker: w.name, JobID: lease.JobID, Shard: lease.Shard.ID,
 		})
 	}
-	payload, err := runner.RunShard(ctx, lease.Shard, hb)
+	payload, err := x.RunShard(ctx, lease.Shard, hb)
 	if err != nil {
 		return err
 	}
@@ -259,12 +255,6 @@ func (w *Worker) buildExecutor(req *campaignRequest) (*fault.Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Defense in depth: these are rejected at submit, and NewExecutor
-	// rejects them again; zeroing here keeps a drifted coordinator from
-	// wedging the worker in a reject loop.
-	fcfg.RunTimeout = 0
-	fcfg.TargetCI = 0
-	fcfg.CheckpointPath = ""
 	if w.cfg.Workers > 0 {
 		fcfg.Workers = w.cfg.Workers
 	}

@@ -278,20 +278,9 @@ func main() {
 	}
 	var sels []schemeSel
 	for _, name := range strings.Split(*schemes, ",") {
-		var s core.Scheme
-		switch strings.TrimSpace(name) {
-		case "unsafe":
-			s = core.Unsafe
-		case "swift":
-			s = core.SWIFT
-		case "swiftr":
-			s = core.SWIFTR
-		case "rskip":
-			s = core.RSkip
-		case "swiftrhard", "swift-r-hard":
-			s = core.SWIFTRHard
-		default:
-			fatal(fmt.Errorf("unknown scheme %q", name))
+		s, err := core.ParseScheme(name)
+		if err != nil {
+			fatal(err)
 		}
 		label := s.String()
 		if s == core.RSkip {

@@ -71,31 +71,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var scale bench.Scale
-	switch *scaleName {
-	case "perf":
-		scale = bench.ScalePerf
-	case "fi":
-		scale = bench.ScaleFI
-	case "tiny":
-		scale = bench.ScaleTiny
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scaleName))
+	scale, err := bench.ParseScale(*scaleName)
+	if err != nil {
+		fatal(err)
 	}
-	var s core.Scheme
-	switch *scheme {
-	case "unsafe":
-		s = core.Unsafe
-	case "swift":
-		s = core.SWIFT
-	case "swiftr":
-		s = core.SWIFTR
-	case "rskip":
-		s = core.RSkip
-	case "swiftrhard", "swift-r-hard":
-		s = core.SWIFTRHard
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
+	s, err := core.ParseScheme(*scheme)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg := core.DefaultConfig()

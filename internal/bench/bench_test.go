@@ -211,3 +211,17 @@ func TestBenchmarkSourcesRoundTripThroughFormatter(t *testing.T) {
 		}
 	}
 }
+
+// ParseScale accepts every spelling the CLIs and the daemon take.
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{
+		"": ScaleFI, "fi": ScaleFI, "perf": ScalePerf, "tiny": ScaleTiny, "PERF": ScalePerf,
+	} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseScale("huge"); err == nil {
+		t.Error(`ParseScale("huge") accepted`)
+	}
+}

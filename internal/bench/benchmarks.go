@@ -11,6 +11,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"rskip/internal/machine"
 )
@@ -26,6 +27,20 @@ const (
 	ScalePerf
 	ScaleTiny // unit tests
 )
+
+// ParseScale maps a scale name (case ignored; empty means fi) to the
+// enum.
+func ParseScale(name string) (Scale, error) {
+	switch strings.ToLower(name) {
+	case "", "fi":
+		return ScaleFI, nil
+	case "perf":
+		return ScalePerf, nil
+	case "tiny":
+		return ScaleTiny, nil
+	}
+	return ScaleFI, fmt.Errorf("unknown scale %q (want tiny, fi or perf)", name)
+}
 
 // Instance is one concrete input set for a benchmark.
 type Instance struct {

@@ -8,11 +8,14 @@
 // spec. The same sweep proves that untimed campaign replicas
 // (core.Injector) lose nothing but cycles, whether they run from
 // instruction 0, resume from a snapshot of the clean run, or also stop
-// early once their state rejoins the clean run's.
+// early once their state rejoins the clean run's, and that the compiled
+// backend's careful per-instruction path matches as well as its fast
+// one.
 package bench_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"rskip/internal/bench"
@@ -22,7 +25,10 @@ import (
 
 // runBoth executes the same instance on the compiled backend and on
 // the reference interpreter and reports any observable divergence of
-// the compiled run from the timed reference. Each backend also runs it
+// the compiled run from the timed reference. The compiled backend runs
+// it twice: on its fast path, and with tracing on (TraceLimit 1, the
+// output discarded), which keeps every instruction on the careful
+// per-instruction path (stepCareful). Each backend also runs it
 // as a campaign replica (a one-shot core.Injector, which runs
 // untimed), from instruction 0, resumed from the latest snapshot of
 // prefix that fits the run, and replayed against prefix with the
@@ -37,6 +43,9 @@ func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Inst
 	untimedRef.Cycles = 0
 
 	sameAsRef(t, "compiled", p.Run(s, gen(), opts), ref, ref.Result)
+	careful := opts
+	careful.Trace, careful.TraceLimit = io.Discard, 1
+	sameAsRef(t, "compiled/careful", p.Run(s, gen(), careful), ref, ref.Result)
 	for _, o := range []core.RunOpts{opts, refOpts} {
 		label := "compiled/untimed"
 		if o.Reference {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"rskip/internal/analysis"
@@ -50,6 +51,24 @@ func (s Scheme) String() string {
 		return "SWIFT-R-HARD"
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// ParseScheme maps a scheme name, as the CLIs and the daemon accept it
+// (case and surrounding space ignored), to the enum.
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "unsafe":
+		return Unsafe, nil
+	case "swift":
+		return SWIFT, nil
+	case "swiftr", "swift-r":
+		return SWIFTR, nil
+	case "rskip":
+		return RSkip, nil
+	case "swiftrhard", "swift-r-hard":
+		return SWIFTRHard, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want unsafe, swift, swiftr, rskip or swiftrhard)", name)
 }
 
 // Config parameterizes a build.

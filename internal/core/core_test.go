@@ -69,3 +69,21 @@ func TestPipelineSmoke(t *testing.T) {
 		})
 	}
 }
+
+// ParseScheme accepts every spelling the CLIs and the daemon take.
+func TestParseScheme(t *testing.T) {
+	for name, want := range map[string]Scheme{
+		"unsafe": Unsafe, "swift": SWIFT, "swiftr": SWIFTR, "swift-r": SWIFTR,
+		"rskip": RSkip, "swiftrhard": SWIFTRHard, "swift-r-hard": SWIFTRHard,
+		" RSkip ": RSkip, "SWIFT-R": SWIFTR,
+	} {
+		if got, err := ParseScheme(name); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "tmr", "swift_r"} {
+		if _, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) accepted", bad)
+		}
+	}
+}

@@ -11,48 +11,19 @@ import (
 // instruction class instead of uniformly over the whole region. The
 // fault-free profile run records a region trace — the exact layout of
 // the in-region dynamic instruction stream — from which each class's
-// population (its set of global in-region indexes) is known as a list
-// of contiguous intervals. Replicas are allocated to classes by
-// largest-remainder apportionment of their population shares, and
-// each class draws targets from its own seeded substream, so the plan
-// list is a pure function of (seed, layout) — deterministic,
-// checkpointable by index, and independent of worker scheduling like
-// every other campaign.
+// population (machine.Population: its set of global in-region
+// indexes) is known as a list of contiguous intervals. Replicas are
+// allocated to classes by largest-remainder apportionment of their
+// population shares, and each class draws targets from its own seeded
+// substream, so the plan list is a pure function of (seed, layout) —
+// deterministic, checkpointable by index, and independent of worker
+// scheduling like every other campaign.
 
-// classIntervals is one class's population: the contiguous global
-// in-region index ranges occupied by instructions of the class.
-type classIntervals struct {
-	count  uint64   // total population
-	starts []uint64 // global start of each interval
-	cum    []uint64 // population preceding each interval (for local->global mapping)
-}
-
-// pick maps a class-local index (0 <= j < count) to the global
-// in-region index of the j-th instruction of the class.
-func (ci *classIntervals) pick(j uint64) uint64 {
-	// Binary search the interval containing local index j.
-	k := sort.Search(len(ci.cum), func(i int) bool { return ci.cum[i] > j }) - 1
-	return ci.starts[k] + (j - ci.cum[k])
-}
-
-// layoutClasses folds a region trace into per-class populations.
-func layoutClasses(trace *machine.RegionTrace) (byClass [machine.NumOpClasses]classIntervals, total uint64) {
-	var pos uint64
-	for _, sp := range trace.Spans() {
-		ci := &byClass[sp.Class]
-		ci.cum = append(ci.cum, ci.count)
-		ci.starts = append(ci.starts, pos)
-		ci.count += sp.N
-		pos += sp.N
-	}
-	return byClass, pos
-}
-
-// allocate apportions n replicas across classes by largest-remainder
-// on population shares. Classes with empty populations get zero; the
-// remainder goes to the largest fractional parts, ties broken by
+// allocate apportions n replicas across the class populations by
+// largest-remainder on population shares. Empty populations get zero;
+// the remainder goes to the largest fractional parts, ties broken by
 // class order, so the allocation is deterministic.
-func allocate(byClass *[machine.NumOpClasses]classIntervals, total uint64, n int) [machine.NumOpClasses]int {
+func allocate(byClass []machine.Population, total uint64, n int) [machine.NumOpClasses]int {
 	var out [machine.NumOpClasses]int
 	if total == 0 || n <= 0 {
 		return out
@@ -63,11 +34,12 @@ func allocate(byClass *[machine.NumOpClasses]classIntervals, total uint64, n int
 	}
 	var fracs []frac
 	used := 0
-	for c := range byClass {
-		if byClass[c].count == 0 {
+	for _, pop := range byClass {
+		if pop.Count == 0 {
 			continue
 		}
-		exact := float64(n) * float64(byClass[c].count) / float64(total)
+		c := pop.Key
+		exact := float64(n) * float64(pop.Count) / float64(total)
 		out[c] = int(exact)
 		used += out[c]
 		fracs = append(fracs, frac{class: c, rem: exact - float64(out[c])})
@@ -92,25 +64,23 @@ func stratumSeed(seed int64, class machine.OpClass) int64 {
 // per-plan stratum index (into strata), and the stratum skeletons
 // (class + weight; counts are filled at aggregation).
 func stratifiedPlans(cfg Config, trace *machine.RegionTrace) (plans []machine.FaultPlan, strataOf []int, strata []StratumResult) {
-	byClass, total := layoutClasses(trace)
-	alloc := allocate(&byClass, total, cfg.N)
+	byClass, total := trace.ByClass(), trace.Total()
+	alloc := allocate(byClass, total, cfg.N)
 	plans = make([]machine.FaultPlan, 0, cfg.N)
 	strataOf = make([]int, 0, cfg.N)
-	for c := range byClass {
-		if byClass[c].count == 0 {
-			continue
-		}
-		class := machine.OpClass(c)
+	for k := range byClass {
+		pop := &byClass[k]
+		class := machine.OpClass(pop.Key)
 		si := len(strata)
 		strata = append(strata, StratumResult{
 			Class:  class,
-			Weight: float64(byClass[c].count) / float64(total),
+			Weight: float64(pop.Count) / float64(total),
 		})
 		rng := rand.New(rand.NewSource(stratumSeed(cfg.Seed, class)))
-		for i := 0; i < alloc[c]; i++ {
+		for i := 0; i < alloc[class]; i++ {
 			plan := machine.FaultPlan{
 				Kind:   drawKind(rng, cfg.Mix),
-				Target: byClass[c].pick(uint64(rng.Int63n(int64(byClass[c].count)))),
+				Target: pop.Pick(uint64(rng.Int63n(int64(pop.Count)))),
 				Bit:    uint(rng.Intn(64)),
 				Pick:   rng.Intn(1 << 20),
 			}

@@ -49,18 +49,22 @@ func TestStratifyConfigConflicts(t *testing.T) {
 // Largest-remainder allocation must hand out exactly n replicas, only
 // to populated classes, proportionally to population.
 func TestStratifiedAllocation(t *testing.T) {
-	var byClass [machine.NumOpClasses]classIntervals
-	byClass[machine.ClassALU].count = 700
-	byClass[machine.ClassMem].count = 200
-	byClass[machine.ClassBranch].count = 99
-	byClass[machine.ClassFloat].count = 1
+	var counts [machine.NumOpClasses]uint64
+	counts[machine.ClassALU] = 700
+	counts[machine.ClassMem] = 200
+	counts[machine.ClassBranch] = 99
+	counts[machine.ClassFloat] = 1
+	var byClass []machine.Population
+	for c, n := range counts {
+		byClass = append(byClass, machine.Population{Key: c, Count: n})
+	}
 	total := uint64(1000)
 	for _, n := range []int{1, 7, 100, 997, 5000} {
-		alloc := allocate(&byClass, total, n)
+		alloc := allocate(byClass, total, n)
 		sum := 0
 		for c, k := range alloc {
 			sum += k
-			if byClass[c].count == 0 && k != 0 {
+			if counts[c] == 0 && k != 0 {
 				t.Errorf("n=%d: empty class %v allocated %d replicas", n, machine.OpClass(c), k)
 			}
 		}
@@ -69,7 +73,7 @@ func TestStratifiedAllocation(t *testing.T) {
 		}
 	}
 	// Proportionality at a round count.
-	alloc := allocate(&byClass, total, 1000)
+	alloc := allocate(byClass, total, 1000)
 	if alloc[machine.ClassALU] != 700 || alloc[machine.ClassMem] != 200 {
 		t.Errorf("n=1000 allocation %v, want exact population proportions", alloc)
 	}

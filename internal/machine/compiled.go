@@ -8,9 +8,13 @@ import (
 
 // The compiled backend (BackendCompiled) threads each basic block into
 // closures: one Go func value per instruction, capturing the decoded
-// operands (register indexes, immediates, latency) as locals, so the
-// per-instruction dispatch switch and the repeated dinstr field loads
-// of a decoded interpreter (execD) disappear. Two further mechanisms
+// operands (register indexes, immediates, latency) as locals, so
+// executing an instruction takes no dispatch switch and no dinstr field
+// loads. Every compiled execution path — segments, the
+// per-instruction runPlain and stepCareful (dexec.go), the hang-proof
+// dry run — runs these same closures; the reference interpreter
+// (exec.go) is the only other implementation of the opcodes, and the
+// spec the closures are tested against. Two further mechanisms
 // remove the per-instruction and per-block bookkeeping that dominates
 // a block interpreter's profile on the short blocks real kernels have:
 //
@@ -59,7 +63,7 @@ type opDelta struct {
 // cseg is a maximal check-free instruction run: everything up to and
 // including the next break instruction.
 type cseg struct {
-	body  []cop
+	body  []cop  // the block's ops[start : start+count]
 	start int    // ip of body[0] within the block
 	dyn   uint64 // Σ μops — the segment's Dyn delta
 	count uint64 // len(body) — the segment's Region delta
@@ -71,6 +75,7 @@ type cseg struct {
 
 // cblock is one closure-threaded basic block.
 type cblock struct {
+	ops   []cop   // ip → the instruction's closure, which every compiled path runs
 	segAt []int32 // ip → global index of the segment starting there, else -1
 }
 
@@ -93,9 +98,10 @@ type ccode struct {
 // compileClosures threads a pre-decoded module into closures. Two
 // passes: the first numbers every segment (so branch targets that
 // appear before their block is reached still resolve), the second
-// compiles the closure bodies, handing each branch, call and hook its
-// statically known successor segment — the frame.nseg hint that lets
-// runBlockC dispatch without walking fns→blocks→segAt.
+// compiles one closure per instruction into the block's ops table,
+// handing each branch, call and hook its statically known successor
+// segment — the frame.nseg hint that lets runBlockC dispatch without
+// walking fns→blocks→segAt. Segment bodies are sub-slices of ops.
 func compileClosures(c *Code) *ccode {
 	cc := &ccode{fns: make([]cfunc, len(c.fns))}
 	for fi := range c.fns {
@@ -120,8 +126,7 @@ func compileClosures(c *Code) *ccode {
 			}
 			// A well-formed block ends in a terminator (brk), so every
 			// instruction is covered; a malformed tail simply keeps
-			// segAt == -1 and executes through the per-instruction
-			// fallback.
+			// segAt == -1 and executes one instruction at a time.
 			cc.maxBlockUops = max(cc.maxBlockUops, blk.uops)
 			cc.maxBlockIns = max(cc.maxBlockIns, uint64(len(blk.ins)))
 		}
@@ -136,17 +141,16 @@ func compileClosures(c *Code) *ccode {
 		for bi := range fc.blocks {
 			blk := &fc.blocks[bi]
 			cb := &cf.blocks[bi]
+			cb.ops = make([]cop, len(blk.ins))
+			for i := range blk.ins {
+				d := &blk.ins[i]
+				n0, n1 := nextHints(cf, cb, d, i)
+				cb.ops[i] = compileIns(d, n0, n1)
+			}
 			for _, si := range cb.segAt {
-				if si < 0 {
-					continue
-				}
-				seg := &cc.segs[si]
-				end := seg.start + int(seg.count)
-				seg.body = make([]cop, 0, seg.count)
-				for i := seg.start; i < end; i++ {
-					d := &blk.ins[i]
-					n0, n1 := nextHints(cf, cb, d, i)
-					seg.body = append(seg.body, compileIns(d, n0, n1))
+				if si >= 0 {
+					seg := &cc.segs[si]
+					seg.body = cb.ops[seg.start : seg.start+int(seg.count)]
 				}
 			}
 		}
@@ -155,7 +159,7 @@ func compileClosures(c *Code) *ccode {
 }
 
 // segMeta collects a segment's charge metadata; the closure body is
-// filled in by the second compile pass.
+// sliced out of the block's ops table by the second compile pass.
 func segMeta(blk *dblock, start, end int, internal bool) cseg {
 	seg := cseg{
 		start: start,
@@ -269,10 +273,10 @@ func (m *Machine) runCompiled(depth int) error {
 
 // runBlockC executes the top frame to the end of its current segment.
 // The frame's nseg hint — maintained by pushFrame and the branch,
-// call and hook closures, and invalidated whenever any other engine
-// moves a frame — is either -1 or exactly the segment starting at the
-// frame's current position, so the hot transition needs no
-// fns→blocks→segAt pointer chase.
+// call and hook closures, and cleared whenever a careful step moves a
+// frame — is either -1 or exactly the segment starting at the frame's
+// current position, so the hot transition needs no fns→blocks→segAt
+// pointer chase.
 func (m *Machine) runBlockC() error {
 	f := &m.fr[len(m.fr)-1]
 	if m.C.Dyn >= m.dynTrigger || m.C.Region >= m.regionTrigger {
@@ -289,19 +293,7 @@ func (m *Machine) runBlockC() error {
 	// it through runPlain's per-instruction loop, which charges
 	// the identical totals one instruction at a time. The trigger check
 	// above proved the rest of the block is safe.
-	m.invalidateNseg()
-	blk := &m.code.fns[f.fi].blocks[f.block]
-	return m.runPlain(f, blk, m.blockInRegion(f))
-}
-
-// invalidateNseg clears every live frame's next-segment hint. Called
-// before handing frames to an engine that does not maintain the hints
-// (stepCareful, runPlain): a frame they move would otherwise carry a
-// stale hint back into the closure dispatch.
-func (m *Machine) invalidateNseg() {
-	for i := range m.fr {
-		m.fr[i].nseg = -1
-	}
+	return m.runPlain(f, m.blockInRegion(f))
 }
 
 // runBlockSlow is the exact block-entry path, taken while a trigger
@@ -333,8 +325,7 @@ func (m *Machine) runBlockSlow(f *frame) error {
 		careful = true
 	}
 	if careful {
-		m.invalidateNseg()
-		err := m.stepCareful(f, blk, inRegion)
+		err := m.stepCareful(f, inRegion)
 		m.recalcTriggers()
 		return err
 	}
@@ -342,8 +333,7 @@ func (m *Machine) runBlockSlow(f *frame) error {
 	if si := m.ccode.fns[f.fi].blocks[f.block].segAt[f.ip]; si >= 0 {
 		return m.runSegAt(f, si)
 	}
-	m.invalidateNseg()
-	return m.runPlain(f, blk, inRegion)
+	return m.runPlain(f, inRegion)
 }
 
 // runSegAt executes one whole segment: charge, then the closure run.
@@ -472,10 +462,13 @@ func issue3(a0, a1, a2 ir.Reg, lat uint64) cop {
 }
 
 // compileIns compiles one pre-decoded instruction to a closure. Every
-// case mirrors execD (dexec.go) exactly: the timing-model issue
-// happens first with the same operand-ready cycle, then the operation,
-// in the identical order — cycles and traps stay bit-identical. n0/n1
-// are the nextHints successor segments for branches, calls and hooks.
+// case follows the reference interpreter's exec (exec.go): the
+// timing-model issue happens first with the same operand-ready cycle,
+// then the operation, in the identical order — cycles and traps stay
+// bit-identical. The closure is the compiled engine's only
+// implementation of the instruction: segments, runPlain, stepCareful
+// and the hang-proof dry run all call it. n0/n1 are the nextHints
+// successor segments for branches, calls and hooks.
 func compileIns(d *dinstr, n0, n1 int32) cop {
 	dst, a0, a1, a2 := d.dst, d.a0, d.a1, d.a2
 	lat := uint64(d.lat)

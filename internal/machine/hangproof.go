@@ -300,8 +300,9 @@ func (m *Machine) dryRun(f *frame, p *proof) proofResult {
 		if m.blockInRegion(sf) {
 			p.region += uint64(len(blk.ins))
 		}
+		ops := cf.blocks[b].ops
 		for i := range blk.ins {
-			if !m.stepProof(p, &blk.ins[i]) {
+			if !m.stepProof(p, &blk.ins[i], ops[i]) {
 				return proofFails
 			}
 		}
@@ -350,8 +351,9 @@ func (p *proof) compare(op ir.Op, xa uint64, x aval, ya uint64, y aval) {
 
 // stepProof executes one instruction of the dry run: concretely on the
 // register copy (no memory write), and over the iterations in p.val.
-// It reports false when the instruction rejects the proof.
-func (m *Machine) stepProof(p *proof, d *dinstr) bool {
+// It reports false when the instruction rejects the proof. op is the
+// instruction's compiled closure, which performs the concrete step.
+func (m *Machine) stepProof(p *proof, d *dinstr, op cop) bool {
 	sf := &p.f
 	var x, y, z aval
 	switch d.nargs {
@@ -439,7 +441,7 @@ func (m *Machine) stepProof(p *proof, d *dinstr) bool {
 	}
 	// Concretely: a trap here is a trap at j = 0, which the run itself
 	// will raise.
-	if err := m.execD(sf, d); err != nil {
+	if err := op(m, sf); err != nil {
 		return false
 	}
 	if d.dst != ir.NoReg {

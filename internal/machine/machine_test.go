@@ -105,9 +105,8 @@ func TestTraps(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			mod := compile(t, tt.src)
-			m := New(mod, Config{TraceFn: -1})
-			_, err := m.Run(0, tt.args)
+			// Every engine path traps after the same charges.
+			_, err := runEngines(t, compile(t, tt.src), tt.args)
 			var te *TrapError
 			if !errors.As(err, &te) {
 				t.Errorf("want TrapError, got %v", err)

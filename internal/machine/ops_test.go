@@ -1,14 +1,49 @@
 package machine
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"testing"
 
 	"rskip/internal/ir"
 )
 
+// runEngines runs mod's function 0 three ways — on the reference
+// interpreter, on the compiled backend, and on the compiled backend
+// with tracing on, which keeps every instruction on its careful
+// per-instruction path — and fails the test unless all three return
+// the same RunResult and error.
+func runEngines(t *testing.T, mod *ir.Module, args []uint64) (RunResult, error) {
+	t.Helper()
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"reference", Config{TraceFn: -1, Backend: BackendReference}},
+		{"compiled", Config{TraceFn: -1}},
+		{"careful", Config{TraceFn: -1, Trace: io.Discard, TraceLimit: 1}},
+	}
+	var ref RunResult
+	var refErr error
+	for i, c := range cfgs {
+		res, err := New(mod, c.cfg).Run(0, args)
+		if i == 0 {
+			ref, refErr = res, err
+			continue
+		}
+		if res != ref {
+			t.Errorf("%s RunResult %+v, reference %+v", c.name, res, ref)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Errorf("%s error %v, reference %v", c.name, err, refErr)
+		}
+	}
+	return ref, refErr
+}
+
 // evalBinop builds `func f(a, b T) T { return a <op> b }` directly in
-// IR and executes it.
+// IR and executes it on every engine.
 func evalBinop(t *testing.T, op ir.Op, typ ir.Type, a, b uint64) uint64 {
 	t.Helper()
 	bld := ir.NewBuilder("f", []ir.Param{{Name: "a", Type: typ}, {Name: "b", Type: typ}}, typ)
@@ -18,8 +53,7 @@ func evalBinop(t *testing.T, op ir.Op, typ ir.Type, a, b uint64) uint64 {
 	if err := ir.Verify(mod); err != nil {
 		t.Fatal(err)
 	}
-	m := New(mod, Config{TraceFn: -1})
-	res, err := m.Run(0, []uint64{a, b})
+	res, err := runEngines(t, mod, []uint64{a, b})
 	if err != nil {
 		t.Fatalf("%v: %v", op, err)
 	}
@@ -35,8 +69,7 @@ func evalUnop(t *testing.T, op ir.Op, in, out ir.Type, a uint64) uint64 {
 	if err := ir.Verify(mod); err != nil {
 		t.Fatal(err)
 	}
-	m := New(mod, Config{TraceFn: -1})
-	res, err := m.Run(0, []uint64{a})
+	res, err := runEngines(t, mod, []uint64{a})
 	if err != nil {
 		t.Fatalf("%v: %v", op, err)
 	}
@@ -115,8 +148,7 @@ func TestFloatOps(t *testing.T) {
 		r := bld.Binop(tt.op, ir.Int, 0, 1)
 		bld.Ret(r)
 		mod := &ir.Module{Name: "t", Funcs: []*ir.Func{bld.F}}
-		m := New(mod, Config{TraceFn: -1})
-		res, err := m.Run(0, []uint64{f(tt.a), f(tt.b)})
+		res, err := runEngines(t, mod, []uint64{f(tt.a), f(tt.b)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sort"
 
 	"rskip/internal/ir"
 )
@@ -10,10 +11,10 @@ import (
 // instruction stream — which candidate-loop region owns each in-region
 // dynamic instruction, and what instruction class it is — during one
 // profiling run. The compositional result cache (internal/result) uses
-// the owner layout to split one program-level fault-injection campaign
-// into independent per-region campaigns, and the stratified sampler
-// (internal/fault) uses the class layout to allocate replicas across
-// instruction-class strata.
+// the owner layout (ByOwner) to split one program-level
+// fault-injection campaign into independent per-region campaigns, and
+// the stratified sampler (internal/fault) uses the class layout
+// (ByClass) to allocate replicas across instruction-class strata.
 //
 // Tracing is a profiling concern, not a campaign-hot-path one: it is
 // implemented in the reference interpreter only (the executable spec
@@ -166,6 +167,79 @@ func (t *RegionTrace) Err() error {
 		return &TraceOverflowError{Cap: cap}
 	}
 	return nil
+}
+
+// Population is the part of a trace's in-region index space [0, Total)
+// whose instructions share one key — an owner function (ByOwner) or an
+// instruction class (ByClass) — held as the contiguous index intervals
+// it occupies.
+type Population struct {
+	Key    int      // owner function index, or OpClass
+	Count  uint64   // instructions in the population
+	starts []uint64 // global start of each interval
+	cum    []uint64 // population preceding each interval
+}
+
+// Pick maps a population-local index (0 <= j < Count) to the global
+// in-region index of the population's j-th instruction.
+func (p *Population) Pick(j uint64) uint64 {
+	k := sort.Search(len(p.cum), func(i int) bool { return p.cum[i] > j }) - 1
+	return p.starts[k] + (j - p.cum[k])
+}
+
+// Contains reports whether global in-region index g belongs to the
+// population.
+func (p *Population) Contains(g uint64) bool {
+	k := sort.Search(len(p.starts), func(i int) bool { return p.starts[i] > g }) - 1
+	return k >= 0 && g-p.starts[k] < p.width(k)
+}
+
+// width is the population of interval k.
+func (p *Population) width(k int) uint64 {
+	if k+1 < len(p.cum) {
+		return p.cum[k+1] - p.cum[k]
+	}
+	return p.Count - p.cum[k]
+}
+
+// ByOwner splits the trace into one population per owner function,
+// ordered by function index.
+func (t *RegionTrace) ByOwner() []Population {
+	return t.populations(func(sp RegionSpan) int { return sp.Owner })
+}
+
+// ByClass splits the trace into one population per instruction class
+// that occurs in it, in class order.
+func (t *RegionTrace) ByClass() []Population {
+	return t.populations(func(sp RegionSpan) int { return int(sp.Class) })
+}
+
+// populations folds the spans into per-key populations, ordered by key.
+// Adjacent spans of one key (differing only in the other axis) merge
+// into one interval, so a population stays compact.
+func (t *RegionTrace) populations(key func(RegionSpan) int) []Population {
+	byKey := map[int]*Population{}
+	var pos uint64
+	for _, sp := range t.spans {
+		k := key(sp)
+		p := byKey[k]
+		if p == nil {
+			p = &Population{Key: k}
+			byKey[k] = p
+		}
+		if n := len(p.starts); n == 0 || p.starts[n-1]+p.width(n-1) != pos {
+			p.cum = append(p.cum, p.Count)
+			p.starts = append(p.starts, pos)
+		}
+		p.Count += sp.N
+		pos += sp.N
+	}
+	out := make([]Population, 0, len(byKey))
+	for _, p := range byKey {
+		out = append(out, *p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // regionOwnerNow attributes the currently executing in-region

@@ -235,3 +235,53 @@ void kernel(int a[], int tmp[], int out[], int n) {
 		t.Error("stage2's region fingerprint changed though its closure is untouched")
 	}
 }
+
+// Populations keyed by owner and by class each tile the in-region index
+// space: every index lies in exactly one population of each split, and
+// Pick enumerates a population's indexes in order.
+func TestPopulationsTileTrace(t *testing.T) {
+	tr := &RegionTrace{}
+	layout := []RegionSpan{
+		{0, ClassALU, 3}, {0, ClassMem, 2}, {1, ClassALU, 4},
+		{0, ClassALU, 1}, {2, ClassBranch, 2}, {1, ClassMem, 3},
+	}
+	var owners, classes []int
+	for _, sp := range layout {
+		for i := uint64(0); i < sp.N; i++ {
+			tr.note(sp.Owner, sp.Class)
+			owners = append(owners, sp.Owner)
+			classes = append(classes, int(sp.Class))
+		}
+	}
+	for name, c := range map[string]struct {
+		pops []Population
+		key  []int
+	}{"owner": {tr.ByOwner(), owners}, "class": {tr.ByClass(), classes}} {
+		var sum uint64
+		for i := range c.pops {
+			p := &c.pops[i]
+			if i > 0 && c.pops[i-1].Key >= p.Key {
+				t.Errorf("%s populations not ordered by key", name)
+			}
+			var j uint64
+			for g, k := range c.key {
+				if in := p.Contains(uint64(g)); in != (k == p.Key) {
+					t.Errorf("%s %d: Contains(%d) = %v", name, p.Key, g, in)
+				}
+				if k == p.Key {
+					if got := p.Pick(j); got != uint64(g) {
+						t.Errorf("%s %d: Pick(%d) = %d, want %d", name, p.Key, j, got, g)
+					}
+					j++
+				}
+			}
+			if j != p.Count {
+				t.Errorf("%s %d: Count %d, want %d", name, p.Key, p.Count, j)
+			}
+			sum += p.Count
+		}
+		if sum != tr.Total() {
+			t.Errorf("%s populations sum to %d, trace holds %d", name, sum, tr.Total())
+		}
+	}
+}

@@ -235,7 +235,7 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		return nil, fmt.Errorf("result: %w", err)
 	}
 
-	layouts := layoutOwners(trace)
+	layouts := trace.ByOwner()
 	budget := budgetFor(opts.HangFactor, profile.Result.Instrs)
 	rep := &Report{Scheme: s, Bench: p.Bench.Name, Budget: budget}
 	mod := p.Module(s)
@@ -248,14 +248,14 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		Budget:    budget,
 	}
 	for _, lay := range layouts {
-		fp := regionFP(p, s, lay.owner)
-		key := specKey(p, s, opts, lay.owner, fp, lay.count, budget)
+		fp := regionFP(p, s, lay.Key)
+		key := specKey(p, s, opts, lay.Key, fp, lay.Count, budget)
 		res, cached, err := opts.Cache.GetOrRun(key, func() (fault.Result, error) {
 			// Draw region-local targets, then map each into the global
 			// in-region index space through the current layout.
-			plans := fault.DrawPlans(regionSeed(opts.Seed, fp), opts.PerRegionN, fcfg, lay.count)
+			plans := fault.DrawPlans(regionSeed(opts.Seed, fp), opts.PerRegionN, fcfg, lay.Count)
 			for i := range plans {
-				plans[i].Target = lay.pick(plans[i].Target)
+				plans[i].Target = lay.Pick(plans[i].Target)
 			}
 			return fault.CampaignWithPlans(ctx, p, s, inst, fcfg, plans)
 		})
@@ -263,8 +263,8 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 			return nil, err
 		}
 		name := ""
-		if lay.owner >= 0 && lay.owner < len(mod.Funcs) {
-			name = mod.Funcs[lay.owner].Name
+		if lay.Key >= 0 && lay.Key < len(mod.Funcs) {
+			name = mod.Funcs[lay.Key].Name
 		}
 		if cached {
 			rep.CacheHits++
@@ -272,9 +272,9 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 			rep.CacheMisses++
 		}
 		rep.Regions = append(rep.Regions, RegionReport{
-			Owner: lay.owner, Func: name, Fingerprint: fp,
-			Population: lay.count,
-			Weight:     float64(lay.count) / float64(trace.Total()),
+			Owner: lay.Key, Func: name, Fingerprint: fp,
+			Population: lay.Count,
+			Weight:     float64(lay.Count) / float64(trace.Total()),
 			Cached:     cached, Result: res,
 		})
 	}

@@ -255,10 +255,10 @@ func TestAnalyzePropagatesConfigErrors(t *testing.T) {
 func TestRegionSeedsDistinctAndStable(t *testing.T) {
 	_, p, inst := sharedSub(t)
 	trace := traceOf(t, p, core.Unsafe, inst)
-	layouts := layoutOwners(trace)
+	layouts := trace.ByOwner()
 	seen := map[int64]string{}
 	for _, lay := range layouts {
-		fp := regionFP(p, core.Unsafe, lay.owner)
+		fp := regionFP(p, core.Unsafe, lay.Key)
 		seed := regionSeed(11, fp)
 		if prev, dup := seen[seed]; dup {
 			t.Errorf("regions %s and %s share sampling seed %d", prev, fp, seed)

@@ -41,8 +41,9 @@ type Entry struct {
 }
 
 // CorruptEntryError reports a result-cache entry that exists but
-// cannot be used — truncated, undecodable, the wrong version, or
-// addressed by a key it does not hold. Callers fall back to a live
+// cannot be used — truncated, undecodable, the wrong version,
+// addressed by a key it does not hold, or holding counts no campaign
+// could produce. Callers fall back to a live
 // campaign run and overwrite the entry (mirroring the fault package's
 // CorruptCheckpointError discipline, except that a result entry is
 // always safely reproducible, so the fallback is automatic).
@@ -133,10 +134,40 @@ func (c *Cache) Get(key string) (*fault.Result, error) {
 		return nil, &CorruptEntryError{Path: path,
 			Err: fmt.Errorf("entry holds key %q", e.Key)}
 	}
+	if err := plausible(&e.Result); err != nil {
+		return nil, &CorruptEntryError{Path: path, Err: err}
+	}
 	return &e.Result, nil
 }
 
-// Put persists the result for key atomically (temp file + rename).
+// plausible rejects a decoded result no campaign could produce: a
+// damaged entry that still parses is recomputed instead of served.
+func plausible(r *fault.Result) error {
+	if r.N < 0 || r.N > r.Requested {
+		return fmt.Errorf("entry holds %d runs of %d requested", r.N, r.Requested)
+	}
+	sum := 0
+	for c, n := range r.Counts {
+		if n < 0 || n > r.N-sum {
+			return fmt.Errorf("entry's %v count %d does not fit %d runs", fault.Class(c), n, r.N)
+		}
+		sum += n
+	}
+	if sum != r.N {
+		return fmt.Errorf("entry's class counts sum to %d, not its %d runs", sum, r.N)
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"fired", r.Fired}, {"false-negative", r.FalseNeg}, {"recovered", r.Recovered}} {
+		if f.n < 0 || f.n > r.N {
+			return fmt.Errorf("entry's %s count %d is outside [0, %d]", f.name, f.n, r.N)
+		}
+	}
+	return nil
+}
+
+// Put persists the result for key atomically (fault.WriteFileAtomic).
 func (c *Cache) Put(key string, res fault.Result) error {
 	if c == nil {
 		return nil
@@ -145,22 +176,7 @@ func (c *Cache) Put(key string, res fault.Result) error {
 	if err != nil {
 		return fmt.Errorf("result: encoding cache entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, ".entry-*.json")
-	if err != nil {
-		return fmt.Errorf("result: writing cache entry: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmpName)
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("result: writing cache entry: %w", werr)
-	}
-	if err := os.Rename(tmpName, c.path(key)); err != nil {
-		os.Remove(tmpName)
+	if err := fault.WriteFileAtomic(c.path(key), data); err != nil {
 		return fmt.Errorf("result: writing cache entry: %w", err)
 	}
 	return nil

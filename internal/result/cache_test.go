@@ -68,6 +68,29 @@ func TestCorruptEntryTypedErrorAndFallback(t *testing.T) {
 			}
 		}},
 	}
+	// Entries that decode but hold counts no campaign could produce.
+	for name, edit := range map[string]func(r *fault.Result){
+		"negative count":     func(r *fault.Result) { r.Counts[fault.SDC] = -1; r.Counts[fault.Correct]++ },
+		"counts short of N":  func(r *fault.Result) { r.Counts[fault.Correct]-- },
+		"counts beyond N":    func(r *fault.Result) { r.Counts[fault.Hang] = 2 },
+		"N above requested":  func(r *fault.Result) { r.Requested-- },
+		"negative N":         func(r *fault.Result) { *r = fault.Result{N: -1} },
+		"fired beyond N":     func(r *fault.Result) { r.Fired++ },
+		"negative false neg": func(r *fault.Result) { r.FalseNeg = -1 },
+		"recovered beyond N": func(r *fault.Result) { r.Recovered = r.N + 1 },
+	} {
+		cases = append(cases, struct {
+			name   string
+			damage func(t *testing.T, c *Cache, key string)
+		}{name, func(t *testing.T, c *Cache, key string) {
+			r := testResult(4)
+			edit(&r)
+			data, _ := json.Marshal(Entry{Version: entryVersion, Key: key, Result: r})
+			if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}})
+	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			c, err := Open(t.TempDir())

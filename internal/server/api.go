@@ -1,9 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"strings"
-
 	"rskip/internal/core"
 	"rskip/internal/fault"
 	"rskip/internal/machine"
@@ -70,23 +67,6 @@ func (c *configJSON) toCoreConfig() (core.Config, error) {
 		return cfg, err
 	}
 	return cfg, nil
-}
-
-// parseScheme maps the wire scheme slug to the core enum.
-func parseScheme(name string) (core.Scheme, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "unsafe":
-		return core.Unsafe, nil
-	case "swift":
-		return core.SWIFT, nil
-	case "swiftr", "swift-r":
-		return core.SWIFTR, nil
-	case "rskip":
-		return core.RSkip, nil
-	case "swiftrhard", "swift-r-hard":
-		return core.SWIFTRHard, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want unsafe, swift, swiftr, rskip or swiftrhard)", name)
 }
 
 // compileRequest is the body of POST /v1/compile. Exactly one of

@@ -372,7 +372,7 @@ func (st *jobStore) loadPersisted() (resumable []*job, err error) {
 		if spec.ID == "" || spec.ID != strings.TrimSuffix(filepath.Base(name), ".job.json") {
 			return nil, fmt.Errorf("job file %s does not match its ID %q", name, spec.ID)
 		}
-		scheme, err := parseScheme(spec.Request.Scheme)
+		scheme, err := core.ParseScheme(spec.Request.Scheme)
 		if err != nil {
 			return nil, fmt.Errorf("job file %s: %w", name, err)
 		}
@@ -465,9 +465,64 @@ func (s *Server) runJob(j *job) {
 	s.store.persistOutcome(j)
 }
 
-// executeCampaign builds, trains and injects. Build artifacts come
-// from the shared content-addressed cache, so concurrent jobs over the
-// same benchmark × config compile once.
+// campaignSetup is everything a campaign request resolves to before
+// it runs: every input to its campaign key.
+type campaignSetup struct {
+	p      *core.Program
+	scheme core.Scheme
+	inst   bench.Instance
+	fcfg   fault.Config
+}
+
+// setup builds the request's benchmark (from the shared
+// content-addressed build cache, so concurrent campaigns over one
+// benchmark × config compile once per process), trains RSkip's
+// predictors, generates the fault-injection instance and maps the
+// engine config. The job runner and a remote fabric worker both go
+// through it, so they derive the same campaign key by construction.
+func (req *campaignRequest) setup(ctx context.Context) (campaignSetup, error) {
+	scheme, err := core.ParseScheme(req.Scheme)
+	if err != nil {
+		return campaignSetup{}, err
+	}
+	b, err := bench.ByName(req.Bench)
+	if err != nil {
+		return campaignSetup{}, err
+	}
+	cfg, err := req.Config.toCoreConfig()
+	if err != nil {
+		return campaignSetup{}, err
+	}
+	fcfg, err := req.faultConfig()
+	if err != nil {
+		return campaignSetup{}, err
+	}
+	p, err := core.BuildContext(ctx, b, cfg)
+	if err != nil {
+		return campaignSetup{}, err
+	}
+	if scheme == core.RSkip {
+		if err := p.Train(trainSeeds(req.Train), bench.ScaleFI); err != nil {
+			return campaignSetup{}, err
+		}
+	}
+	return campaignSetup{p: p, scheme: scheme, inst: b.Gen(bench.TestSeed(0), bench.ScaleFI), fcfg: fcfg}, nil
+}
+
+// trainSeeds returns the first n training seeds; n <= 0 means the
+// daemon's default of two.
+func trainSeeds(n int) []int64 {
+	if n <= 0 {
+		n = 2
+	}
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = bench.TrainSeed(i)
+	}
+	return seeds
+}
+
+// executeCampaign sets the job's campaign up and injects.
 func (s *Server) executeCampaign(ctx context.Context, j *job) (fault.Result, *result.Report, error) {
 	req := j.spec.Request
 	ctx = obs.Into(ctx, s.obs)
@@ -475,36 +530,11 @@ func (s *Server) executeCampaign(ctx context.Context, j *job) (fault.Result, *re
 	sp.SetAttr("id", j.spec.ID)
 	defer sp.End()
 
-	b, err := bench.ByName(req.Bench)
+	c, err := req.setup(ctx)
 	if err != nil {
 		return fault.Result{}, nil, err
 	}
-	cfg, err := req.Config.toCoreConfig()
-	if err != nil {
-		return fault.Result{}, nil, err
-	}
-	p, err := core.BuildContext(ctx, b, cfg)
-	if err != nil {
-		return fault.Result{}, nil, err
-	}
-	if j.scheme == core.RSkip {
-		train := req.Train
-		if train <= 0 {
-			train = 2
-		}
-		seeds := make([]int64, train)
-		for i := range seeds {
-			seeds[i] = bench.TrainSeed(i)
-		}
-		if err := p.Train(seeds, bench.ScaleFI); err != nil {
-			return fault.Result{}, nil, err
-		}
-	}
-	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
-	fcfg, err := req.faultConfig()
-	if err != nil {
-		return fault.Result{}, nil, err
-	}
+	p, inst, fcfg := c.p, c.inst, c.fcfg
 	if req.Incremental {
 		// Compositional analysis: per-region campaigns served from the
 		// content-addressed result cache, composed into program-level
@@ -549,7 +579,7 @@ func validateCampaignRequest(req *campaignRequest, hasResultCache bool) (core.Sc
 	if req.Scheme == "" {
 		return 0, fmt.Errorf("missing \"scheme\"")
 	}
-	scheme, err := parseScheme(req.Scheme)
+	scheme, err := core.ParseScheme(req.Scheme)
 	if err != nil {
 		return 0, err
 	}

@@ -544,7 +544,7 @@ func resolveSchemes(names []string) ([]core.Scheme, error) {
 	}
 	out := make([]core.Scheme, 0, len(names))
 	for _, n := range names {
-		sc, err := parseScheme(n)
+		sc, err := core.ParseScheme(n)
 		if err != nil {
 			return nil, err
 		}
@@ -567,20 +567,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown_bench", "%v", err)
 		return
 	}
-	scheme, err := parseScheme(req.Scheme)
+	scheme, err := core.ParseScheme(req.Scheme)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "unknown_scheme", "%v", err)
 		return
 	}
-	scale := bench.ScaleFI
-	switch strings.ToLower(req.Scale) {
-	case "", "fi":
-	case "tiny":
-		scale = bench.ScaleTiny
-	case "perf":
-		scale = bench.ScalePerf
-	default:
-		writeErr(w, http.StatusBadRequest, "unknown_scale", "unknown scale %q (want tiny, fi or perf)", req.Scale)
+	scale, err := bench.ParseScale(req.Scale)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "unknown_scale", "%v", err)
 		return
 	}
 	if !s.acquireSync(w) {
@@ -616,15 +610,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	if scheme == core.RSkip {
-		train := req.Train
-		if train <= 0 {
-			train = 2
-		}
-		seeds := make([]int64, train)
-		for i := range seeds {
-			seeds[i] = bench.TrainSeed(i)
-		}
-		if err := p.Train(seeds, scale); err != nil {
+		if err := p.Train(trainSeeds(req.Train), scale); err != nil {
 			writeErr(w, http.StatusInternalServerError, "train_error", "%v", err)
 			return
 		}

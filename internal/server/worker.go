@@ -9,8 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"rskip/internal/bench"
-	"rskip/internal/core"
 	"rskip/internal/fabric"
 	"rskip/internal/fault"
 	"rskip/internal/httpx"
@@ -215,48 +213,16 @@ func (w *Worker) executor(lease fabric.WireLease) (*fault.Executor, error) {
 	return x, nil
 }
 
-// buildExecutor mirrors the coordinator's executeCampaign build path:
-// same benchmark, same config, same training seeds, same instance —
-// every input to the campaign key. Builds come from the shared
-// content-addressed cache, so concurrent campaigns over one benchmark
-// × config compile once per worker process.
+// buildExecutor prepares the lease's campaign through the same setup
+// the coordinating daemon ran, with this worker's replica
+// parallelism.
 func (w *Worker) buildExecutor(req *campaignRequest) (*fault.Executor, error) {
-	scheme, err := parseScheme(req.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	b, err := bench.ByName(req.Bench)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := req.Config.toCoreConfig()
-	if err != nil {
-		return nil, err
-	}
-	p, _, err := core.BuildContextCached(w.ctx, b, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if scheme == core.RSkip {
-		train := req.Train
-		if train <= 0 {
-			train = 2
-		}
-		seeds := make([]int64, train)
-		for i := range seeds {
-			seeds[i] = bench.TrainSeed(i)
-		}
-		if err := p.Train(seeds, bench.ScaleFI); err != nil {
-			return nil, err
-		}
-	}
-	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
-	fcfg, err := req.faultConfig()
+	c, err := req.setup(w.ctx)
 	if err != nil {
 		return nil, err
 	}
 	if w.cfg.Workers > 0 {
-		fcfg.Workers = w.cfg.Workers
+		c.fcfg.Workers = w.cfg.Workers
 	}
-	return fault.NewExecutor(w.ctx, p, scheme, inst, fcfg)
+	return fault.NewExecutor(w.ctx, c.p, c.scheme, c.inst, c.fcfg)
 }

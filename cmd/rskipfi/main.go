@@ -189,6 +189,8 @@ func main() {
 			fatal(errors.New("-incremental and -stratify conflict: the incremental analyzer already stratifies by region; per-class strata inside a region are not cacheable yet"))
 		case *ckBase != "":
 			fatal(errors.New("-incremental and -checkpoint conflict: the result cache is the incremental analyzer's persistence"))
+		case *fabricN > 0:
+			fatal(errors.New("-incremental and -fabric conflict: the incremental analyzer shards by region through the result cache; fabric sharding by index would nest the two decompositions"))
 		}
 	}
 	if *cacheDir != "" && !*increment {

@@ -269,6 +269,9 @@ func TestRskipfiIncrementalFlagConflicts(t *testing.T) {
 		{"incremental+checkpoint",
 			[]string{"-bench", "conv1d", "-incremental", "-checkpoint", "ck.json"},
 			"-incremental and -checkpoint"},
+		{"incremental+fabric",
+			[]string{"-bench", "conv1d", "-incremental", "-fabric", "2"},
+			"-incremental and -fabric"},
 		{"cache dir without incremental",
 			[]string{"-bench", "conv1d", "-result-cache-dir", "results"},
 			"-result-cache-dir"},

@@ -48,29 +48,19 @@ const prefixSnapshots = 32
 //   - With cfg.TargetCI set, the campaign stops early once the 95%
 //     Wilson interval on the protection rate is tight enough.
 func Campaign(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.N == 0 && !cfg.Exhaustive {
-		cfg.N = 1000
-	}
-
 	ctx, sp := obs.Start(ctx, "fault/campaign")
 	sp.SetAttr("scheme", s.String())
 	sp.SetAttr("bench", p.Bench.Name)
-	sp.SetAttr("n", cfg.N)
 	defer sp.End()
 
-	x, err := newExecutor(ctx, p, s, inst, cfg, nil)
+	x, err := newExecutor(ctx, p, s, inst, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if x.e.cfg.Exhaustive {
-		sp.SetAttr("exhaustive_n", x.e.cfg.N)
-	}
+	sp.SetAttr("n", x.N())
 	return x.run(ctx)
 }
 
@@ -84,15 +74,63 @@ func (x *Executor) run(ctx context.Context) (Result, error) {
 	return l.Drive(ctx, l.Coordinator(fabric.Options{}), x)
 }
 
+// Profile is the fault-free run of one scheme on one instance that
+// campaigns inject against: the golden output replicas are classified
+// by, the counters their budget and plans derive from, the snapshots
+// they resume from and converge to (Capture), and, when traced, the
+// region layout stratified and compositional (internal/result)
+// sampling draw from. It is read-only once built, so one Profile
+// serves any number of campaigns.
+type Profile struct {
+	Program *core.Program
+	Scheme  core.Scheme
+	Inst    bench.Instance
+	Output  []uint64
+	Result  machine.RunResult
+	Capture *machine.Capture
+	Trace   *machine.RegionTrace // nil for an untraced profile
+}
+
+// NewProfile executes the scheme's fault-free run on the instance,
+// snapshotting it and, with a non-nil trace, recording its region
+// layout. The run gets the panic containment injected runs get: a
+// scheme whose clean run crashes the interpreter surfaces as an
+// error, not a dead process.
+func NewProfile(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, trace *machine.RegionTrace) (prof *Profile, err error) {
+	pctx, spp := obs.Start(ctx, "campaign/profile")
+	_, sps := obs.Start(pctx, "campaign/snapshots")
+	capture := machine.NewCapture(prefixSnapshots)
+	defer func() {
+		if v := recover(); v != nil {
+			prof, err = nil, fmt.Errorf("fault: fault-free %s run panicked: %v", s, v)
+		}
+		sps.SetAttr("snapshots", capture.Len())
+		sps.SetAttr("words", capture.Words())
+		sps.SetAttr("capture_us", capture.Elapsed().Microseconds())
+		sps.End()
+		spp.End()
+	}()
+	o := p.RunCapture(s, inst, core.RunOpts{RegionTrace: trace}, capture)
+	switch {
+	case o.Err != nil:
+		return nil, fmt.Errorf("fault: fault-free %s run failed: %w", s, o.Err)
+	case o.Result.Region == 0:
+		return nil, fmt.Errorf("fault: no detected-loop region executed under %s", s)
+	case trace != nil && trace.Err() != nil:
+		return nil, trace.Err()
+	}
+	return &Profile{Program: p, Scheme: s, Inst: inst, Output: o.Output, Result: o.Result, Capture: capture, Trace: trace}, nil
+}
+
 // prepare builds the campaign engine every execution mode shares —
 // the single-process Campaign, the explicit-plan compositional entry
 // point, and the executors of a distributed campaign: config
-// defaults, the fault-free profile run, the deterministic plan list
-// (drawn, enumerated or caller-supplied), the record array and the
-// campaign key. Because every downstream consumer starts from this one
+// defaults, the deterministic plan list (drawn, enumerated or
+// caller-supplied) over the profile, the record array and the campaign
+// key. Because every downstream consumer starts from this one
 // function, every shard of every campaign is provably executing the
 // plans a single process would.
-func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config, plans []machine.FaultPlan) (*engine, error) {
+func prepare(ctx context.Context, prof *Profile, cfg Config, plans []machine.FaultPlan) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,56 +152,27 @@ func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 	met := newCampaignMetrics(obs.From(ctx).M())
 	met.campaigns.Inc()
 
-	// Fault-free profile run of this scheme: golden output, region
-	// size, instruction budget — plus, for stratified sampling, the
-	// region layout trace the allocation derives from.
-	var trace *machine.RegionTrace
-	if cfg.Stratify {
-		trace = &machine.RegionTrace{}
-	}
-	pctx, spp := obs.Start(ctx, "campaign/profile")
-	_, sps := obs.Start(pctx, "campaign/snapshots")
-	prefix := machine.NewCapture(prefixSnapshots)
-	profile, err := runProfile(p, s, inst, trace, prefix)
-	sps.SetAttr("snapshots", prefix.Len())
-	sps.SetAttr("words", prefix.Words())
-	sps.SetAttr("capture_us", prefix.Elapsed().Microseconds())
-	sps.End()
-	spp.End()
-	if err != nil {
-		return nil, err
-	}
-
 	// Pre-draw (or enumerate) all fault plans so the campaign is
 	// deterministic regardless of worker scheduling — and resumable by
 	// index.
-	e := &engine{
-		p: p, s: s, inst: inst,
-		golden: profile.Output,
-		budget: runBudget(cfg, profile.Result.Instrs),
-		prefix: prefix,
-		met:    met,
-	}
+	e := &engine{prof: prof, budget: runBudget(cfg, prof.Result.Instrs), met: met}
 	switch {
 	case plans != nil:
 		e.plans = plans
 	case cfg.Exhaustive:
-		e.plans, err = enumeratePlans(cfg, profile.Result.Region)
-		if err != nil {
+		var err error
+		if e.plans, err = enumeratePlans(cfg, prof.Result.Region); err != nil {
 			return nil, err
 		}
 		cfg.N = len(e.plans)
 	case cfg.Stratify:
-		if err := trace.Err(); err != nil {
-			return nil, err
-		}
-		e.plans, e.strataOf, e.strata = stratifiedPlans(cfg, trace)
+		e.plans, e.strataOf, e.strata = stratifiedPlans(cfg, prof.Trace)
 	default:
-		e.plans = DrawPlans(cfg.Seed, cfg.N, cfg, profile.Result.Region)
+		e.plans = DrawPlans(cfg.Seed, cfg.N, cfg, prof.Result.Region)
 	}
 	e.cfg = cfg
 	e.records = make([]RunRecord, cfg.N)
-	e.key = CampaignKey(p, s, cfg)
+	e.key = CampaignKey(prof.Program, prof.Scheme, cfg)
 	if plans != nil {
 		// Explicit plans are not recoverable from the config, so the
 		// campaign identity must cover their content.
@@ -173,8 +182,9 @@ func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 }
 
 // CampaignWithPlans runs a campaign over an explicit, caller-supplied
-// plan list instead of drawing plans from Config.Seed. It is the
-// substrate of compositional analysis (internal/result): because a
+// plan list against prof instead of drawing plans from Config.Seed. It
+// is the substrate of compositional analysis (internal/result), which
+// hands every region's campaign the one profile it analysed: because a
 // RunRecord is a pure function of (program, scheme, instance, plan,
 // budget), partitioning one campaign's plan list and running each part
 // through this entry point yields per-part counts that sum exactly to
@@ -182,7 +192,7 @@ func prepare(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 // pin. N, sampling (Seed is ignored for drawing), Exhaustive, Stratify
 // and TargetCI do not apply; the first is derived and the rest are
 // rejected so a partition can never silently diverge from its whole.
-func CampaignWithPlans(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config, plans []machine.FaultPlan) (Result, error) {
+func CampaignWithPlans(ctx context.Context, prof *Profile, cfg Config, plans []machine.FaultPlan) (Result, error) {
 	if cfg.Exhaustive || cfg.Stratify {
 		return Result{}, &ConfigConflictError{Options: "explicit plans and Exhaustive/Stratify",
 			Reason: "the caller supplies the plan list; there is no sampling or enumeration to configure"}
@@ -205,16 +215,16 @@ func CampaignWithPlans(ctx context.Context, p *core.Program, s core.Scheme, inst
 	}
 
 	ctx, sp := obs.Start(ctx, "fault/campaign_plans")
-	sp.SetAttr("scheme", s.String())
-	sp.SetAttr("bench", p.Bench.Name)
+	sp.SetAttr("scheme", prof.Scheme.String())
+	sp.SetAttr("bench", prof.Program.Bench.Name)
 	sp.SetAttr("n", cfg.N)
 	defer sp.End()
 
-	x, err := newExecutor(ctx, p, s, inst, cfg, plans)
+	e, err := prepare(ctx, prof, cfg, plans)
 	if err != nil {
 		return Result{}, err
 	}
-	return x.run(ctx)
+	return (&Executor{e: e}).run(ctx)
 }
 
 // runBudget resolves the per-run instruction budget: an explicit
@@ -250,27 +260,6 @@ func DrawPlans(seed int64, n int, cfg Config, count uint64) []machine.FaultPlan 
 		plans[i].Width = planWidth(plans[i].Kind, cfg)
 	}
 	return plans
-}
-
-// runProfile executes the fault-free reference run, snapshotting it
-// into prefix for the replicas to resume from, with the same panic
-// containment the campaign gives injected runs — a scheme whose clean
-// run crashes the interpreter should surface as an error, not kill the
-// process.
-func runProfile(p *core.Program, s core.Scheme, inst bench.Instance, trace *machine.RegionTrace, prefix *machine.Capture) (o core.Outcome, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("fault: fault-free %s run panicked: %v", s, v)
-		}
-	}()
-	o = p.RunCapture(s, inst, core.RunOpts{RegionTrace: trace}, prefix)
-	if o.Err != nil {
-		return o, fmt.Errorf("fault: fault-free %s run failed: %w", s, o.Err)
-	}
-	if o.Result.Region == 0 {
-		return o, fmt.Errorf("fault: no detected-loop region executed under %s", s)
-	}
-	return o, nil
 }
 
 // campaignMetrics are the injection counters a campaign feeds. The
@@ -340,15 +329,11 @@ func (cm *campaignMetrics) record(rec *RunRecord, kind machine.FaultKind) {
 
 // engine holds the immutable campaign state shared by workers.
 type engine struct {
-	p      *core.Program
-	s      core.Scheme
-	inst   bench.Instance
-	cfg    Config
-	golden []uint64
-	budget uint64
-	// prefix holds the snapshots of the fault-free profile run each
-	// replica resumes from; read-only once prepared.
-	prefix  *machine.Capture
+	// prof is the clean run replicas resume from and are classified
+	// against; other campaigns may share it.
+	prof    *Profile
+	cfg     Config
+	budget  uint64
 	plans   []machine.FaultPlan
 	records []RunRecord
 	met     *campaignMetrics
@@ -381,7 +366,7 @@ func (e *engine) runRange(ctx context.Context, lo, hi int) error {
 			// One pooled machine per worker: replicas reuse the decoded
 			// and compiled code, memory arena and register slabs through
 			// machine.Reset instead of paying construction per injection.
-			inj := e.p.NewInjector(e.s)
+			inj := e.prof.Program.NewInjector(e.prof.Scheme)
 			defer inj.Close()
 			for i := range idx {
 				if rec, ok := e.runOne(ctx, inj, i); ok {
@@ -430,10 +415,10 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		e.cfg.runHook(i)
 	}
 	plan := e.plans[i]
-	if snap := e.prefix.Latest(plan.Target, e.budget); snap != nil {
+	if snap := e.prof.Capture.Latest(plan.Target, e.budget); snap != nil {
 		e.met.prefix.Add(snap.Instrs())
 	}
-	o := inj.Replay(e.inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: ctx.Done()}, e.prefix)
+	o := inj.Replay(e.prof.Inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: ctx.Done()}, e.prof.Capture)
 	if o.Converged {
 		e.met.converged.Inc()
 		e.met.convergedSkipped.Add(o.ConvergedSkipped)
@@ -446,7 +431,7 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		// Campaign-level cancellation: the run is incomplete.
 		return RunRecord{}, false
 	}
-	cls, fn, recov := classify(&o, e.golden)
+	cls, fn, recov := classify(&o, e.prof.Output)
 	r := RunRecord{Done: true, Class: cls, Fired: o.FaultFired, FalseNeg: fn, Recovered: recov}
 	if o.Err != nil {
 		r.Err = o.Err.Error()
@@ -461,7 +446,7 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 // is independent of worker count, shard size, completion order,
 // interruption and resume history.
 func (e *engine) aggregateRecords(recs []RunRecord, stop int) Result {
-	res := Result{Scheme: e.s, Requested: e.cfg.N}
+	res := Result{Scheme: e.prof.Scheme, Requested: e.cfg.N}
 	if e.strata != nil {
 		// Fresh copies: aggregate runs repeatedly (per batch, final)
 		// and must not accumulate into shared skeletons.

@@ -45,18 +45,26 @@ type Executor struct {
 // take effect in NewLedger; an executor that only serves leases
 // ignores them.
 func NewExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config) (*Executor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, sp := obs.Start(ctx, "fault/executor_prepare")
 	sp.SetAttr("scheme", s.String())
 	sp.SetAttr("bench", p.Bench.Name)
 	defer sp.End()
-	return newExecutor(ctx, p, s, inst, cfg, nil)
+	return newExecutor(ctx, p, s, inst, cfg)
 }
 
-func newExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config, plans []machine.FaultPlan) (*Executor, error) {
-	e, err := prepare(ctx, p, s, inst, cfg, plans)
+// newExecutor profiles the scheme — with a region trace if and only
+// if the campaign is stratified, whose allocation derives from the
+// layout — and prepares the campaign against that profile.
+func newExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config) (*Executor, error) {
+	var trace *machine.RegionTrace
+	if cfg.Stratify {
+		trace = &machine.RegionTrace{}
+	}
+	prof, err := NewProfile(ctx, p, s, inst, trace)
+	if err != nil {
+		return nil, err
+	}
+	e, err := prepare(ctx, prof, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // fuzzLedger is a ledger over a 20-run plan of two shards with no
 // program behind it: Add never executes anything.
 func fuzzLedger(t testing.TB) *Ledger {
-	e := &engine{cfg: Config{N: 20, Batch: 5, TargetCI: 40}, key: "k",
+	e := &engine{prof: &Profile{}, cfg: Config{N: 20, Batch: 5, TargetCI: 40}, key: "k",
 		met: newCampaignMetrics(nil), records: make([]RunRecord, 20)}
 	l, err := NewLedger(&Executor{e: e}, 10)
 	if err != nil {

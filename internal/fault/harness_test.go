@@ -111,7 +111,7 @@ func TestExhaustiveSkipMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	profile, err := runProfile(p, scheme, inst, nil, nil)
+	profile, err := NewProfile(context.Background(), p, scheme, inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestStratifiedAllocation(t *testing.T) {
 func TestStratifiedPlansLandInClass(t *testing.T) {
 	p, inst := sharedConv1d(t)
 	trace := &machine.RegionTrace{}
-	profile, err := runProfile(p, core.SWIFT, inst, trace, nil)
+	profile, err := NewProfile(context.Background(), p, core.SWIFT, inst, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestStratifiedCheckpointKeyDistinct(t *testing.T) {
 // whole or split into parts must produce counts that sum exactly.
 func TestCampaignWithPlansPartitionIdentity(t *testing.T) {
 	p, inst := sharedConv1d(t)
-	trace := &machine.RegionTrace{}
-	if _, err := runProfile(p, core.SWIFT, inst, trace, nil); err != nil {
+	prof, err := NewProfile(context.Background(), p, core.SWIFT, inst, &machine.RegionTrace{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{N: 90, Seed: 17, Stratify: true}
-	plans, _, _ := stratifiedPlans(cfg, trace)
+	plans, _, _ := stratifiedPlans(cfg, prof.Trace)
 
-	whole, err := CampaignWithPlans(context.Background(), p, core.SWIFT, inst, Config{Workers: 2}, plans)
+	whole, err := CampaignWithPlans(context.Background(), prof, Config{Workers: 2}, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCampaignWithPlansPartitionIdentity(t *testing.T) {
 	var sum [NumClasses]int
 	var fired, falseNeg, recovered int
 	for _, part := range [][]machine.FaultPlan{plans[:31], plans[31:70], plans[70:]} {
-		res, err := CampaignWithPlans(context.Background(), p, core.SWIFT, inst, Config{Workers: 2}, part)
+		res, err := CampaignWithPlans(context.Background(), prof, Config{Workers: 2}, part)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,30 +281,34 @@ func TestCampaignWithPlansPartitionIdentity(t *testing.T) {
 // must distinguish different plan lists.
 func TestCampaignWithPlansRejections(t *testing.T) {
 	p, inst := sharedConv1d(t)
+	prof, err := NewProfile(context.Background(), p, core.Unsafe, inst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plans := []machine.FaultPlan{{Kind: machine.FaultRegFile, Target: 0, Bit: 1, Pick: 2}}
 	for name, cfg := range map[string]Config{
 		"target ci":  {TargetCI: 1},
 		"exhaustive": {Exhaustive: true, Mix: Mix{Skip: 1}},
 		"stratify":   {Stratify: true},
 	} {
-		_, err := CampaignWithPlans(context.Background(), p, core.Unsafe, inst, cfg, plans)
+		_, err := CampaignWithPlans(context.Background(), prof, cfg, plans)
 		var ce *ConfigConflictError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: got %v (%T), want *ConfigConflictError", name, err, err)
 		}
 	}
-	if _, err := CampaignWithPlans(context.Background(), p, core.Unsafe, inst, Config{N: 5}, plans); err == nil {
+	if _, err := CampaignWithPlans(context.Background(), prof, Config{N: 5}, plans); err == nil {
 		t.Error("N mismatching the plan count was accepted")
 	}
 
 	// Distinct plan lists of equal length must not share a checkpoint.
 	ckPath := filepath.Join(t.TempDir(), "plans.ck.json")
 	first := []machine.FaultPlan{{Kind: machine.FaultRegFile, Target: 1, Bit: 3, Pick: 9}}
-	if _, err := CampaignWithPlans(context.Background(), p, core.Unsafe, inst, Config{CheckpointPath: ckPath}, first); err != nil {
+	if _, err := CampaignWithPlans(context.Background(), prof, Config{CheckpointPath: ckPath}, first); err != nil {
 		t.Fatal(err)
 	}
 	second := []machine.FaultPlan{{Kind: machine.FaultRegFile, Target: 2, Bit: 3, Pick: 9}}
-	_, err := CampaignWithPlans(context.Background(), p, core.Unsafe, inst, Config{CheckpointPath: ckPath}, second)
+	_, err = CampaignWithPlans(context.Background(), prof, Config{CheckpointPath: ckPath}, second)
 	if err == nil {
 		t.Fatal("a different plan list resumed the first list's checkpoint")
 	}

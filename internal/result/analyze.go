@@ -43,17 +43,8 @@ type Options struct {
 	Mix       fault.Mix
 	SkipWidth int
 	BitWidth  int
-	// HangFactor scales the instruction budget (default 50). The
-	// budget is HangFactor times the fault-free instruction count
-	// rounded up to a power of two, so small edits leave it — and
-	// with it every unedited region's outcome — untouched; when an
-	// edit does cross a bucket boundary, every region key misses and
-	// the whole campaign re-runs under the new budget.
-	HangFactor uint64
 	// Workers bounds each region campaign's parallelism.
 	Workers int
-	// MaxSpans caps the profiling region trace (0 = machine default).
-	MaxSpans int
 }
 
 // RegionReport is one region's campaign outcome within a Report.
@@ -187,7 +178,11 @@ func regionSeed(seed int64, fp string) int64 {
 }
 
 // budgetFor buckets the fault-free instruction count to the next
-// power of two and applies the hang factor.
+// power of two and applies the hang factor (50 in Analyze). Small
+// edits thus leave the budget — and with it every unedited region's
+// outcome — untouched; when an edit does cross a bucket boundary,
+// every region key misses and the whole campaign re-runs under the
+// new budget.
 func budgetFor(hangFactor, faultFreeInstrs uint64) uint64 {
 	if faultFreeInstrs == 0 {
 		return hangFactor
@@ -197,18 +192,17 @@ func budgetFor(hangFactor, faultFreeInstrs uint64) uint64 {
 }
 
 // Analyze runs (or serves from cache) one campaign per candidate-loop
-// region and composes the program-level figures. The per-region
-// campaigns use explicit plan lists drawn from region-keyed seeds, so
-// after a source edit only regions whose fingerprint changed miss the
-// cache; every other region replays its cached counts and the
+// region and composes the program-level figures. One traced fault-free
+// profile gives the region decomposition, each region's population and
+// the budget, and every region's campaign injects against it. The
+// per-region campaigns use explicit plan lists drawn from region-keyed
+// seeds, so after a source edit only regions whose fingerprint changed
+// miss the cache; every other region replays its cached counts and the
 // composed rates are bit-identical to a cold full analysis of the
 // edited program.
 func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, opts Options) (*Report, error) {
 	if opts.PerRegionN <= 0 {
 		opts.PerRegionN = 200
-	}
-	if opts.HangFactor == 0 {
-		opts.HangFactor = 50
 	}
 	if opts.Mix == (fault.Mix{}) {
 		opts.Mix = fault.DefaultMix
@@ -221,22 +215,11 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 	sp.SetAttr("bench", p.Bench.Name)
 	defer sp.End()
 
-	// Profile with a region trace: the layout gives the region
-	// decomposition and each region's population.
-	trace := &machine.RegionTrace{MaxSpans: opts.MaxSpans}
-	profile := p.Run(s, inst, core.RunOpts{RegionTrace: trace})
-	if profile.Err != nil {
-		return nil, fmt.Errorf("result: fault-free %s run failed: %w", s, profile.Err)
+	prof, err := fault.NewProfile(ctx, p, s, inst, &machine.RegionTrace{})
+	if err != nil {
+		return nil, err
 	}
-	if profile.Result.Region == 0 {
-		return nil, fmt.Errorf("result: no detected-loop region executed under %s", s)
-	}
-	if err := trace.Err(); err != nil {
-		return nil, fmt.Errorf("result: %w", err)
-	}
-
-	layouts := trace.ByOwner()
-	budget := budgetFor(opts.HangFactor, profile.Result.Instrs)
+	budget := budgetFor(50, prof.Result.Instrs)
 	rep := &Report{Scheme: s, Bench: p.Bench.Name, Budget: budget}
 	mod := p.Module(s)
 
@@ -247,7 +230,7 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		BitWidth:  opts.BitWidth,
 		Budget:    budget,
 	}
-	for _, lay := range layouts {
+	for _, lay := range prof.Trace.ByOwner() {
 		fp := regionFP(p, s, lay.Key)
 		key := specKey(p, s, opts, lay.Key, fp, lay.Count, budget)
 		res, cached, err := opts.Cache.GetOrRun(key, func() (fault.Result, error) {
@@ -257,7 +240,7 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 			for i := range plans {
 				plans[i].Target = lay.Pick(plans[i].Target)
 			}
-			return fault.CampaignWithPlans(ctx, p, s, inst, fcfg, plans)
+			return fault.CampaignWithPlans(ctx, prof, fcfg, plans)
 		})
 		if err != nil {
 			return nil, err
@@ -274,7 +257,7 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		rep.Regions = append(rep.Regions, RegionReport{
 			Owner: lay.Key, Func: name, Fingerprint: fp,
 			Population: lay.Count,
-			Weight:     float64(lay.Count) / float64(trace.Total()),
+			Weight:     float64(lay.Count) / float64(prof.Trace.Total()),
 			Cached:     cached, Result: res,
 		})
 	}

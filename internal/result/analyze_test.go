@@ -2,12 +2,15 @@ package result
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rskip/internal/core"
 	"rskip/internal/fault"
+	"rskip/internal/machine"
+	"rskip/internal/obs"
 )
 
 // reportFigures strips a Report to the fields a second analysis must
@@ -249,12 +252,23 @@ func TestAnalyzePropagatesConfigErrors(t *testing.T) {
 	}
 }
 
+// The analysis profile gets the campaign's panic containment: a clean
+// run that crashes the interpreter is an error, not a dead process.
+func TestAnalyzeContainsProfilePanic(t *testing.T) {
+	_, p, inst := sharedSub(t)
+	inst.Setup = func(*machine.Memory) []uint64 { panic("broken instance") }
+	_, err := Analyze(context.Background(), p, core.SWIFT, inst, Options{PerRegionN: 5})
+	if err == nil || !strings.Contains(err.Error(), "panicked: broken instance") {
+		t.Fatalf("analysis of a panicking clean run returned %v, want the contained panic", err)
+	}
+}
+
 // Per-region seeds differ across regions (a shared stream would
 // correlate the samples) yet are derived, not stored: the same
 // (Seed, fingerprint) always reproduces them.
 func TestRegionSeedsDistinctAndStable(t *testing.T) {
 	_, p, inst := sharedSub(t)
-	trace := traceOf(t, p, core.Unsafe, inst)
+	trace := profileOf(t, p, core.Unsafe, inst).Trace
 	layouts := trace.ByOwner()
 	seen := map[int64]string{}
 	for _, lay := range layouts {
@@ -296,5 +310,49 @@ func TestBudgetBucketing(t *testing.T) {
 	k2 := specKey(p, core.SWIFT, Options{}, 0, fp, 10, 2048)
 	if k1 == k2 {
 		t.Error("budget not part of the cache key")
+	}
+}
+
+// One analysis makes one clean run: the traced profile that splits the
+// program into regions also serves every region's campaign. A cold
+// analysis of K regions therefore executes 1 + K·PerRegionN machine
+// runs, and a warm one, served wholly from the cache, the profile
+// alone.
+func TestAnalyzeMakesOneCleanRun(t *testing.T) {
+	// A program of its own: Observe must not reach the shared kernel.
+	p, inst := buildKernel(t, genKernel(rand.New(rand.NewSource(43))), "diffsub-runs")
+	o := obs.New()
+	p.Observe(o)
+	defer p.Observe(nil)
+	runs := func() float64 { return o.Metrics.Snapshot()["machine_runs_total"] }
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: cache, PerRegionN: 15, Seed: 5, InstKey: "test0"}
+
+	before := runs()
+	cold, err := Analyze(context.Background(), p, core.SWIFT, inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(cold.Regions)
+	if k < 2 || cold.CacheMisses != k {
+		t.Fatalf("cold analysis: %d regions, %d misses; want >= 2 regions, all missed", k, cold.CacheMisses)
+	}
+	if got, want := runs()-before, float64(1+k*opts.PerRegionN); got != want {
+		t.Errorf("cold analysis of %d regions made %.0f machine runs, want %.0f (one profile plus the replicas)", k, got, want)
+	}
+
+	before = runs()
+	warm, err := Analyze(context.Background(), p, core.SWIFT, inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheHits != k {
+		t.Fatalf("warm analysis hit %d of %d regions", warm.CacheHits, k)
+	}
+	if got := runs() - before; got != 1 {
+		t.Errorf("warm analysis made %.0f machine runs, want 1 (the profile)", got)
 	}
 }

@@ -188,21 +188,17 @@ func buildKernel(t *testing.T, ks kernelSpec, name string) (*core.Program, bench
 	return p, b.Gen(bench.TestSeed(0), bench.ScaleTiny)
 }
 
-// traceOf profiles one scheme run with a region trace.
-func traceOf(t *testing.T, p *core.Program, s core.Scheme, inst bench.Instance) *machine.RegionTrace {
+// profileOf profiles one scheme run with a region trace.
+func profileOf(t *testing.T, p *core.Program, s core.Scheme, inst bench.Instance) *fault.Profile {
 	t.Helper()
-	trace := &machine.RegionTrace{}
-	o := p.Run(s, inst, core.RunOpts{RegionTrace: trace})
-	if o.Err != nil {
-		t.Fatalf("fault-free %s run: %v", s, o.Err)
-	}
-	if err := trace.Err(); err != nil {
+	prof, err := fault.NewProfile(context.Background(), p, s, inst, &machine.RegionTrace{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.Total() != o.Result.Region {
-		t.Fatalf("trace covers %d of %d in-region instructions", trace.Total(), o.Result.Region)
+	if prof.Trace.Total() != prof.Result.Region {
+		t.Fatalf("trace covers %d of %d in-region instructions", prof.Trace.Total(), prof.Result.Region)
 	}
-	return trace
+	return prof
 }
 
 var allSchemes = []core.Scheme{core.Unsafe, core.SWIFT, core.SWIFTR, core.RSkip, core.SWIFTRHard}
@@ -224,13 +220,14 @@ func TestComposedMatchesMonolithicDifferential(t *testing.T) {
 			ks := genKernel(rng)
 			p, inst := buildKernel(t, ks, fmt.Sprintf("diffsub%02d", ki))
 			for _, s := range allSchemes {
-				trace := traceOf(t, p, s, inst)
+				prof := profileOf(t, p, s, inst)
+				trace := prof.Trace
 				cfg := fault.Config{Seed: int64(7 * (ki + 1)), Mix: fault.Mix{
 					RegFile: 0.3, Result: 0.3, Source: 0.2, Opcode: 0.1, Skip: 0.1,
 				}}
 				plans := fault.DrawPlans(cfg.Seed, perKernelN, cfg, trace.Total())
 
-				mono, err := fault.CampaignWithPlans(context.Background(), p, s, inst, cfg, plans)
+				mono, err := fault.CampaignWithPlans(context.Background(), prof, cfg, plans)
 				if err != nil {
 					t.Fatalf("%s: monolithic: %v", s, err)
 				}
@@ -240,7 +237,7 @@ func TestComposedMatchesMonolithicDifferential(t *testing.T) {
 				var partRes []fault.Result
 				for owner, sub := range parts {
 					plansSeen += len(sub)
-					r, err := fault.CampaignWithPlans(context.Background(), p, s, inst, cfg, sub)
+					r, err := fault.CampaignWithPlans(context.Background(), prof, cfg, sub)
 					if err != nil {
 						t.Fatalf("%s: region %d: %v", s, owner, err)
 					}

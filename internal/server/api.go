@@ -130,7 +130,7 @@ type runRequest struct {
 	// Scale is the input scale: "tiny", "fi" (default) or "perf".
 	Scale string `json:"scale,omitempty"`
 	// Train is the number of training inputs for the rskip scheme
-	// (default 2; ignored for other schemes).
+	// (default 2, at most 64; ignored for other schemes).
 	Train  int         `json:"train,omitempty"`
 	Config *configJSON `json:"config,omitempty"`
 	// TimeoutMS bounds the execution (capped by the server's
@@ -158,11 +158,12 @@ type runResponse struct {
 type campaignRequest struct {
 	Bench  string `json:"bench"`
 	Scheme string `json:"scheme"`
-	// N is the injection count (default 1000).
+	// N is the injection count (default 1000, at most 1,000,000).
 	N int `json:"n,omitempty"`
 	// Seed drives fault-plan sampling (default 20200222, rskipfi's).
 	Seed int64 `json:"seed,omitempty"`
-	// Train is the number of training inputs for rskip (default 2).
+	// Train is the number of training inputs for rskip (default 2,
+	// at most 64).
 	Train   int         `json:"train,omitempty"`
 	Config  *configJSON `json:"config,omitempty"`
 	Workers int         `json:"workers,omitempty"`

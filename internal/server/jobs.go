@@ -624,15 +624,27 @@ func validateCampaignRequest(req *campaignRequest, hasResultCache bool) (core.Sc
 	return scheme, nil
 }
 
+// The largest "n" (1000× the paper's) and "train" a request may ask
+// for: a job allocates n plans and records and one training run per
+// input up front, so an unbounded value could exhaust the daemon.
+const maxCampaignN, maxTrainInputs = 1_000_000, 64
+
 // faultConfig maps the wire request to the engine config. ModelMix
 // rejection surfaces as *fault.UnknownModelError so the HTTP layer can
 // give it a dedicated error code, and a retired field as
 // *retiredFieldError. Submit, resume and remote workers all pass
 // through here, so a job file persisted with a retired field fails
-// instead of running as some other campaign.
+// instead of running as some other campaign, and one with an
+// oversized n or train fails instead of exhausting memory.
 func (req *campaignRequest) faultConfig() (fault.Config, error) {
 	if req.RunTimeoutMS > 0 {
 		return fault.Config{}, errRunTimeoutRetired
+	}
+	if req.N > maxCampaignN {
+		return fault.Config{}, fmt.Errorf("\"n\" = %d exceeds the limit of %d replicas", req.N, maxCampaignN)
+	}
+	if req.Train > maxTrainInputs {
+		return fault.Config{}, fmt.Errorf("\"train\" = %d exceeds the limit of %d training inputs", req.Train, maxTrainInputs)
 	}
 	mix, err := fault.ModelMix(req.FaultModel)
 	if err != nil {

@@ -577,6 +577,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown_scale", "%v", err)
 		return
 	}
+	if req.Train > maxTrainInputs {
+		writeErr(w, http.StatusBadRequest, "bad_request", "\"train\" = %d exceeds the limit of %d training inputs", req.Train, maxTrainInputs)
+		return
+	}
 	if !s.acquireSync(w) {
 		return
 	}

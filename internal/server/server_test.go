@@ -305,6 +305,14 @@ func TestRunHappyPath(t *testing.T) {
 	} else if errCode(t, raw) != "unknown_scale" {
 		t.Errorf("unknown scale: code %v", raw)
 	}
+
+	// Training seeds are allocated up front, so "train" is bounded.
+	raw = nil
+	if code := postJSON(t, ts.URL+"/v1/run", map[string]any{"bench": "conv1d", "scheme": "rskip", "train": 1000000000}, &raw); code != 400 {
+		t.Fatalf("oversized train: status %d", code)
+	} else if errCode(t, raw) != "bad_request" {
+		t.Errorf("oversized train: code %v", raw)
+	}
 }
 
 // A run that exceeds its wall-clock budget must come back as a
@@ -954,6 +962,43 @@ func TestPersistedRetiredBackendFails(t *testing.T) {
 	}
 	if st.Result != nil && st.Result.N != 0 {
 		t.Errorf("resumed job ran %d replicas on some engine; want none", st.Result.N)
+	}
+}
+
+// TestCampaignSizeLimits rejects an "n" or "train" too large to
+// allocate as a 400 bad_campaign before a queue slot is consumed, and
+// fails a persisted job that carries one on resume instead of running
+// it.
+func TestCampaignSizeLimits(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{ResultCacheDir: t.TempDir()})
+	for _, body := range []map[string]any{
+		{"bench": "conv1d", "scheme": "unsafe", "n": 4000000000},
+		{"bench": "conv1d", "scheme": "unsafe", "n": 1000001},
+		{"bench": "conv1d", "scheme": "unsafe", "incremental": true, "n": 4000000000},
+		{"bench": "conv1d", "scheme": "rskip", "train": 1000000},
+		{"bench": "conv1d", "scheme": "rskip", "train": 65},
+	} {
+		var raw map[string]any
+		if code := postJSON(t, ts.URL+"/v1/campaigns", body, &raw); code != http.StatusBadRequest {
+			t.Errorf("%v: status %d, want 400", body, code)
+			continue
+		}
+		if got := errCode(t, raw); got != "bad_campaign" {
+			t.Errorf("%v: code %q, want bad_campaign", body, got)
+		}
+	}
+
+	dir := t.TempDir()
+	const id = "c-0123456789ac"
+	spec := `{"id":"` + id + `","request":{"bench":"conv1d","scheme":"unsafe","n":4000000000,"seed":5},` +
+		`"submitted_at":"2020-02-22T00:00:00Z"}`
+	if err := os.WriteFile(filepath.Join(dir, id+".job.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, resumed := newTestServer(t, server.Config{CheckpointDir: dir})
+	st := waitFor(t, resumed, id, 60*time.Second, terminal)
+	if st.State != "failed" || !strings.Contains(st.Error, "exceeds the limit") {
+		t.Errorf("resumed oversized job ended %q (%q), want failed on the limit", st.State, st.Error)
 	}
 }
 

@@ -54,88 +54,14 @@ import (
 	"syscall"
 
 	"rskip/internal/bench"
+	"rskip/internal/campaign"
 	"rskip/internal/core"
 	"rskip/internal/fabric"
 	"rskip/internal/fault"
-	"rskip/internal/machine"
 	"rskip/internal/obs"
 	"rskip/internal/result"
 	"rskip/internal/stats"
 )
-
-// campaignJSON is the machine-readable form of one campaign, for
-// downstream tooling and bench trajectory files.
-type campaignJSON struct {
-	Bench        string `json:"bench"`
-	Scheme       string `json:"scheme"`
-	N            int    `json:"n"`
-	Requested    int    `json:"requested"`
-	EarlyStopped bool   `json:"early_stopped,omitempty"`
-	FaultModel   string `json:"fault_model,omitempty"`
-	Exhaustive   bool   `json:"exhaustive,omitempty"`
-	// Incremental marks a compositional per-region analysis; Regions,
-	// CacheHits and CacheMisses describe its cache traffic.
-	Incremental bool `json:"incremental,omitempty"`
-	Regions     int  `json:"regions,omitempty"`
-	CacheHits   int  `json:"cache_hits,omitempty"`
-	CacheMisses int  `json:"cache_misses,omitempty"`
-	// Strata is the per-instruction-class breakdown of a -stratify
-	// campaign.
-	Strata       []strataJSON              `json:"strata,omitempty"`
-	Counts       map[string]int            `json:"counts"`
-	Rates        map[string]float64        `json:"rates"`
-	CI95         map[string][2]float64     `json:"ci95"`
-	Protection   float64                   `json:"protection_rate"`
-	ProtectionCI [2]float64                `json:"protection_ci95"`
-	Fired        int                       `json:"fired"`
-	FalseNeg     int                       `json:"false_neg"`
-	FalseNegRate float64                   `json:"false_neg_rate"`
-	Recovered    int                       `json:"recovered"`
-	Errors       map[string]map[string]int `json:"errors,omitempty"`
-	// Metrics holds the pipeline counters that moved during this
-	// campaign (after-minus-before snapshot deltas).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// strataJSON is one instruction-class stratum of a -stratify campaign.
-type strataJSON struct {
-	Class     string  `json:"class"`
-	Weight    float64 `json:"weight"`
-	N         int     `json:"n"`
-	Protected int     `json:"protected"`
-}
-
-func toJSON(benchName, label string, r fault.Result) campaignJSON {
-	j := campaignJSON{
-		Bench: benchName, Scheme: label,
-		N: r.N, Requested: r.Requested, EarlyStopped: r.EarlyStopped,
-		Counts: map[string]int{}, Rates: map[string]float64{}, CI95: map[string][2]float64{},
-		Protection: r.ProtectionRate(),
-		Fired:      r.Fired, FalseNeg: r.FalseNeg, FalseNegRate: r.FalseNegRate(),
-		Recovered: r.Recovered,
-	}
-	plo, phi := r.ProtectionCI()
-	j.ProtectionCI = [2]float64{plo, phi}
-	for c := fault.Correct; c < fault.NumClasses; c++ {
-		j.Counts[c.String()] = r.Counts[c]
-		j.Rates[c.String()] = r.Rate(c)
-		lo, hi := r.CI(c)
-		j.CI95[c.String()] = [2]float64{lo, hi}
-	}
-	for cls, byMsg := range r.Errors {
-		if j.Errors == nil {
-			j.Errors = map[string]map[string]int{}
-		}
-		j.Errors[cls.String()] = byMsg
-	}
-	for _, st := range r.Strata {
-		j.Strata = append(j.Strata, strataJSON{
-			Class: st.Class.String(), Weight: st.Weight,
-			N: st.N, Protected: st.Protected,
-		})
-	}
-	return j
-}
 
 // schemeCheckpoint derives a per-scheme checkpoint path from the base
 // flag so one -checkpoint value covers a multi-scheme sweep.
@@ -150,10 +76,10 @@ func schemeCheckpoint(base string, s core.Scheme) string {
 func main() {
 	var (
 		benchName = flag.String("bench", "", "benchmark name")
-		n         = flag.Int("n", 1000, "number of injected faults per scheme (cap when -target-ci is set)")
+		n         = flag.Int("n", campaign.DefaultN, "number of injected faults per scheme (cap when -target-ci is set)")
 		ar        = flag.Float64("ar", 0.2, "acceptable range for the rskip scheme")
 		schemes   = flag.String("schemes", "unsafe,swiftr,rskip", "comma-separated schemes")
-		seed      = flag.Int64("seed", 20200222, "fault sampling seed")
+		seed      = flag.Int64("seed", campaign.DefaultSeed, "fault sampling seed")
 		faultKind = flag.String("fault-kind", "seu", "threat model: seu (paper's single-event-upset mix), skip (instruction-skip bursts) or multibit (adjacent-bit upsets)")
 		backend   = flag.String("backend", "compiled", "execution engine: compiled or reference (bit-identical; compiled is the default)")
 		skipWidth = flag.Int("skip-width", 1, "consecutive instructions suppressed per skip fault")
@@ -176,25 +102,22 @@ func main() {
 	)
 	flag.Parse()
 
-	// The incremental analyzer owns its sampling discipline (fixed
-	// replicas per region, region-keyed seeds), so the knobs that
-	// reshape a monolithic campaign's plan list conflict with it.
-	if *increment {
-		switch {
-		case *exhaust:
-			fatal(errors.New("-incremental and -exhaustive conflict: exhaustive enumeration is already per-site; there is nothing to compose or cache"))
-		case *targetCI > 0:
-			fatal(errors.New("-incremental and -target-ci conflict: early stopping would make cached per-region counts depend on when a previous run stopped"))
-		case *stratify:
-			fatal(errors.New("-incremental and -stratify conflict: the incremental analyzer already stratifies by region; per-class strata inside a region are not cacheable yet"))
-		case *ckBase != "":
-			fatal(errors.New("-incremental and -checkpoint conflict: the result cache is the incremental analyzer's persistence"))
-		case *fabricN > 0:
-			fatal(errors.New("-incremental and -fabric conflict: the incremental analyzer shards by region through the result cache; fabric sharding by index would nest the two decompositions"))
-		}
-	}
 	if *cacheDir != "" && !*increment {
 		fatal(errors.New("-result-cache-dir only applies to -incremental analyses"))
+	}
+	// One spec per scheme; everything else the flags say is shared.
+	spec := campaign.Spec{
+		Bench: *benchName, N: *n, Seed: *seed, Train: *trainN,
+		Config:  &campaign.BuildConfig{AR: ar, Backend: *backend},
+		Workers: *workers, Batch: *batch, TargetCI: *targetCI,
+		FaultModel: *faultKind, SkipWidth: *skipWidth, BitWidth: *bitWidth,
+		Exhaustive: *exhaust, Stratify: *stratify, Incremental: *increment,
+	}
+	if *exhaust {
+		spec.N = 0 // the enumerator derives the count from the region
+	}
+	if err := spec.CheckConflicts(*fabricN > 0, *ckBase != ""); err != nil {
+		fatal(err)
 	}
 
 	cli, err := obs.SetupCLI(obs.CLIConfig{
@@ -220,32 +143,10 @@ func main() {
 	defer cancelSignals()
 	ctx = obs.Into(ctx, o)
 
-	mix, err := fault.ModelMix(*faultKind)
-	if err != nil {
-		fatal(err)
-	}
 	b, err := bench.ByName(*benchName)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.AR = *ar
-	cfg.Backend, err = machine.ParseBackend(*backend)
-	if err != nil {
-		fatal(err)
-	}
-	p, err := core.BuildContext(ctx, b, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	seeds := make([]int64, *trainN)
-	for i := range seeds {
-		seeds[i] = bench.TrainSeed(i)
-	}
-	if err := p.Train(seeds, bench.ScaleFI); err != nil {
-		fatal(err)
-	}
-	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
 
 	// The default-SEU title is the original sampled-campaign wording;
 	// the other threat models describe themselves.
@@ -275,7 +176,7 @@ func main() {
 		}
 	}
 	type schemeSel struct {
-		s     core.Scheme
+		spec  campaign.Spec
 		label string
 	}
 	var sels []schemeSel
@@ -288,41 +189,34 @@ func main() {
 		if s == core.RSkip {
 			label = fmt.Sprintf("RSkip AR%.0f", *ar*100)
 		}
-		sels = append(sels, schemeSel{s: s, label: label})
+		sel := schemeSel{spec: spec, label: label}
+		sel.spec.Scheme = name
+		sels = append(sels, sel)
 	}
 
 	t := stats.NewTable(title, headers...)
-	var jsonRows []campaignJSON
+	var jsonRows []*campaign.Result
 	var summaries []string
 	for _, sel := range sels {
-		s, label := sel.s, sel.label
+		c, err := sel.spec.Setup(ctx)
+		if err != nil {
+			fatal(err)
+		}
+		s, label := c.Scheme, sel.label
 		if *increment {
 			before := o.M().Snapshot()
-			rep, err := result.Analyze(ctx, p, s, inst, result.Options{
-				Cache: resultCache, PerRegionN: *n, Seed: *seed,
-				InstKey: "test0/fi", Mix: mix,
-				SkipWidth: *skipWidth, BitWidth: *bitWidth,
-				Workers: *workers,
-			})
+			rep, err := c.Analyze(ctx, resultCache)
 			if err != nil {
 				fatal(err)
 			}
 			delta := obs.Delta(before, o.M().Snapshot())
-			r := rep.Composed
 			if *jsonOut {
-				row := toJSON(b.Name, label, r)
-				row.FaultModel = *faultKind
-				row.Incremental = true
-				row.Regions = len(rep.Regions)
-				row.CacheHits, row.CacheMisses = rep.CacheHits, rep.CacheMisses
-				// The weighted program-level figures replace the pooled
-				// ones (pooling weights regions by replica count).
-				row.Protection = rep.Protection
-				row.ProtectionCI = rep.ProtectionCI
+				row := sel.spec.IncrementalResult(label, rep)
 				row.Metrics = delta
 				jsonRows = append(jsonRows, row)
 				continue
 			}
+			r := rep.Composed
 			summaries = append(summaries, metricsSummary(label, delta))
 			t.Row(label,
 				fmt.Sprintf("%d", len(rep.Regions)),
@@ -337,24 +231,14 @@ func main() {
 				fmt.Sprintf("%.1f%% [%.1f, %.1f]", rep.Protection, rep.ProtectionCI[0], rep.ProtectionCI[1]))
 			continue
 		}
-		fcfg := fault.Config{
-			N: *n, Seed: *seed, Workers: *workers, Batch: *batch,
-			TargetCI:       *targetCI,
-			CheckpointPath: schemeCheckpoint(*ckBase, s),
-			Mix:            mix,
-			SkipWidth:      *skipWidth, BitWidth: *bitWidth,
-			Exhaustive: *exhaust, Stratify: *stratify,
-		}
-		if *exhaust {
-			fcfg.N = 0 // the enumerator derives the count from the region
-		}
+		fcfg := c.Fault
+		fcfg.CheckpointPath = schemeCheckpoint(*ckBase, s)
 		before := o.M().Snapshot()
 		var r fault.Result
-		var err error
 		if *fabricN > 0 {
-			r, err = runFabric(ctx, p, s, inst, fcfg, *fabricN)
+			r, err = runFabric(ctx, c.Program, s, c.Inst, fcfg, *fabricN)
 		} else {
-			r, err = fault.Campaign(ctx, p, s, inst, fcfg)
+			r, err = fault.Campaign(ctx, c.Program, s, c.Inst, fcfg)
 		}
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "rskipfi: interrupted after %d/%d %s runs", r.N, r.Requested, s)
@@ -370,9 +254,7 @@ func main() {
 		}
 		delta := obs.Delta(before, o.M().Snapshot())
 		if *jsonOut {
-			row := toJSON(b.Name, label, r)
-			row.FaultModel = *faultKind
-			row.Exhaustive = r.Exhaustive
+			row := sel.spec.Result(label, r)
 			row.Metrics = delta
 			jsonRows = append(jsonRows, row)
 			continue

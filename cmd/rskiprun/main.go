@@ -99,11 +99,7 @@ func main() {
 				fatal(err)
 			}
 		} else {
-			seeds := make([]int64, *trainN)
-			for i := range seeds {
-				seeds[i] = bench.TrainSeed(i)
-			}
-			if err := p.Train(seeds, scale); err != nil {
+			if err := p.Train(bench.TrainSeeds(*trainN), scale); err != nil {
 				fatal(err)
 			}
 		}

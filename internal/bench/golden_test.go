@@ -16,6 +16,7 @@ package bench_test
 import (
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"rskip/internal/bench"
@@ -158,6 +159,46 @@ func TestGoldenCountersThreeWay(t *testing.T) {
 						runBoth(t, p, s, gen,
 							core.RunOpts{Fault: &plan, MaxInstrs: budget}, prefix)
 					})
+				}
+			}
+		})
+	}
+}
+
+// TestRegionTraceBackendsAgree holds the traced, capturing profile run
+// that stratified and incremental campaigns make to the reference
+// interpreter: on every kernel and scheme, the compiled backend records
+// the same region-trace spans, the same RunResult and as many
+// snapshots.
+func TestRegionTraceBackendsAgree(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			p, err := core.Build(b, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Train([]int64{bench.TrainSeed(0)}, bench.ScaleTiny); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []core.Scheme{core.Unsafe, core.SWIFT, core.SWIFTR, core.RSkip, core.SWIFTRHard} {
+				var refTrace, compTrace machine.RegionTrace
+				refCap, compCap := machine.NewCapture(32), machine.NewCapture(32)
+				ref := p.RunCapture(s, b.Gen(bench.TestSeed(0), bench.ScaleTiny),
+					core.RunOpts{Reference: true, RegionTrace: &refTrace}, refCap)
+				comp := p.RunCapture(s, b.Gen(bench.TestSeed(0), bench.ScaleTiny),
+					core.RunOpts{RegionTrace: &compTrace}, compCap)
+				sameAsRef(t, s.String()+"/traced", comp, ref, ref.Result)
+				if !slices.Equal(compTrace.Spans(), refTrace.Spans()) {
+					t.Errorf("%s: compiled trace (%d spans, total %d) != reference trace (%d spans, total %d)",
+						s, len(compTrace.Spans()), compTrace.Total(), len(refTrace.Spans()), refTrace.Total())
+				}
+				if compTrace.Total() != ref.Result.Region {
+					t.Errorf("%s: trace total %d != region counter %d", s, compTrace.Total(), ref.Result.Region)
+				}
+				if compCap.Len() != refCap.Len() {
+					t.Errorf("%s: compiled capture holds %d snapshots, reference %d", s, compCap.Len(), refCap.Len())
 				}
 			}
 		})

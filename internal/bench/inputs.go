@@ -16,6 +16,15 @@ import (
 // TrainSeed returns the i-th training seed for a benchmark.
 func TrainSeed(i int) int64 { return 1000 + int64(i) }
 
+// TrainSeeds returns the first n training seeds (none for n <= 0).
+func TrainSeeds(n int) []int64 {
+	seeds := make([]int64, max(n, 0))
+	for i := range seeds {
+		seeds[i] = TrainSeed(i)
+	}
+	return seeds
+}
+
 // TestSeed returns the i-th test seed; disjoint from training.
 func TestSeed(i int) int64 { return 900000 + int64(i) }
 

@@ -249,7 +249,7 @@ func TestRskipfiStratifyTable(t *testing.T) {
 
 // TestRskipfiIncrementalFlagConflicts checks the option-conflict front
 // door: each rejected combination exits nonzero with a diagnostic that
-// names both flags.
+// names both options, in the wording rskipd's config_conflict uses.
 func TestRskipfiIncrementalFlagConflicts(t *testing.T) {
 	bin := Binary(t, "rskipfi")
 	cases := []struct {
@@ -259,19 +259,19 @@ func TestRskipfiIncrementalFlagConflicts(t *testing.T) {
 	}{
 		{"incremental+exhaustive",
 			[]string{"-bench", "musum", "-fault-kind", "skip", "-incremental", "-exhaustive"},
-			"-incremental and -exhaustive"},
+			"incremental and exhaustive"},
 		{"incremental+target-ci",
 			[]string{"-bench", "conv1d", "-incremental", "-target-ci", "0.05"},
-			"-incremental and -target-ci"},
+			"incremental and target_ci"},
 		{"incremental+stratify",
 			[]string{"-bench", "conv1d", "-incremental", "-stratify"},
-			"-incremental and -stratify"},
+			"incremental and stratify"},
 		{"incremental+checkpoint",
 			[]string{"-bench", "conv1d", "-incremental", "-checkpoint", "ck.json"},
-			"-incremental and -checkpoint"},
+			"incremental and checkpoint"},
 		{"incremental+fabric",
 			[]string{"-bench", "conv1d", "-incremental", "-fabric", "2"},
-			"-incremental and -fabric"},
+			"incremental and fabric"},
 		{"cache dir without incremental",
 			[]string{"-bench", "conv1d", "-result-cache-dir", "results"},
 			"-result-cache-dir"},

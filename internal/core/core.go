@@ -479,10 +479,8 @@ type RunOpts struct {
 	// the golden-counters differential test and speedup benchmarks.
 	Reference bool
 	// RegionTrace, when non-nil, records the owner/class layout of the
-	// in-region instruction stream. Tracing lives in the reference
-	// interpreter, so setting it forces Reference for this run; since
-	// both backends count regions bit-identically, the recorded layout
-	// holds for either.
+	// in-region instruction stream. Both backends record it, and
+	// identically.
 	RegionTrace *machine.RegionTrace
 }
 
@@ -559,7 +557,7 @@ func (o *Outcome) DISkipRate() float64 {
 // the per-run rtm manager) for one execution of scheme s.
 func (p *Program) machineConfig(s Scheme, mod *ir.Module, opts RunOpts) (machine.Config, *rtm.Manager) {
 	backend := p.Cfg.Backend
-	if opts.Reference || opts.RegionTrace != nil {
+	if opts.Reference {
 		backend = machine.BackendReference
 	}
 	mcfg := machine.Config{

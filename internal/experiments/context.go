@@ -98,12 +98,7 @@ func (c *Context) Program(b bench.Benchmark, cfg core.Config) (*core.Program, er
 	if err != nil {
 		return nil, err
 	}
-	seeds := make([]int64, c.TrainSeeds)
-	for i := range seeds {
-		seeds[i] = bench.TrainSeed(i)
-	}
-	trainScale := c.PerfScale()
-	if err := p.Train(seeds, trainScale); err != nil {
+	if err := p.Train(bench.TrainSeeds(c.TrainSeeds), c.PerfScale()); err != nil {
 		return nil, fmt.Errorf("training %s: %w", b.Name, err)
 	}
 	c.mu.Lock()

@@ -61,14 +61,12 @@ type Config struct {
 	Seed int64
 	// Workers bounds campaign parallelism (0 = GOMAXPROCS).
 	Workers int
-	// HangFactor sets the instruction budget as a multiple of the
-	// scheme's fault-free run (default 50).
-	HangFactor uint64
 	// Budget, when positive, is the per-run instruction budget
-	// directly, overriding the HangFactor derivation. Compositional
-	// analysis (internal/result) pins it to a stable bucket so cached
-	// per-region results stay comparable across source edits that
-	// perturb the fault-free instruction count slightly.
+	// directly, overriding the default of hangFactor times the
+	// scheme's fault-free run. Compositional analysis
+	// (internal/result) pins it to a stable bucket so cached per-region
+	// results stay comparable across source edits that perturb the
+	// fault-free instruction count slightly.
 	Budget uint64
 	// Mix sets the sampling weights of the fault kinds; zero uses
 	// DefaultMix.

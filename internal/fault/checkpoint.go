@@ -65,9 +65,9 @@ type Checkpoint struct {
 
 // CampaignKey fingerprints everything that determines the fault
 // plans and their outcomes (modulo wall-clock effects): benchmark,
-// build config, scheme, N, seed, mix, hang factor. It is the
-// checkpoint identity — a checkpoint only resumes a campaign with the
-// same key — and, verbatim, the fabric plan key: two nodes that
+// build config, scheme, N, seed, mix, hang factor (always 50, kept so
+// existing checkpoints resume). It is the checkpoint identity — a
+// checkpoint only resumes a campaign with the same key — and, verbatim, the fabric plan key: two nodes that
 // derive the same CampaignKey are provably drawing the same plan list
 // and will produce bit-identical records for any index range. The
 // skip / multibit extension only appends to the key when one of the
@@ -77,7 +77,7 @@ func CampaignKey(p *core.Program, s core.Scheme, cfg Config) string {
 	key := fmt.Sprintf("bench=%s|cfg=%s|scheme=%s|n=%d|seed=%d|mix=%g/%g/%g/%g|hang=%d",
 		p.Bench.Name, p.Cfg.Key(), s, cfg.N, cfg.Seed,
 		cfg.Mix.RegFile, cfg.Mix.Result, cfg.Mix.Source, cfg.Mix.Opcode,
-		cfg.HangFactor)
+		hangFactor)
 	if cfg.Mix.Skip != 0 || cfg.Mix.MultiBit != 0 || cfg.Exhaustive {
 		key += fmt.Sprintf("|xmix=%g/%g|sw=%d|bw=%d|ex=%v",
 			cfg.Mix.Skip, cfg.Mix.MultiBit, cfg.SkipWidth, cfg.BitWidth, cfg.Exhaustive)

@@ -137,9 +137,6 @@ func prepare(ctx context.Context, prof *Profile, cfg Config, plans []machine.Fau
 	if cfg.N == 0 && !cfg.Exhaustive && plans == nil {
 		cfg.N = 1000
 	}
-	if cfg.HangFactor == 0 {
-		cfg.HangFactor = 50
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -227,13 +224,17 @@ func CampaignWithPlans(ctx context.Context, prof *Profile, cfg Config, plans []m
 	return (&Executor{e: e}).run(ctx)
 }
 
+// hangFactor is the default per-run instruction budget as a multiple
+// of the scheme's fault-free run.
+const hangFactor = 50
+
 // runBudget resolves the per-run instruction budget: an explicit
-// Config.Budget wins, otherwise HangFactor times the fault-free run.
+// Config.Budget wins, otherwise hangFactor times the fault-free run.
 func runBudget(cfg Config, faultFreeInstrs uint64) uint64 {
 	if cfg.Budget > 0 {
 		return cfg.Budget
 	}
-	return faultFreeInstrs * cfg.HangFactor
+	return faultFreeInstrs * hangFactor
 }
 
 // DrawPlans pre-draws n fault plans of cfg's mix from the seed, with

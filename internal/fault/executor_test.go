@@ -65,10 +65,9 @@ func TestExecutorKeyMatchesCampaignKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CampaignKey of the defaulted config (prepare fills HangFactor,
-	// Mix, Workers, Batch; only HangFactor and Mix are key-relevant).
+	// CampaignKey of the defaulted config (prepare fills Mix, Workers,
+	// Batch; only Mix is key-relevant).
 	dcfg := cfg
-	dcfg.HangFactor = 50
 	dcfg.Mix = DefaultMix
 	if want := CampaignKey(p, core.RSkip, dcfg); x.Key() != want {
 		t.Fatalf("executor key %q\nwant campaign key %q", x.Key(), want)

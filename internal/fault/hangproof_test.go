@@ -68,7 +68,7 @@ func TestHangProofsMatchReference(t *testing.T) {
 				if clean.Err != nil {
 					t.Fatalf("%s clean run: %v", s, clean.Err)
 				}
-				budget := runBudget(Config{HangFactor: 4}, clean.Result.Instrs)
+				budget := 4 * clean.Result.Instrs
 				fresh, replayed := p.NewInjector(s), p.NewInjector(s)
 				hangs, proved := 0, 0
 				plans, step := hangPlans(clean.Result.Region), 1
@@ -170,7 +170,7 @@ func TestErroringRunsReadNoOutput(t *testing.T) {
 			if clean.Err != nil {
 				t.Fatalf("%s %s clean run: %v", name, s, clean.Err)
 			}
-			budget := runBudget(Config{HangFactor: 4}, clean.Result.Instrs)
+			budget := 4 * clean.Result.Instrs
 			plans := append(DrawPlans(41, 100, Config{Mix: DefaultMix}, clean.Result.Region),
 				DrawPlans(42, 40, Config{Mix: Mix{Opcode: 1}}, clean.Result.Region)...)
 			for _, ref := range []bool{false, true} {

@@ -498,6 +498,25 @@ func TestCheckpointTruncationIsCorrupt(t *testing.T) {
 	}
 }
 
+// The campaign key still prints the hang factor 50 that every
+// checkpoint so far was written under, so the legacy checkpoint's key
+// is exactly the key a campaign of its config derives today.
+func TestCampaignKeyKeepsLegacyHangFactor(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.ck.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck struct{ Key string }
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := program(t, "conv1d")
+	got := fault.CampaignKey(p, core.SWIFTR, fault.Config{N: 90, Seed: 2020, Mix: fault.DefaultMix})
+	if got != ck.Key || !strings.HasSuffix(got, "|hang=50") {
+		t.Fatalf("campaign key %q\nlegacy key   %q", got, ck.Key)
+	}
+}
+
 // A checkpoint the batch-loop engine wrote before campaigns ran
 // through the ledger — interrupted mid-batch, so one of its batches is
 // partly done with a hole — resumes to the counts an uninterrupted

@@ -226,7 +226,7 @@ func (m *Machine) recalcTriggers() {
 	// A replica due for a hang-proof attempt leaves the fast path
 	// (noCheck otherwise).
 	t = min(t, m.hang.at)
-	if m.cfg.Trace != nil || m.fault.skipsLeft > 0 {
+	if m.cfg.Trace != nil || m.cfg.RegionTrace != nil || m.fault.skipsLeft > 0 {
 		t = 0
 	}
 	m.dynTrigger = t
@@ -317,7 +317,7 @@ func (m *Machine) runBlockSlow(f *frame) error {
 			return &CancelError{}
 		}
 	}
-	careful := m.cfg.Trace != nil ||
+	careful := m.cfg.Trace != nil || m.cfg.RegionTrace != nil ||
 		m.C.Dyn+blk.uops > m.cfg.MaxInstrs ||
 		m.fault.skipsLeft > 0
 	if !careful && m.fault.armed && !m.fault.fired && inRegion &&

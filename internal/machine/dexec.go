@@ -85,6 +85,9 @@ func (m *Machine) stepCareful(f *frame, inRegion bool) error {
 	m.C.ByTag[d.tag] += n
 	if inRegion {
 		m.C.Region++
+		if m.cfg.RegionTrace != nil {
+			m.cfg.RegionTrace.note(m.regionOwnerNow(), ClassOf(d.op))
+		}
 	}
 	m.faultFrameFn = f.fi
 	if f.fn.Internal {

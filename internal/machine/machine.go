@@ -126,8 +126,8 @@ type Config struct {
 	// region rather than to the outlined helper.
 	RegionOwner map[int]int
 	// RegionTrace, when non-nil, records the owner/class layout of the
-	// in-region dynamic instruction stream (reference backend only; see
-	// regiontrace.go). The compiled backend ignores it.
+	// in-region dynamic instruction stream (see regiontrace.go). The
+	// compiled backend records it on its careful path, as it does Trace.
 	RegionTrace *RegionTrace
 	Fault       *FaultPlan
 	// Cancel, when non-nil, stops the run with a CancelError once the

@@ -16,13 +16,11 @@ import (
 // the stratified sampler (internal/fault) uses the class layout
 // (ByClass) to allocate replicas across instruction-class strata.
 //
-// Tracing is a profiling concern, not a campaign-hot-path one: it is
-// implemented in the reference interpreter only (the executable spec
-// the compiled backend is differentially tested against), and callers
-// that request a trace must run with Config.Backend set to
-// BackendReference — core's RunOpts plumbing does this automatically.
-// Since both backends count Region bit-identically, the layout
-// recorded by the reference interpreter is exact for either.
+// Tracing is a profiling concern, not a campaign-hot-path one: both
+// engines note each in-region instruction where they count Region —
+// the reference interpreter in step, the compiled backend in its
+// per-instruction careful path, which a trace forces the way Trace
+// does — so the two record identical layouts.
 
 // OpClass is the coarse instruction-class taxonomy used for stratified
 // fault sampling: strata group dynamic instructions whose fault
@@ -108,8 +106,7 @@ func (e *TraceOverflowError) Error() string {
 }
 
 // RegionTrace collects the in-region instruction layout of one run.
-// Attach it to Config.RegionTrace (reference backend only) and read
-// Spans afterwards.
+// Attach it to Config.RegionTrace and read Spans afterwards.
 type RegionTrace struct {
 	// MaxSpans caps trace growth (0 = defaultMaxSpans). When the cap is
 	// hit, recording stops and Overflowed reports it; the run itself is

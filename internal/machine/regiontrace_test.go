@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rskip/internal/ir"
@@ -29,7 +30,7 @@ void kernel(int a[], int tmp[], int out[], int n) {
 }
 `
 
-func runStagedTrace(t *testing.T, trace *RegionTrace) RunResult {
+func runStagedTrace(t *testing.T, trace *RegionTrace, backend Backend) RunResult {
 	t.Helper()
 	mod := compile(t, stagedSrc)
 	s1, s2, kfi := mod.FuncByName("stage1"), mod.FuncByName("stage2"), mod.FuncByName("kernel")
@@ -42,7 +43,7 @@ func runStagedTrace(t *testing.T, trace *RegionTrace) RunResult {
 	m := New(mod, Config{
 		RegionBlocks: region,
 		RegionTrace:  trace,
-		Backend:      BackendReference,
+		Backend:      backend,
 		MaxInstrs:    1 << 22,
 		TraceFn:      -1,
 	})
@@ -65,7 +66,7 @@ func runStagedTrace(t *testing.T, trace *RegionTrace) RunResult {
 // to that stage's function, in execution order.
 func TestRegionTraceTilesRegionCounter(t *testing.T) {
 	var trace RegionTrace
-	res := runStagedTrace(t, &trace)
+	res := runStagedTrace(t, &trace, BackendReference)
 	if trace.Overflowed() || trace.Err() != nil {
 		t.Fatal("trace overflowed on a small run")
 	}
@@ -113,7 +114,7 @@ func TestRegionTraceTilesRegionCounter(t *testing.T) {
 
 func TestRegionTraceOverflowIsTyped(t *testing.T) {
 	trace := RegionTrace{MaxSpans: 2}
-	runStagedTrace(t, &trace)
+	runStagedTrace(t, &trace, BackendReference)
 	if !trace.Overflowed() {
 		t.Fatal("2-span cap did not overflow")
 	}
@@ -125,31 +126,20 @@ func TestRegionTraceOverflowIsTyped(t *testing.T) {
 	}
 }
 
-// The compiled backend must ignore the trace rather than record a
-// partial or double-counted layout.
-func TestRegionTraceReferenceOnly(t *testing.T) {
-	mod := compile(t, stagedSrc)
-	s1 := mod.FuncByName("stage1")
-	region := map[int]bool{}
-	for bi := range mod.Funcs[s1].Blocks {
-		region[bi] = true
+// The compiled backend records the same layout as the reference
+// interpreter, on a run whose counters are equal too.
+func TestRegionTraceCompiledMatchesReference(t *testing.T) {
+	var ref, comp RegionTrace
+	rr := runStagedTrace(t, &ref, BackendReference)
+	cr := runStagedTrace(t, &comp, BackendCompiled)
+	if rr != cr {
+		t.Fatalf("traced runs differ:\n  reference %+v\n  compiled  %+v", rr, cr)
 	}
-	var trace RegionTrace
-	m := New(mod, Config{
-		RegionBlocks: map[int]map[int]bool{s1: region},
-		RegionTrace:  &trace,
-		Backend:      BackendCompiled,
-		MaxInstrs:    1 << 22,
-		TraceFn:      -1,
-	})
-	n := int64(8)
-	a := m.Mem.Alloc(n)
-	out := m.Mem.Alloc(n)
-	if _, err := m.Run(s1, []uint64{uint64(a), uint64(out), uint64(n)}); err != nil {
-		t.Fatal(err)
+	if ref.Total() == 0 || comp.Total() != ref.Total() {
+		t.Fatalf("trace totals: compiled %d, reference %d", comp.Total(), ref.Total())
 	}
-	if trace.Total() != 0 {
-		t.Fatalf("compiled backend recorded %d trace entries; tracing is reference-only", trace.Total())
+	if !slices.Equal(comp.Spans(), ref.Spans()) {
+		t.Fatalf("compiled spans %v != reference spans %v", comp.Spans(), ref.Spans())
 	}
 }
 

@@ -30,11 +30,6 @@ type MemoConfig struct {
 	TuneRounds int
 }
 
-// DefaultMemoConfig mirrors the paper's blackscholes setup.
-func DefaultMemoConfig() MemoConfig {
-	return MemoConfig{AddressBits: 15, FineBins: 256}
-}
-
 // BuildMemo constructs a table from training pairs. inputs[k] is the
 // k-th sample's input vector; outputs[k] its result. The bit budget is
 // assigned greedily: each round adds one bit to whichever input most

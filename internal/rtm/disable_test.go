@@ -57,7 +57,7 @@ func TestDisableDIRoutesToRecompute(t *testing.T) {
 }
 
 func TestLoopStatsRates(t *testing.T) {
-	st := &LoopStats{Observed: 100, SkippedDI: 40, SkippedAM: 20, SkippedFB: 10}
+	st := &LoopStats{Observed: 100, SkippedDI: 40, SkippedAM: 30}
 	if st.SkipRate() != 0.7 {
 		t.Errorf("SkipRate = %g", st.SkipRate())
 	}

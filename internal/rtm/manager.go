@@ -38,10 +38,6 @@ type Config struct {
 	// FixedStride replaces redundancy-guided phase slicing with fixed
 	// K-element phases (the ablation of the paper's dynamic slicing).
 	FixedStride int
-	// Fallbacks are extra approximation models tried, in order, after
-	// dynamic interpolation and memoization reject an interior element
-	// and before re-computation (the §2 extensibility point).
-	Fallbacks []FallbackPredictor
 }
 
 // DefaultConfig returns the deployment defaults.
@@ -54,7 +50,6 @@ type LoopStats struct {
 	Observed     int // elements subject to validation
 	SkippedDI    int // accepted by dynamic interpolation
 	SkippedAM    int // accepted by approximate memoization
-	SkippedFB    int // accepted by a plug-in fallback predictor
 	Recomputed   int // exactly validated by re-computation
 	Mispredicted int // recomputation matched the original (no fault)
 	Detected     int // recomputation mismatched: possible fault
@@ -79,7 +74,7 @@ func (s *LoopStats) SkipRate() float64 {
 	if s.Observed == 0 {
 		return 0
 	}
-	return float64(s.SkippedDI+s.SkippedAM+s.SkippedFB) / float64(s.Observed)
+	return float64(s.SkippedDI+s.SkippedAM) / float64(s.Observed)
 }
 
 // DISkipRate returns the first-level predictor's contribution alone.
@@ -264,7 +259,7 @@ func (ls *loopState) same(o *loopState) bool {
 // bits. (TestLoopStatsSameCoversEveryField pins the field list.)
 func (st *LoopStats) same(o *LoopStats) bool {
 	return st.Observed == o.Observed && st.SkippedDI == o.SkippedDI && st.SkippedAM == o.SkippedAM &&
-		st.SkippedFB == o.SkippedFB && st.Recomputed == o.Recomputed && st.Mispredicted == o.Mispredicted &&
+		st.Recomputed == o.Recomputed && st.Mispredicted == o.Mispredicted &&
 		st.Detected == o.Detected && st.Recovered == o.Recovered && st.Unrecovered == o.Unrecovered &&
 		st.Phases == o.Phases && st.Adjusts == o.Adjusts && st.AMProbes == o.AMProbes && st.AMWrong == o.AMWrong &&
 		st.DIDisabled == o.DIDisabled && st.AMDisabled == o.AMDisabled &&
@@ -446,33 +441,11 @@ func (m *Manager) validatePhase(mc *machine.Machine, ls *loopState, st *LoopStat
 				continue
 			}
 		}
-		if interior && m.tryFallbacks(mc, ls, st, phase, i) {
-			continue
-		}
 		if err := m.secondLevel(mc, ls, st, p); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// tryFallbacks probes the plug-in predictors for an interior element
-// dynamic interpolation rejected; an in-range prediction accepts the
-// element (fuzzy validation with the same AR semantics).
-func (m *Manager) tryFallbacks(mc *machine.Machine, ls *loopState, st *LoopStats, phase []predict.Point, idx int) bool {
-	for _, fb := range m.cfg.Fallbacks {
-		mc.Charge(fb.Cost())
-		v, ok := fb.Predict(ls.info.ID, phase, idx)
-		if !ok {
-			continue
-		}
-		if predict.RelDiff(phase[idx].V, v) <= m.arFor(ls) {
-			st.Observed++
-			st.SkippedFB++
-			return true
-		}
-	}
-	return false
 }
 
 // secondLevel tries approximate memoization, then falls back to exact

@@ -133,7 +133,7 @@ func TestManagerCountsEveryElementOnce(t *testing.T) {
 		t.Errorf("observed %d elements, want %d", total, len(out))
 	}
 	for _, s := range mgr.Stats {
-		accounted := s.SkippedDI + s.SkippedAM + s.SkippedFB + s.Recomputed
+		accounted := s.SkippedDI + s.SkippedAM + s.Recomputed
 		if accounted != s.Observed {
 			t.Errorf("element accounting: %d skipped/recomputed vs %d observed",
 				accounted, s.Observed)

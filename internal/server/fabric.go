@@ -9,8 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"rskip/internal/bench"
-	"rskip/internal/core"
+	"rskip/internal/campaign"
 	"rskip/internal/fabric"
 	"rskip/internal/fault"
 	"rskip/internal/obs"
@@ -111,9 +110,9 @@ func newFabricMetrics(m *obs.Metrics) fabricMetrics {
 // in-process lease loop. A distributed job leases shards of ShardSize
 // runs to LocalWorkers loops (0: one, < 0: none) and, through the hub,
 // to any remote worker.
-func (s *Server) runCampaign(ctx context.Context, j *job, p *core.Program, inst bench.Instance, fcfg fault.Config) (fault.Result, error) {
+func (s *Server) runCampaign(ctx context.Context, j *job, c *campaign.Setup) (fault.Result, error) {
 	req := j.spec.Request
-	x, err := fault.NewExecutor(ctx, p, j.scheme, inst, fcfg)
+	x, err := fault.NewExecutor(ctx, c.Program, c.Scheme, c.Inst, c.Fault)
 	if err != nil {
 		return fault.Result{}, err
 	}
@@ -223,6 +222,13 @@ func (s *Server) handleFabricHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 	var cp fabric.WireComplete
 	if !decodeJSON(w, r, &cp) {
+		return
+	}
+	// An empty payload is how the ledger's own lease loop completes a
+	// shard in process; taken from the wire, it would make the ledger
+	// read records that loop may still be writing.
+	if len(cp.Payload) == 0 {
+		writeErr(w, http.StatusBadRequest, "missing_payload", "a completion must carry the shard's payload")
 		return
 	}
 	s.fabricCall(w, cp.JobID, func(fj *fabricJob) error {

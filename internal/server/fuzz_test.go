@@ -34,7 +34,7 @@ func FuzzCampaignRequest(f *testing.F) {
 		if json.Unmarshal(data, &req) != nil {
 			return
 		}
-		if _, err := validateCampaignRequest(&req, true); err != nil {
+		if err := validateCampaignRequest(&req, true); err != nil {
 			return
 		}
 		cfg, err := req.faultConfig()

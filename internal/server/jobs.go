@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rskip/internal/bench"
+	"rskip/internal/campaign"
 	"rskip/internal/core"
 	"rskip/internal/fault"
 	"rskip/internal/obs"
@@ -45,25 +46,24 @@ type jobSpec struct {
 // jobOutcome is the durable terminal state, persisted as
 // <id>.result.json. Its absence marks a job as resumable.
 type jobOutcome struct {
-	State      string              `json:"state"`
-	Done       int                 `json:"done"`
-	Result     *campaignResultJSON `json:"result,omitempty"`
-	Error      string              `json:"error,omitempty"`
-	FinishedAt string              `json:"finished_at"`
+	State      string           `json:"state"`
+	Done       int              `json:"done"`
+	Result     *campaign.Result `json:"result,omitempty"`
+	Error      string           `json:"error,omitempty"`
+	FinishedAt string           `json:"finished_at"`
 }
 
 // job is the in-memory state of one campaign.
 type job struct {
-	mu     sync.Mutex
-	spec   jobSpec
-	scheme core.Scheme
-	state  string
-	done   int
+	mu    sync.Mutex
+	spec  jobSpec
+	state string
+	done  int
 	// n is the resolved run count. Exhaustive jobs submit with N = 0
 	// (the enumerator derives the count from the region), so the first
 	// progress snapshot fills this in; sampled jobs echo the request.
 	n      int
-	result *campaignResultJSON
+	result *campaign.Result
 	errMsg string
 	// cancel interrupts the running campaign; userCancel distinguishes
 	// a client DELETE (terminal: cancelled) from a server drain
@@ -143,7 +143,7 @@ func (j *job) publishProgress(pr fault.Progress) {
 	j.mu.Lock()
 	j.done = pr.Done
 	j.n = pr.N
-	j.result = toCampaignResult(pr.Result)
+	j.result = j.spec.Request.Result(pr.Result.Scheme.String(), pr.Result)
 	ev := j.eventLocked()
 	for ch := range j.subs {
 		select {
@@ -372,14 +372,16 @@ func (st *jobStore) loadPersisted() (resumable []*job, err error) {
 		if spec.ID == "" || spec.ID != strings.TrimSuffix(filepath.Base(name), ".job.json") {
 			return nil, fmt.Errorf("job file %s does not match its ID %q", name, spec.ID)
 		}
-		scheme, err := core.ParseScheme(spec.Request.Scheme)
-		if err != nil {
+		if _, err := core.ParseScheme(spec.Request.Scheme); err != nil {
 			return nil, fmt.Errorf("job file %s: %w", name, err)
 		}
-		j := &job{spec: spec, scheme: scheme, state: jobQueued, doneCh: make(chan struct{})}
+		j := &job{spec: spec, state: jobQueued, doneCh: make(chan struct{})}
 		if ocData, err := os.ReadFile(st.resultPath(spec.ID)); err == nil {
 			var oc jobOutcome
 			if err := json.Unmarshal(ocData, &oc); err == nil && terminalState(oc.State) {
+				if oc.Result != nil {
+					oc.Result.Derive() // an older daemon persisted no rates
+				}
 				j.state, j.done, j.result, j.errMsg = oc.State, oc.Done, oc.Result, oc.Error
 				close(j.doneCh)
 				st.add(j)
@@ -410,11 +412,11 @@ func (s *Server) runJob(j *job) {
 	res, rep, err := s.executeCampaign(ctx, j)
 	// An incremental analysis reports through its composed Report; the
 	// monolithic path reports the raw campaign result.
-	render := func() *campaignResultJSON {
+	render := func() *campaign.Result {
 		if rep != nil {
-			return toIncrementalResult(rep)
+			return j.spec.Request.IncrementalResult(rep.Scheme.String(), rep)
 		}
-		return toCampaignResult(res)
+		return j.spec.Request.Result(res.Scheme.String(), res)
 	}
 	if rep != nil {
 		res = rep.Composed
@@ -465,61 +467,30 @@ func (s *Server) runJob(j *job) {
 	s.store.persistOutcome(j)
 }
 
-// campaignSetup is everything a campaign request resolves to before
-// it runs: every input to its campaign key.
-type campaignSetup struct {
-	p      *core.Program
-	scheme core.Scheme
-	inst   bench.Instance
-	fcfg   fault.Config
+// setup resolves the request through its spec, with the daemon's
+// default number of training inputs. The job runner and a remote
+// fabric worker both go through it, so they derive the same campaign
+// key by construction; the limits and the retired field are checked
+// first (faultConfig), so a persisted job that carries one fails
+// instead of running.
+func (req *campaignRequest) setup(ctx context.Context) (*campaign.Setup, error) {
+	if _, err := req.faultConfig(); err != nil {
+		return nil, err
+	}
+	spec := req.Spec
+	spec.Train = trainInputs(spec.Train)
+	return spec.Setup(ctx)
 }
 
-// setup builds the request's benchmark (from the shared
-// content-addressed build cache, so concurrent campaigns over one
-// benchmark × config compile once per process), trains RSkip's
-// predictors, generates the fault-injection instance and maps the
-// engine config. The job runner and a remote fabric worker both go
-// through it, so they derive the same campaign key by construction.
-func (req *campaignRequest) setup(ctx context.Context) (campaignSetup, error) {
-	scheme, err := core.ParseScheme(req.Scheme)
-	if err != nil {
-		return campaignSetup{}, err
-	}
-	b, err := bench.ByName(req.Bench)
-	if err != nil {
-		return campaignSetup{}, err
-	}
-	cfg, err := req.Config.toCoreConfig()
-	if err != nil {
-		return campaignSetup{}, err
-	}
-	fcfg, err := req.faultConfig()
-	if err != nil {
-		return campaignSetup{}, err
-	}
-	p, err := core.BuildContext(ctx, b, cfg)
-	if err != nil {
-		return campaignSetup{}, err
-	}
-	if scheme == core.RSkip {
-		if err := p.Train(trainSeeds(req.Train), bench.ScaleFI); err != nil {
-			return campaignSetup{}, err
-		}
-	}
-	return campaignSetup{p: p, scheme: scheme, inst: b.Gen(bench.TestSeed(0), bench.ScaleFI), fcfg: fcfg}, nil
-}
+// defaultTrain is the daemon's number of training inputs for a request
+// that names none.
+const defaultTrain = 2
 
-// trainSeeds returns the first n training seeds; n <= 0 means the
-// daemon's default of two.
-func trainSeeds(n int) []int64 {
+func trainInputs(n int) int {
 	if n <= 0 {
-		n = 2
+		return defaultTrain
 	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = bench.TrainSeed(i)
-	}
-	return seeds
+	return n
 }
 
 // executeCampaign sets the job's campaign up and injects.
@@ -534,32 +505,20 @@ func (s *Server) executeCampaign(ctx context.Context, j *job) (fault.Result, *re
 	if err != nil {
 		return fault.Result{}, nil, err
 	}
-	p, inst, fcfg := c.p, c.inst, c.fcfg
 	if req.Incremental {
-		// Compositional analysis: per-region campaigns served from the
-		// content-addressed result cache, composed into program-level
-		// figures. Region granularity replaces checkpoint/progress
-		// streaming for these jobs.
-		rep, err := result.Analyze(ctx, p, j.scheme, inst, result.Options{
-			Cache:      s.resultCache,
-			PerRegionN: req.N,
-			Seed:       req.Seed,
-			InstKey:    "test0/fi",
-			Mix:        fcfg.Mix,
-			SkipWidth:  req.SkipWidth,
-			BitWidth:   req.BitWidth,
-			Workers:    req.Workers,
-		})
+		// Region granularity replaces checkpoint/progress streaming for
+		// compositional analyses.
+		rep, err := c.Analyze(ctx, s.resultCache)
 		if err != nil {
 			return fault.Result{}, nil, err
 		}
 		return rep.Composed, rep, nil
 	}
-	fcfg.OnProgress = j.publishProgress
+	c.Fault.OnProgress = j.publishProgress
 	if s.store.dir != "" {
-		fcfg.CheckpointPath = s.store.ckPath(j.spec.ID)
+		c.Fault.CheckpointPath = s.store.ckPath(j.spec.ID)
 	}
-	res, err := s.runCampaign(ctx, j, p, inst, fcfg)
+	res, err := s.runCampaign(ctx, j, c)
 	return res, nil, err
 }
 
@@ -569,59 +528,42 @@ var errIncrementalUnavailable = fmt.Errorf("incremental campaigns require the se
 
 // validateCampaignRequest normalizes and rejects bad submissions
 // before they consume a queue slot.
-func validateCampaignRequest(req *campaignRequest, hasResultCache bool) (core.Scheme, error) {
+func validateCampaignRequest(req *campaignRequest, hasResultCache bool) error {
 	if req.Bench == "" {
-		return 0, fmt.Errorf("missing \"bench\"")
+		return fmt.Errorf("missing \"bench\"")
 	}
 	if _, err := bench.ByName(req.Bench); err != nil {
-		return 0, err
+		return err
 	}
 	if req.Scheme == "" {
-		return 0, fmt.Errorf("missing \"scheme\"")
+		return fmt.Errorf("missing \"scheme\"")
 	}
-	scheme, err := core.ParseScheme(req.Scheme)
-	if err != nil {
-		return 0, err
+	if _, err := core.ParseScheme(req.Scheme); err != nil {
+		return err
 	}
-	if req.Incremental {
-		if !hasResultCache {
-			return 0, errIncrementalUnavailable
-		}
-		switch {
-		case req.Exhaustive:
-			return 0, &fault.ConfigConflictError{Options: "incremental and exhaustive",
-				Reason: "exhaustive enumeration is already per-site; there is nothing to compose or cache"}
-		case req.TargetCI > 0:
-			return 0, &fault.ConfigConflictError{Options: "incremental and target_ci",
-				Reason: "early stopping would make cached per-region counts depend on when a previous run stopped"}
-		case req.Stratify:
-			return 0, &fault.ConfigConflictError{Options: "incremental and stratify",
-				Reason: "the incremental analyzer already stratifies by region; per-class strata inside a region are not cacheable yet"}
-		}
+	if req.Incremental && !hasResultCache {
+		return errIncrementalUnavailable
 	}
-	if req.Distributed && req.Incremental {
-		return 0, &fault.ConfigConflictError{Options: "distributed and incremental",
-			Reason: "the compositional analyzer shards by region through the result cache; fabric sharding by index would nest the two decompositions"}
+	if err := req.CheckConflicts(req.Distributed, false); err != nil {
+		return err
 	}
 	if req.N == 0 && !req.Exhaustive {
-		req.N = 1000
+		req.N = campaign.DefaultN
 	}
 	if req.Seed == 0 {
-		req.Seed = 20200222
+		req.Seed = campaign.DefaultSeed
 	}
 	fcfg, err := req.faultConfig()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := fcfg.Validate(); err != nil {
-		return 0, err
+		return err
 	}
 	// Reject an unknown backend at submit time, not when the queued
 	// job finally builds.
-	if _, err := req.Config.toCoreConfig(); err != nil {
-		return 0, err
-	}
-	return scheme, nil
+	_, err = req.Config.Core()
+	return err
 }
 
 // The largest "n" (1000× the paper's) and "train" a request may ask
@@ -646,16 +588,7 @@ func (req *campaignRequest) faultConfig() (fault.Config, error) {
 	if req.Train > maxTrainInputs {
 		return fault.Config{}, fmt.Errorf("\"train\" = %d exceeds the limit of %d training inputs", req.Train, maxTrainInputs)
 	}
-	mix, err := fault.ModelMix(req.FaultModel)
-	if err != nil {
-		return fault.Config{}, err
-	}
-	return fault.Config{
-		N: req.N, Seed: req.Seed, Workers: req.Workers, Batch: req.Batch,
-		TargetCI: req.TargetCI,
-		Mix:      mix, SkipWidth: req.SkipWidth, BitWidth: req.BitWidth,
-		Exhaustive: req.Exhaustive, Stratify: req.Stratify,
-	}, nil
+	return req.FaultConfig()
 }
 
 // retiredFieldError rejects a campaign field the daemon no longer

@@ -479,7 +479,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.releaseSync()
 
-	cfg, err := req.Config.toCoreConfig()
+	cfg, err := req.Config.Core()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "unknown_backend", "%v", err)
 		return
@@ -586,7 +586,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.releaseSync()
 
-	cfg, err := req.Config.toCoreConfig()
+	cfg, err := req.Config.Core()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "unknown_backend", "%v", err)
 		return
@@ -614,7 +614,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	if scheme == core.RSkip {
-		if err := p.Train(trainSeeds(req.Train), scale); err != nil {
+		if err := p.Train(bench.TrainSeeds(trainInputs(req.Train)), scale); err != nil {
 			writeErr(w, http.StatusInternalServerError, "train_error", "%v", err)
 			return
 		}
@@ -670,8 +670,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	scheme, err := validateCampaignRequest(&req, s.resultCache != nil)
-	if err != nil {
+	if err := validateCampaignRequest(&req, s.resultCache != nil); err != nil {
 		status, code := http.StatusBadRequest, "bad_campaign"
 		var unknownModel *fault.UnknownModelError
 		var conflict *fault.ConfigConflictError
@@ -698,7 +697,6 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 			ID: newJobID(), Request: req,
 			SubmittedAt: time.Now().UTC().Format(time.RFC3339Nano),
 		},
-		scheme: scheme,
 		state:  jobQueued,
 		doneCh: make(chan struct{}),
 	}

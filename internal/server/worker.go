@@ -222,7 +222,7 @@ func (w *Worker) buildExecutor(req *campaignRequest) (*fault.Executor, error) {
 		return nil, err
 	}
 	if w.cfg.Workers > 0 {
-		c.fcfg.Workers = w.cfg.Workers
+		c.Fault.Workers = w.cfg.Workers
 	}
-	return fault.NewExecutor(w.ctx, c.p, c.scheme, c.inst, c.fcfg)
+	return fault.NewExecutor(w.ctx, c.Program, c.Scheme, c.Inst, c.Fault)
 }

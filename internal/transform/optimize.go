@@ -138,13 +138,6 @@ func eliminateDead(f *ir.Func) bool {
 	return changed
 }
 
-// OptimizeAndVerify runs Optimize and re-verifies the module,
-// convenient for command-line pipelines.
-func OptimizeAndVerify(m *ir.Module) error {
-	Optimize(m)
-	return ir.Verify(m)
-}
-
 // StaticInstrCount reports the module's static instruction count, the
 // quantity the optimizer shrinks; exposed for tools and tests.
 func StaticInstrCount(m *ir.Module) int {

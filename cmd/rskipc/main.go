@@ -20,7 +20,6 @@ import (
 
 	"rskip/internal/analysis"
 	"rskip/internal/bench"
-	"rskip/internal/core"
 	"rskip/internal/lang"
 	"rskip/internal/lower"
 	"rskip/internal/obs"
@@ -198,7 +197,6 @@ func main() {
 		fmt.Printf("%s: %s functions=%d static instructions=%d pp-loops=%d\n",
 			name, what, funcs, instrs, len(mod.Loops))
 	}
-	_ = core.DefaultConfig // keep core linked for doc reference
 }
 
 func fatal(err error) {

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
@@ -148,7 +149,13 @@ func main() {
 		float64(o.Result.Cycles)/float64(golden.Result.Cycles),
 		float64(sw.Result.Cycles)/float64(golden.Result.Cycles),
 		100*o.SkipRate(), match)
-	for id, st := range o.Stats {
+	ids := make([]int, 0, len(o.Stats))
+	for id := range o.Stats {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		st := o.Stats[id]
 		li := fresh.Module(core.RSkip).LoopByID(id)
 		mode := "AR from config"
 		if li.HasAROverride {

@@ -82,16 +82,12 @@ func funcCost(m *ir.Module, fi int, memo map[int]int, onStack map[int]bool) int 
 	return total
 }
 
-// RegionCost estimates the cost of one traversal of a block region
+// regionCost estimates the cost of one traversal of a block region
 // inside function f (one loop iteration when the region is a loop
 // body). Inner loops inside the region are scaled by assumedTrip per
-// extra nesting level relative to baseDepth.
-func RegionCost(m *ir.Module, f *ir.Func, region map[int]bool, loops []Loop, inner []int, baseDepth int) int {
-	return regionCost(m, f, region, loops, inner, baseDepth, make(map[int]int))
-}
-
-// regionCost is RegionCost over a caller-supplied call-cost memo, so a
-// Manager can share one memo across every region it prices.
+// extra nesting level relative to baseDepth. Calls are priced through
+// memo, so a Manager shares one call-cost memo across every region it
+// prices.
 func regionCost(m *ir.Module, f *ir.Func, region map[int]bool, loops []Loop, inner []int, baseDepth int, memo map[int]int) int {
 	total := 0
 	for b := range region {

@@ -253,13 +253,13 @@ func TestCostModelHandBuilt(t *testing.T) {
 			t.Fatalf("want 1 loop, got %d", len(loops))
 		}
 		inner := InnermostLoop(len(f.Blocks), loops)
-		got := RegionCost(m, f, loops[0].Blocks, loops, inner, 1)
+		got := regionCost(m, f, loops[0].Blocks, loops, inner, 1, map[int]int{})
 		if got != 3 {
-			t.Errorf("RegionCost(baseDepth=1) = %d, want 3", got)
+			t.Errorf("regionCost(baseDepth=1) = %d, want 3", got)
 		}
 		// At baseDepth 0 the same region scales by one trip factor: 24.
-		if got := RegionCost(m, f, loops[0].Blocks, loops, inner, 0); got != 24 {
-			t.Errorf("RegionCost(baseDepth=0) = %d, want 24", got)
+		if got := regionCost(m, f, loops[0].Blocks, loops, inner, 0, map[int]int{}); got != 24 {
+			t.Errorf("regionCost(baseDepth=0) = %d, want 24", got)
 		}
 	})
 }
@@ -281,4 +281,15 @@ func TestOpCostOrdering(t *testing.T) {
 	if opCost(ir.OpRem) != opCost(ir.OpDiv) || opCost(ir.OpFDiv) != opCost(ir.OpDiv) {
 		t.Error("division variants must share a cost class")
 	}
+}
+
+// SortedBlocks returns the loop's blocks in ascending order for
+// deterministic iteration.
+func (l *Loop) SortedBlocks() []int {
+	out := make([]int, 0, len(l.Blocks))
+	for b := range l.Blocks {
+		out = append(out, b)
+	}
+	sort.Ints(out)
+	return out
 }

@@ -20,17 +20,6 @@ type Loop struct {
 // Contains reports whether block b belongs to the loop.
 func (l *Loop) Contains(b int) bool { return l.Blocks[b] }
 
-// SortedBlocks returns the loop's blocks in ascending order for
-// deterministic iteration.
-func (l *Loop) SortedBlocks() []int {
-	out := make([]int, 0, len(l.Blocks))
-	for b := range l.Blocks {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // FindLoops detects all natural loops, computing nesting relations.
 // Loops sharing a header are merged (irrelevant for MiniC lowering,
 // which gives each loop a unique header).

@@ -47,10 +47,6 @@ func NewManager(m *ir.Module) *Manager {
 // Module returns the module the manager is bound to.
 func (am *Manager) Module() *ir.Module { return am.mod }
 
-// Generation counts invalidations; it distinguishes analysis results
-// computed before and after a mutating pass.
-func (am *Manager) Generation() uint64 { return am.gen }
-
 // ManagerStats reports cache effectiveness.
 type ManagerStats struct {
 	Hits, Misses uint64

@@ -19,6 +19,14 @@ var ErrLeaseLost = errors.New("fabric: lease lost (expired and reassigned)")
 // ErrUnknownShard reports a shard ID outside the plan.
 var ErrUnknownShard = errors.New("fabric: unknown shard")
 
+// ErrPayloadRefused classifies an OnComplete error that refused the
+// payload before the sink changed any state (a campaign ledger's
+// PayloadError matches it). Refused from a worker that does not hold
+// the shard's lease, the payload is that worker's fault alone: the
+// shard goes back as it was and Complete returns the error. Refused
+// from the lease holder, it ends the plan like any sink error.
+var ErrPayloadRefused = errors.New("fabric: shard payload refused")
+
 // shard lifecycle: pending → leased → done. An expired lease moves
 // the shard back to pending (work stealing); completion is terminal.
 type shardState int
@@ -184,7 +192,9 @@ func (c *Coordinator) Heartbeat(worker string, shardID int) error {
 // completion from a worker whose lease was stolen is accepted as long
 // as the shard is still open (the work is identical by construction),
 // and once a shard is done later completions get ErrLeaseLost and
-// their payloads are discarded.
+// their payloads are discarded. A payload the sink refuses
+// (ErrPayloadRefused) from a worker that does not hold the lease
+// leaves the shard as it was.
 func (c *Coordinator) Complete(worker string, shardID int, payload []byte) error {
 	c.mu.Lock()
 	if shardID < 0 || shardID >= len(c.shards) {
@@ -195,27 +205,34 @@ func (c *Coordinator) Complete(worker string, shardID int, payload []byte) error
 		c.mu.Unlock()
 		return ErrLeaseLost
 	}
+	prev, prevLease := c.state[shardID], c.leases[shardID]
+	holder := prev == shardLeased && prevLease != nil && prevLease.worker == worker
 	c.state[shardID] = shardDone
 	delete(c.leases, shardID)
-	c.stats.ShardsCompleted++
 	sh := c.shards[shardID]
-	var leased time.Duration
-	if first := c.firstLeased[shardID]; !first.IsZero() {
-		leased = c.opt.Now().Sub(first)
-	}
 	sink := c.opt.OnComplete
 	observe := c.opt.OnShardDone
 	c.mu.Unlock()
 
-	if observe != nil {
-		observe(sh, worker, leased)
-	}
 	var sinkErr error
 	if sink != nil {
 		sinkErr = sink(sh, payload)
 	}
 
 	c.mu.Lock()
+	if sinkErr != nil && !holder && errors.Is(sinkErr, ErrPayloadRefused) {
+		c.state[shardID] = prev
+		if prevLease != nil {
+			c.leases[shardID] = prevLease
+		}
+		c.mu.Unlock()
+		return fmt.Errorf("fabric: completing shard %d: %w", shardID, sinkErr)
+	}
+	c.stats.ShardsCompleted++
+	var leased time.Duration
+	if first := c.firstLeased[shardID]; !first.IsZero() {
+		leased = c.opt.Now().Sub(first)
+	}
 	if sinkErr != nil && c.abortErr == nil {
 		c.abortErr = fmt.Errorf("fabric: merging shard %d: %w", shardID, sinkErr)
 	}
@@ -223,6 +240,9 @@ func (c *Coordinator) Complete(worker string, shardID int, payload []byte) error
 	finished := c.sunk == len(c.shards) || c.abortErr != nil
 	c.mu.Unlock()
 
+	if observe != nil {
+		observe(sh, worker, leased)
+	}
 	if finished {
 		c.closeOnce.Do(func() { close(c.done) })
 	}

@@ -317,3 +317,48 @@ func TestCompletedShardsAreNeverLeased(t *testing.T) {
 		t.Fatal("a plan with every shard completed is not done")
 	}
 }
+
+// A payload the sink refuses before changing any state is the sender's
+// fault alone when the sender does not hold the shard's lease: the
+// shard stays leased to its holder, whose completion then goes
+// through. The same refusal from the holder ends the plan.
+func TestRefusedPayloadFromNonHolderLeavesShard(t *testing.T) {
+	refuse := func(sh Shard, payload []byte) error {
+		if string(payload) == "bad" {
+			return fmt.Errorf("shard %d: %w", sh.ID, ErrPayloadRefused)
+		}
+		return nil
+	}
+	c := NewCoordinator(Plan{Key: "k", N: 2, ShardSize: 1}, Options{OnComplete: refuse})
+	sh, ok := c.Lease("holder")
+	if !ok {
+		t.Fatal("no lease")
+	}
+	if err := c.Complete("stray", sh.ID, []byte("bad")); !errors.Is(err, ErrPayloadRefused) {
+		t.Fatalf("stray refused completion returned %v, want ErrPayloadRefused", err)
+	}
+	if err := c.Heartbeat("holder", sh.ID); err != nil {
+		t.Fatalf("holder lost its lease to a refused stray completion: %v", err)
+	}
+	if err := c.Complete("stray", 1, []byte("bad")); !errors.Is(err, ErrPayloadRefused) {
+		t.Fatalf("refused completion of a pending shard returned %v", err)
+	}
+	if other, ok := c.Lease("holder"); !ok || other.ID != 1 {
+		t.Fatalf("pending shard not leasable after a refused completion: %+v %v", other, ok)
+	}
+	if err := c.Complete("holder", sh.ID, []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("plan aborted: %v", err)
+	}
+	if err := c.Complete("holder", 1, []byte("bad")); err != nil {
+		t.Fatalf("holder's refused completion returned %v, want the plan aborted instead", err)
+	}
+	if err := c.Wait(context.Background()); !errors.Is(err, ErrPayloadRefused) {
+		t.Fatalf("plan ended with %v, want the holder's refusal", err)
+	}
+	if st := c.Stats(); st.ShardsCompleted != 2 {
+		t.Errorf("ShardsCompleted = %d, want 2", st.ShardsCompleted)
+	}
+}

@@ -78,18 +78,6 @@ type Plan struct {
 // Shards returns the plan's shard table.
 func (p Plan) Shards() []Shard { return Ranges(p.N, p.ShardSize) }
 
-// NumShards is len(p.Shards()) without materializing the table.
-func (p Plan) NumShards() int {
-	if p.N <= 0 {
-		return 0
-	}
-	size := p.ShardSize
-	if size <= 0 || size > p.N {
-		return 1
-	}
-	return (p.N + size - 1) / size
-}
-
 // Ranges splits [0, n) into consecutive half-open ranges of at most
 // size, in order. It is the one range-split in the codebase: the
 // coordinator's shard table, a shard's heartbeat sub-batches and the

@@ -34,17 +34,6 @@ func TestRangesCoverDisjoint(t *testing.T) {
 	}
 }
 
-func TestPlanNumShardsMatchesShards(t *testing.T) {
-	for _, p := range []Plan{
-		{N: 0, ShardSize: 5}, {N: 7, ShardSize: 0}, {N: 7, ShardSize: 2},
-		{N: 100, ShardSize: 100}, {N: 101, ShardSize: 100},
-	} {
-		if got, want := p.NumShards(), len(p.Shards()); got != want {
-			t.Errorf("Plan%+v: NumShards = %d, len(Shards) = %d", p, got, want)
-		}
-	}
-}
-
 func TestShardSplitCoversShard(t *testing.T) {
 	sh := Shard{ID: 3, Lo: 250, Hi: 337}
 	sub := sh.Split(25)

@@ -9,9 +9,10 @@ import "encoding/json"
 //
 //	POST /v1/fabric/lease      WireLeaseRequest  → 200 WireLease | 204 (no work)
 //	POST /v1/fabric/heartbeat  WireHeartbeat     → 200 | 409 lease_lost | 410 gone
-//	POST /v1/fabric/complete   WireComplete      → 200 | 409 lease_lost | 410 gone
+//	POST /v1/fabric/complete   WireComplete      → 200 | 409 lease_lost | 409 payload_refused | 410 gone
 //
-// 409 means the coordinator stole the lease (the worker abandons the
+// 409 means the coordinator stole the lease, or refused the payload of
+// a worker that does not hold it (either way the worker abandons the
 // shard and leases again); 410 means the job is gone (finished,
 // cancelled, or the daemon restarted) and the worker drops any state
 // for it. Payload contents are opaque to the protocol — campaigns put

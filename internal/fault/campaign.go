@@ -62,7 +62,7 @@ type Config struct {
 	// Workers bounds campaign parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Budget, when positive, is the per-run instruction budget
-	// directly, overriding the default of hangFactor times the
+	// directly, overriding the default of HangFactor times the
 	// scheme's fault-free run. Compositional analysis
 	// (internal/result) pins it to a stable bucket so cached per-region
 	// results stay comparable across source edits that perturb the

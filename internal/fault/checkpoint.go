@@ -1,15 +1,12 @@
 package fault
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"rskip/internal/core"
-	"rskip/internal/machine"
 )
 
 // checkpointVersion guards the on-disk format.
@@ -77,7 +74,7 @@ func CampaignKey(p *core.Program, s core.Scheme, cfg Config) string {
 	key := fmt.Sprintf("bench=%s|cfg=%s|scheme=%s|n=%d|seed=%d|mix=%g/%g/%g/%g|hang=%d",
 		p.Bench.Name, p.Cfg.Key(), s, cfg.N, cfg.Seed,
 		cfg.Mix.RegFile, cfg.Mix.Result, cfg.Mix.Source, cfg.Mix.Opcode,
-		hangFactor)
+		HangFactor)
 	if cfg.Mix.Skip != 0 || cfg.Mix.MultiBit != 0 || cfg.Exhaustive {
 		key += fmt.Sprintf("|xmix=%g/%g|sw=%d|bw=%d|ex=%v",
 			cfg.Mix.Skip, cfg.Mix.MultiBit, cfg.SkipWidth, cfg.BitWidth, cfg.Exhaustive)
@@ -93,27 +90,6 @@ func CampaignKey(p *core.Program, s core.Scheme, cfg Config) string {
 		key += fmt.Sprintf("|bud=%d", cfg.Budget)
 	}
 	return key
-}
-
-// plansHash fingerprints an explicit plan list for checkpoint
-// identity: every field that selects the fault each run injects.
-func plansHash(plans []machine.FaultPlan) string {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(len(plans)))
-	for i := range plans {
-		pl := &plans[i]
-		put(uint64(pl.Kind))
-		put(pl.Target)
-		put(uint64(pl.Bit))
-		put(uint64(pl.Pick))
-		put(uint64(pl.Width))
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // CorruptCheckpointError reports a checkpoint file that exists but

@@ -30,10 +30,13 @@ const defaultBatch = 100
 const prefixSnapshots = 32
 
 // Campaign runs up to cfg.N fault injections of the scheme on the
-// instance. It runs the one campaign loop every execution mode shares:
-// an Executor leasing shards of Batch runs from a fabric coordinator
-// through one in-process lease loop, merged by a Ledger. It is
-// resilient by construction:
+// instance: it profiles the clean run (NewProfile, region-traced if
+// and only if the campaign is stratified, whose allocation derives
+// from the layout) and injects against it as CampaignOn does. Every
+// campaign runs the one loop every execution mode shares: an Executor
+// leasing shards of Batch runs from a fabric coordinator through one
+// in-process lease loop, merged by a Ledger. It is resilient by
+// construction:
 //
 //   - Cancelling ctx stops the campaign promptly (in-flight runs are
 //     interrupted through the machine's cancellation channel); the
@@ -51,17 +54,43 @@ func Campaign(ctx context.Context, p *core.Program, s core.Scheme, inst bench.In
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, sp := obs.Start(ctx, "fault/campaign")
-	sp.SetAttr("scheme", s.String())
-	sp.SetAttr("bench", p.Bench.Name)
+	ctx, sp := startCampaign(ctx, p, s)
 	defer sp.End()
-
-	x, err := newExecutor(ctx, p, s, inst, cfg)
+	prof, err := NewProfile(ctx, p, s, inst, traceFor(cfg))
 	if err != nil {
 		return Result{}, err
 	}
-	sp.SetAttr("n", x.N())
-	return x.run(ctx)
+	return campaignOn(ctx, sp, prof, cfg)
+}
+
+// CampaignOn runs a campaign against prof, a clean run or a view of one
+// (Profile.Within), with every guarantee of Campaign. A profile is
+// read-only, so any number of campaigns may share it: compositional
+// analysis (internal/result) runs one campaign per region view of a
+// single traced profile.
+func CampaignOn(ctx context.Context, prof *Profile, cfg Config) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, sp := startCampaign(ctx, prof.Program, prof.Scheme)
+	defer sp.End()
+	return campaignOn(ctx, sp, prof, cfg)
+}
+
+func startCampaign(ctx context.Context, p *core.Program, s core.Scheme) (context.Context, *obs.Span) {
+	ctx, sp := obs.Start(ctx, "fault/campaign")
+	sp.SetAttr("scheme", s.String())
+	sp.SetAttr("bench", p.Bench.Name)
+	return ctx, sp
+}
+
+func campaignOn(ctx context.Context, sp *obs.Span, prof *Profile, cfg Config) (Result, error) {
+	e, err := prepare(ctx, prof, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	sp.SetAttr("n", e.cfg.N)
+	return (&Executor{e: e}).run(ctx)
 }
 
 // run completes the executor's campaign in this process: a
@@ -78,8 +107,8 @@ func (x *Executor) run(ctx context.Context) (Result, error) {
 // campaigns inject against: the golden output replicas are classified
 // by, the counters their budget and plans derive from, the snapshots
 // they resume from and converge to (Capture), and, when traced, the
-// region layout stratified and compositional (internal/result)
-// sampling draw from. It is read-only once built, so one Profile
+// region layout whose populations stratified sampling and views
+// (Within) draw from. It is read-only once built, so one Profile
 // serves any number of campaigns.
 type Profile struct {
 	Program *core.Program
@@ -88,7 +117,44 @@ type Profile struct {
 	Output  []uint64
 	Result  machine.RunResult
 	Capture *machine.Capture
-	Trace   *machine.RegionTrace // nil for an untraced profile
+	Trace   *machine.RegionTrace // nil for an untraced profile or a view
+	// within confines a view's fault targets to one population; nil
+	// for the whole clean run.
+	within *machine.Population
+}
+
+// Within returns a view of the clean run whose campaigns draw or
+// enumerate fault targets only among pop's instructions: a population
+// of this profile's region trace (ByOwner, ByClass). A campaign on the
+// view samples pop's local index space and maps every target through
+// pop.Pick into the run's in-region stream, so its records are the
+// records the whole profile gives those plans. The view has no region
+// trace of its own, so it cannot be stratified, and its campaign key
+// names pop, so no checkpoint of the whole run or another view resumes
+// it.
+func (p *Profile) Within(pop machine.Population) *Profile {
+	v := *p
+	v.Trace = nil
+	v.within = &pop
+	return &v
+}
+
+// population is the size of the index space the profile's campaigns
+// draw targets from.
+func (p *Profile) population() uint64 {
+	if p.within != nil {
+		return p.within.Count
+	}
+	return p.Result.Region
+}
+
+// key is the identity of a campaign of cfg on the profile.
+func (p *Profile) key(cfg Config) string {
+	key := CampaignKey(p.Program, p.Scheme, cfg)
+	if p.within != nil {
+		key += fmt.Sprintf("|within=%d/%d", p.within.Key, p.within.Count)
+	}
+	return key
 }
 
 // NewProfile executes the scheme's fault-free run on the instance,
@@ -123,18 +189,24 @@ func NewProfile(ctx context.Context, p *core.Program, s core.Scheme, inst bench.
 }
 
 // prepare builds the campaign engine every execution mode shares —
-// the single-process Campaign, the explicit-plan compositional entry
-// point, and the executors of a distributed campaign: config
-// defaults, the deterministic plan list (drawn, enumerated or
-// caller-supplied) over the profile, the record array and the campaign
-// key. Because every downstream consumer starts from this one
-// function, every shard of every campaign is provably executing the
-// plans a single process would.
-func prepare(ctx context.Context, prof *Profile, cfg Config, plans []machine.FaultPlan) (*engine, error) {
+// Campaign, CampaignOn and the executors of a distributed campaign:
+// config defaults, the deterministic plan list (drawn or enumerated
+// over the profile's population, then mapped into the run's in-region
+// stream), the record array and the campaign key. Because every
+// downstream consumer starts from this one function, every shard of
+// every campaign is provably executing the plans a single process
+// would.
+func prepare(ctx context.Context, prof *Profile, cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.N == 0 && !cfg.Exhaustive && plans == nil {
+	if cfg.Stratify && prof.Trace == nil {
+		return nil, fmt.Errorf("fault: config: Stratify needs a region-traced profile; this one (or view) has no trace")
+	}
+	if prof.population() == 0 {
+		return nil, fmt.Errorf("fault: the profile's fault population is empty")
+	}
+	if cfg.N == 0 && !cfg.Exhaustive {
 		cfg.N = 1000
 	}
 	if cfg.Workers == 0 {
@@ -154,97 +226,47 @@ func prepare(ctx context.Context, prof *Profile, cfg Config, plans []machine.Fau
 	// index.
 	e := &engine{prof: prof, budget: runBudget(cfg, prof.Result.Instrs), met: met}
 	switch {
-	case plans != nil:
-		e.plans = plans
 	case cfg.Exhaustive:
 		var err error
-		if e.plans, err = enumeratePlans(cfg, prof.Result.Region); err != nil {
+		if e.plans, err = enumeratePlans(cfg, prof.population()); err != nil {
 			return nil, err
 		}
 		cfg.N = len(e.plans)
 	case cfg.Stratify:
 		e.plans, e.strataOf, e.strata = stratifiedPlans(cfg, prof.Trace)
 	default:
-		e.plans = DrawPlans(cfg.Seed, cfg.N, cfg, prof.Result.Region)
+		e.plans = DrawPlans(cfg.Seed, cfg.N, cfg, prof.population())
+	}
+	if prof.within != nil {
+		pickWithin(prof.within, e.plans)
 	}
 	e.cfg = cfg
 	e.records = make([]RunRecord, cfg.N)
-	e.key = CampaignKey(prof.Program, prof.Scheme, cfg)
-	if plans != nil {
-		// Explicit plans are not recoverable from the config, so the
-		// campaign identity must cover their content.
-		e.key += "|ph=" + plansHash(plans)
-	}
+	e.key = prof.key(cfg)
 	return e, nil
 }
 
-// CampaignWithPlans runs a campaign over an explicit, caller-supplied
-// plan list against prof instead of drawing plans from Config.Seed. It
-// is the substrate of compositional analysis (internal/result), which
-// hands every region's campaign the one profile it analysed: because a
-// RunRecord is a pure function of (program, scheme, instance, plan,
-// budget), partitioning one campaign's plan list and running each part
-// through this entry point yields per-part counts that sum exactly to
-// the undivided campaign's — the bit-identity the differential tests
-// pin. N, sampling (Seed is ignored for drawing), Exhaustive, Stratify
-// and TargetCI do not apply; the first is derived and the rest are
-// rejected so a partition can never silently diverge from its whole.
-func CampaignWithPlans(ctx context.Context, prof *Profile, cfg Config, plans []machine.FaultPlan) (Result, error) {
-	if cfg.Exhaustive || cfg.Stratify {
-		return Result{}, &ConfigConflictError{Options: "explicit plans and Exhaustive/Stratify",
-			Reason: "the caller supplies the plan list; there is no sampling or enumeration to configure"}
-	}
-	if cfg.TargetCI > 0 {
-		return Result{}, &ConfigConflictError{Options: "explicit plans and TargetCI",
-			Reason: "early stopping would run a prefix of the supplied plans, breaking the partition-sum identity compositional analysis relies on"}
-	}
-	if cfg.N != 0 && cfg.N != len(plans) {
-		return Result{}, fmt.Errorf("fault: config: N = %d does not match %d supplied plans; leave N = 0", cfg.N, len(plans))
-	}
-	cfg.N = len(plans)
-	if plans == nil {
-		// A nil list means "zero plans", not "draw for me" — keep the
-		// distinction prepare uses for the sampling modes.
-		plans = []machine.FaultPlan{}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	ctx, sp := obs.Start(ctx, "fault/campaign_plans")
-	sp.SetAttr("scheme", prof.Scheme.String())
-	sp.SetAttr("bench", prof.Program.Bench.Name)
-	sp.SetAttr("n", cfg.N)
-	defer sp.End()
-
-	e, err := prepare(ctx, prof, cfg, plans)
-	if err != nil {
-		return Result{}, err
-	}
-	return (&Executor{e: e}).run(ctx)
-}
-
-// hangFactor is the default per-run instruction budget as a multiple
-// of the scheme's fault-free run.
-const hangFactor = 50
+// HangFactor is the default per-run instruction budget as a multiple
+// of the scheme's fault-free run. Compositional analysis
+// (internal/result) applies it to a power-of-two bucket of that run.
+const HangFactor = 50
 
 // runBudget resolves the per-run instruction budget: an explicit
-// Config.Budget wins, otherwise hangFactor times the fault-free run.
+// Config.Budget wins, otherwise HangFactor times the fault-free run.
 func runBudget(cfg Config, faultFreeInstrs uint64) uint64 {
 	if cfg.Budget > 0 {
 		return cfg.Budget
 	}
-	return faultFreeInstrs * hangFactor
+	return faultFreeInstrs * HangFactor
 }
 
 // DrawPlans pre-draws n fault plans of cfg's mix from the seed, with
 // targets uniform over a population of count in-region indexes. A
-// campaign's uniform sampler is DrawPlans over the whole region;
-// compositional analysis (internal/result) draws each region's plans
-// from a region-keyed seed over the region's own population and maps
-// the local targets into the global stream. The draw sequence is part
-// of the checkpoint contract: a given (seed, cfg, count) always yields
-// the same plans.
+// campaign's uniform sampler is DrawPlans over the whole region or, on
+// a view, over the view's population, whose local targets pickWithin
+// then maps into the global stream; a stratified campaign does the
+// same once per class. The draw sequence is part of the checkpoint
+// contract: a given (seed, cfg, count) always yields the same plans.
 func DrawPlans(seed int64, n int, cfg Config, count uint64) []machine.FaultPlan {
 	if cfg.Mix == (Mix{}) {
 		cfg.Mix = DefaultMix
@@ -259,6 +281,15 @@ func DrawPlans(seed int64, n int, cfg Config, count uint64) []machine.FaultPlan 
 			Pick:   rng.Intn(1 << 20),
 		}
 		plans[i].Width = planWidth(plans[i].Kind, cfg)
+	}
+	return plans
+}
+
+// pickWithin maps plans drawn or enumerated over pop's local index
+// space into the global in-region stream, in place.
+func pickWithin(pop *machine.Population, plans []machine.FaultPlan) []machine.FaultPlan {
+	for i := range plans {
+		plans[i].Target = pop.Pick(plans[i].Target)
 	}
 	return plans
 }
@@ -338,9 +369,9 @@ type engine struct {
 	plans   []machine.FaultPlan
 	records []RunRecord
 	met     *campaignMetrics
-	// key is the campaign identity (CampaignKey, plus the plan hash
-	// for explicit-plan campaigns) — the checkpoint key and the fabric
-	// plan key are the same string by construction.
+	// key is the campaign identity (CampaignKey, plus the population
+	// of a view) — the checkpoint key and the fabric plan key are the
+	// same string by construction.
 	key string
 	// strataOf/strata describe a stratified campaign: plan i belongs
 	// to stratum strataOf[i], whose class and weight are in strata.

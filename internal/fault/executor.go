@@ -49,26 +49,25 @@ func NewExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench
 	sp.SetAttr("scheme", s.String())
 	sp.SetAttr("bench", p.Bench.Name)
 	defer sp.End()
-	return newExecutor(ctx, p, s, inst, cfg)
-}
-
-// newExecutor profiles the scheme — with a region trace if and only
-// if the campaign is stratified, whose allocation derives from the
-// layout — and prepares the campaign against that profile.
-func newExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Instance, cfg Config) (*Executor, error) {
-	var trace *machine.RegionTrace
-	if cfg.Stratify {
-		trace = &machine.RegionTrace{}
-	}
-	prof, err := NewProfile(ctx, p, s, inst, trace)
+	prof, err := NewProfile(ctx, p, s, inst, traceFor(cfg))
 	if err != nil {
 		return nil, err
 	}
-	e, err := prepare(ctx, prof, cfg, nil)
+	e, err := prepare(ctx, prof, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Executor{e: e}, nil
+}
+
+// traceFor is the region trace a campaign's own profile records: one
+// if and only if the campaign is stratified, whose allocation derives
+// from the layout.
+func traceFor(cfg Config) *machine.RegionTrace {
+	if cfg.Stratify {
+		return &machine.RegionTrace{}
+	}
+	return nil
 }
 
 // Key is the campaign identity — identical to the checkpoint key and,

@@ -18,7 +18,9 @@ var errTargetReached = errors.New("fault: target confidence interval reached")
 // keyed for another campaign, labelled with another range, short, or
 // holding a record no run could have produced. Each is a symptom of a
 // worker bug or configuration drift that must fail loudly rather than
-// skew counts.
+// skew counts. The ledger raises it before changing any state, so it
+// matches fabric.ErrPayloadRefused: the coordinator bounces it back to
+// a sender that does not hold the shard's lease.
 type PayloadError struct {
 	Shard int
 	Err   error
@@ -29,6 +31,9 @@ func (e *PayloadError) Error() string {
 }
 
 func (e *PayloadError) Unwrap() error { return e.Err }
+
+// Is reports that a PayloadError is a fabric.ErrPayloadRefused.
+func (e *PayloadError) Is(target error) bool { return target == fabric.ErrPayloadRefused }
 
 // Ledger is a campaign's merge sink and its persistent state: the full
 // record array, filled shard by shard from payloads in any completion

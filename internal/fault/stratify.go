@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"math/rand"
 	"sort"
 
 	"rskip/internal/machine"
@@ -14,8 +13,9 @@ import (
 // population (machine.Population: its set of global in-region
 // indexes) is known as a list of contiguous intervals. Replicas are
 // allocated to classes by largest-remainder apportionment of their
-// population shares, and each class draws targets from its own seeded
-// substream, so the plan list is a pure function of (seed, layout) —
+// population shares, and each class draws its plans as a view of the
+// class would (DrawPlans over the class, then pickWithin) from its own
+// seeded substream, so the plan list is a pure function of (seed, layout) —
 // deterministic, checkpointable by index, and independent of worker
 // scheduling like every other campaign.
 
@@ -76,16 +76,9 @@ func stratifiedPlans(cfg Config, trace *machine.RegionTrace) (plans []machine.Fa
 			Class:  class,
 			Weight: float64(pop.Count) / float64(total),
 		})
-		rng := rand.New(rand.NewSource(stratumSeed(cfg.Seed, class)))
-		for i := 0; i < alloc[class]; i++ {
-			plan := machine.FaultPlan{
-				Kind:   drawKind(rng, cfg.Mix),
-				Target: pop.Pick(uint64(rng.Int63n(int64(pop.Count)))),
-				Bit:    uint(rng.Intn(64)),
-				Pick:   rng.Intn(1 << 20),
-			}
-			plan.Width = planWidth(plan.Kind, cfg)
-			plans = append(plans, plan)
+		drawn := pickWithin(pop, DrawPlans(stratumSeed(cfg.Seed, class), alloc[class], cfg, pop.Count))
+		plans = append(plans, drawn...)
+		for range drawn {
 			strataOf = append(strataOf, si)
 		}
 	}

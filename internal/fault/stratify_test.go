@@ -238,81 +238,153 @@ func TestStratifiedCheckpointKeyDistinct(t *testing.T) {
 	}
 }
 
-// The partition-sum identity at the fault layer: running a plan list
-// whole or split into parts must produce counts that sum exactly.
-func TestCampaignWithPlansPartitionIdentity(t *testing.T) {
+// The partition-sum identity at the fault layer, over views: conv1d's
+// RSkip instruction-class populations (five at ScaleTiny) partition its in-region stream, so a
+// plan list split by population and run part by part sums exactly to
+// the whole run, and a campaign on each class view runs plans of that
+// class only, with the records the whole profile gives those plans.
+func TestViewPartitionIdentity(t *testing.T) {
 	p, inst := sharedConv1d(t)
-	prof, err := NewProfile(context.Background(), p, core.SWIFT, inst, &machine.RegionTrace{})
+	ctx := context.Background()
+	prof, err := NewProfile(ctx, p, core.RSkip, inst, &machine.RegionTrace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 90, Seed: 17, Stratify: true}
-	plans, _, _ := stratifiedPlans(cfg, prof.Trace)
-
-	whole, err := CampaignWithPlans(context.Background(), prof, Config{Workers: 2}, plans)
+	pops := prof.Trace.ByClass()
+	if len(pops) != 5 {
+		t.Fatalf("conv1d has %d RSkip class populations, want 5", len(pops))
+	}
+	cfg := Config{Workers: 2, Mix: Mix{RegFile: 0.5, Result: 0.2, Source: 0.1, Opcode: 0.1, Skip: 0.1}}
+	plans := DrawPlans(17, 120, cfg, prof.Result.Region)
+	whole, err := RunPlans(ctx, prof, cfg, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if whole.N != len(plans) {
 		t.Fatalf("whole campaign completed %d/%d runs", whole.N, len(plans))
 	}
-	var sum [NumClasses]int
-	var fired, falseNeg, recovered int
-	for _, part := range [][]machine.FaultPlan{plans[:31], plans[31:70], plans[70:]} {
-		res, err := CampaignWithPlans(context.Background(), prof, Config{Workers: 2}, part)
+	var parts []Result
+	seen := 0
+	for i := range pops {
+		var part []machine.FaultPlan
+		for _, pl := range plans {
+			if pops[i].Contains(pl.Target) {
+				part = append(part, pl)
+			}
+		}
+		seen += len(part)
+		res, err := RunPlans(ctx, prof, cfg, part)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c, k := range res.Counts {
-			sum[c] += k
-		}
-		fired += res.Fired
-		falseNeg += res.FalseNeg
-		recovered += res.Recovered
+		parts = append(parts, res)
 	}
-	if sum != whole.Counts || fired != whole.Fired || falseNeg != whole.FalseNeg || recovered != whole.Recovered {
-		t.Errorf("partition sums diverge from whole:\nparts %v fired=%d fn=%d rec=%d\nwhole %v fired=%d fn=%d rec=%d",
-			sum, fired, falseNeg, recovered, whole.Counts, whole.Fired, whole.FalseNeg, whole.Recovered)
+	if seen != len(plans) {
+		t.Fatalf("class populations cover %d of %d plans", seen, len(plans))
+	}
+	if sum := sumResults(parts); !sameCounts(sum, whole) {
+		t.Errorf("partition sums diverge from whole:\nparts %+v\nwhole %+v", sum, whole)
+	}
+
+	for i := range pops {
+		view := prof.Within(pops[i])
+		vcfg := cfg
+		vcfg.N, vcfg.Seed = 15, int64(40+i)
+		e, err := prepare(ctx, view, vcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range e.plans {
+			if !pops[i].Contains(pl.Target) {
+				t.Fatalf("class %v view drew target %d outside its population", machine.OpClass(pops[i].Key), pl.Target)
+			}
+		}
+		got, err := CampaignOn(ctx, view, vcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunPlans(ctx, prof, cfg, e.plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("class %v view campaign diverges from its plans on the whole profile:\n view %+v\nwhole %+v",
+				machine.OpClass(pops[i].Key), got, want)
+		}
 	}
 }
 
-// CampaignWithPlans is a partition primitive, not a sampler: sampling
-// and early-stop options must be rejected, and the checkpoint identity
-// must distinguish different plan lists.
-func TestCampaignWithPlansRejections(t *testing.T) {
+func sumResults(parts []Result) Result {
+	var sum Result
+	for _, r := range parts {
+		sum.N += r.N
+		for c, k := range r.Counts {
+			sum.Counts[c] += k
+		}
+		sum.Fired += r.Fired
+		sum.FalseNeg += r.FalseNeg
+		sum.Recovered += r.Recovered
+		for class, byMsg := range r.Errors {
+			if sum.Errors == nil {
+				sum.Errors = map[Class]map[string]int{}
+			}
+			if sum.Errors[class] == nil {
+				sum.Errors[class] = map[string]int{}
+			}
+			for msg, n := range byMsg {
+				sum.Errors[class][msg] += n
+			}
+		}
+	}
+	return sum
+}
+
+func sameCounts(a, b Result) bool {
+	return a.N == b.N && a.Counts == b.Counts && a.Fired == b.Fired &&
+		a.FalseNeg == b.FalseNeg && a.Recovered == b.Recovered &&
+		(len(a.Errors) == 0 && len(b.Errors) == 0 || reflect.DeepEqual(a.Errors, b.Errors))
+}
+
+// A view has no region trace, so stratifying it (or any untraced
+// profile) is refused, and its campaign key names its population, so a
+// checkpoint taken on one view resumes neither another view nor the
+// whole profile.
+func TestViewRejections(t *testing.T) {
 	p, inst := sharedConv1d(t)
-	prof, err := NewProfile(context.Background(), p, core.Unsafe, inst, nil)
+	ctx := context.Background()
+	prof, err := NewProfile(ctx, p, core.Unsafe, inst, &machine.RegionTrace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := []machine.FaultPlan{{Kind: machine.FaultRegFile, Target: 0, Bit: 1, Pick: 2}}
-	for name, cfg := range map[string]Config{
-		"target ci":  {TargetCI: 1},
-		"exhaustive": {Exhaustive: true, Mix: Mix{Skip: 1}},
-		"stratify":   {Stratify: true},
+	pops := prof.Trace.ByClass()
+	for name, pr := range map[string]*Profile{
+		"view":     prof.Within(pops[0]),
+		"untraced": {Program: prof.Program, Scheme: prof.Scheme, Inst: prof.Inst, Output: prof.Output, Result: prof.Result, Capture: prof.Capture},
+		"another":  prof.Within(pops[1]),
 	} {
-		_, err := CampaignWithPlans(context.Background(), prof, cfg, plans)
-		var ce *ConfigConflictError
-		if !errors.As(err, &ce) {
-			t.Errorf("%s: got %v (%T), want *ConfigConflictError", name, err, err)
+		if _, err := CampaignOn(ctx, pr, Config{N: 10, Stratify: true}); err == nil || !strings.Contains(err.Error(), "Stratify") {
+			t.Errorf("%s: stratified campaign got %v, want a refusal naming Stratify", name, err)
 		}
 	}
-	if _, err := CampaignWithPlans(context.Background(), prof, Config{N: 5}, plans); err == nil {
-		t.Error("N mismatching the plan count was accepted")
+	if _, err := CampaignOn(ctx, prof.Within(machine.Population{}), Config{N: 10}); err == nil {
+		t.Error("a view of an empty population ran")
 	}
 
-	// Distinct plan lists of equal length must not share a checkpoint.
-	ckPath := filepath.Join(t.TempDir(), "plans.ck.json")
-	first := []machine.FaultPlan{{Kind: machine.FaultRegFile, Target: 1, Bit: 3, Pick: 9}}
-	if _, err := CampaignWithPlans(context.Background(), prof, Config{CheckpointPath: ckPath}, first); err != nil {
+	ckPath := filepath.Join(t.TempDir(), "view.ck.json")
+	cfg := Config{N: 12, Seed: 5, CheckpointPath: ckPath}
+	if _, err := CampaignOn(ctx, prof.Within(pops[0]), cfg); err != nil {
 		t.Fatal(err)
 	}
-	second := []machine.FaultPlan{{Kind: machine.FaultRegFile, Target: 2, Bit: 3, Pick: 9}}
-	_, err = CampaignWithPlans(context.Background(), prof, Config{CheckpointPath: ckPath}, second)
-	if err == nil {
-		t.Fatal("a different plan list resumed the first list's checkpoint")
+	for name, pr := range map[string]*Profile{"another view": prof.Within(pops[1]), "whole profile": prof} {
+		_, err := CampaignOn(ctx, pr, cfg)
+		if err == nil {
+			t.Fatalf("%s resumed a view's checkpoint", name)
+		}
+		if !strings.Contains(err.Error(), "different campaign") {
+			t.Errorf("%s: cross-resume error %q does not identify the key mismatch", name, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "different campaign") {
-		t.Errorf("cross-plan resume error %q does not identify the key mismatch", err)
+	if _, err := CampaignOn(ctx, prof.Within(pops[0]), cfg); err != nil {
+		t.Errorf("the view's own checkpoint did not resume: %v", err)
 	}
 }

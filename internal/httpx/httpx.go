@@ -17,85 +17,46 @@ import (
 	"time"
 )
 
-// Backoff shapes the retry delay sequence: Base·Factor^attempt capped
-// at Max, with a ±Jitter fraction of randomization so a fleet of
-// workers retrying against one coordinator does not thunder in step.
-type Backoff struct {
-	Base   time.Duration // first delay (default 100ms)
-	Max    time.Duration // delay cap (default 5s)
-	Factor float64       // growth per attempt (default 2)
-	Jitter float64       // randomized fraction of the delay, 0..1 (default 0.2)
-}
+// The retry policy: up to retries re-attempts after the first try,
+// delayed backoffBase·2^attempt capped at backoffMax, with a ±jitter/2
+// fraction of randomization so a fleet of workers retrying against one
+// coordinator does not thunder in step. A Retry-After header on a
+// retryable response overrides the computed delay.
+const (
+	retries     = 4
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+	jitter      = 0.2
+)
 
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Factor <= 1 {
-		b.Factor = 2
-	}
-	if b.Jitter < 0 || b.Jitter > 1 {
-		b.Jitter = 0.2
-	}
-	return b
-}
-
-// Delay computes the delay before retry attempt (0-based), using rnd
-// in [0, 1) for jitter. The jitter is centered: delay·(1 ± Jitter/2).
-func (b Backoff) Delay(attempt int, rnd func() float64) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Base)
+// delay computes the delay before retry attempt (0-based), using rnd
+// in [0, 1) for jitter. The jitter is centered: delay·(1 ± jitter/2).
+func delay(attempt int, rnd func() float64) time.Duration {
+	d := float64(backoffBase)
 	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
+		d *= 2
+		if d >= float64(backoffMax) {
+			d = float64(backoffMax)
 			break
 		}
 	}
-	if b.Jitter > 0 && rnd != nil {
-		d *= 1 + b.Jitter*(rnd()-0.5)
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
+	d *= 1 + jitter*(rnd()-0.5)
+	if d > float64(backoffMax) {
+		d = float64(backoffMax)
 	}
 	return time.Duration(d)
 }
 
-// Client posts JSON with retries. The zero value is usable.
+// Client posts JSON with retries: only transport errors and
+// 429/502/503/504 retry; other statuses are the server speaking, not
+// the network failing. The zero value is the client every caller uses;
+// the two fields are seams for tests.
 type Client struct {
-	// HTTP is the underlying client (default http.DefaultClient).
-	HTTP *http.Client
-	// Retries is the number of re-attempts after the first try
-	// (default 4). Only transport errors and 429/502/503/504 retry;
-	// other statuses are the server speaking, not the network failing.
-	Retries int
-	// Backoff shapes the delays between attempts. A Retry-After header
-	// on a retryable response overrides the computed delay.
-	Backoff Backoff
 	// Sleep waits between attempts (default: timer + ctx). Injectable
 	// so tests drive the retry loop with a fake clock.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Rand supplies jitter in [0, 1) (default math/rand).
 	Rand func() float64
-	// Now anchors Retry-After HTTP-date parsing (default time.Now).
-	Now func() time.Time
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-func (c *Client) retries() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 4
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
@@ -125,7 +86,7 @@ func retryableStatus(code int) bool {
 
 // retryAfter parses a Retry-After header: delta-seconds or an
 // HTTP-date. ok is false when absent or unparseable.
-func (c *Client) retryAfter(h http.Header) (time.Duration, bool) {
+func retryAfter(h http.Header) (time.Duration, bool) {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0, false
@@ -134,11 +95,7 @@ func (c *Client) retryAfter(h http.Header) (time.Duration, bool) {
 		return time.Duration(secs) * time.Second, true
 	}
 	if at, err := http.ParseTime(v); err == nil {
-		now := time.Now
-		if c.Now != nil {
-			now = c.Now
-		}
-		if d := at.Sub(now()); d > 0 {
+		if d := time.Until(at); d > 0 {
 			return d, true
 		}
 		return 0, true
@@ -167,22 +124,22 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) (status 
 			return 0, nil, fmt.Errorf("httpx: building request: %w", err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(req)
-		var delay time.Duration
+		resp, err := http.DefaultClient.Do(req)
+		var wait time.Duration
 		switch {
 		case err != nil:
 			lastErr = err
-			delay = c.Backoff.Delay(attempt, rnd)
+			wait = delay(attempt, rnd)
 		case retryableStatus(resp.StatusCode):
 			b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
 			lastErr = fmt.Errorf("httpx: %s returned %d", url, resp.StatusCode)
-			if ra, ok := c.retryAfter(resp.Header); ok {
-				delay = ra
+			if ra, ok := retryAfter(resp.Header); ok {
+				wait = ra
 			} else {
-				delay = c.Backoff.Delay(attempt, rnd)
+				wait = delay(attempt, rnd)
 			}
-			if attempt >= c.retries() {
+			if attempt >= retries {
 				return resp.StatusCode, b, nil
 			}
 		default:
@@ -198,10 +155,10 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) (status 
 			}
 			return resp.StatusCode, b, nil
 		}
-		if attempt >= c.retries() {
+		if attempt >= retries {
 			return 0, nil, fmt.Errorf("httpx: %s failed after %d attempts: %w", url, attempt+1, lastErr)
 		}
-		if err := c.sleep(ctx, delay); err != nil {
+		if err := c.sleep(ctx, wait); err != nil {
 			return 0, nil, err
 		}
 	}

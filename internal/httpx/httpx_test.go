@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,27 +26,27 @@ func (f *fakeSleeper) sleep(ctx context.Context, d time.Duration) error {
 // are exact.
 func noJitter() float64 { return 0.5 }
 
+// The fixed policy: 100ms doubling per attempt, capped at 5s.
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2}
 	want := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second,
+		800 * time.Millisecond, 1600 * time.Millisecond, 3200 * time.Millisecond,
+		5 * time.Second, 5 * time.Second,
 	}
 	for attempt, w := range want {
-		if got := b.Delay(attempt, noJitter); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", attempt, got, w)
+		if got := delay(attempt, noJitter); got != w {
+			t.Errorf("delay(%d) = %v, want %v", attempt, got, w)
 		}
 	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{Base: time.Second, Max: time.Minute, Jitter: 0.2}
-	lo := b.Delay(0, func() float64 { return 0 })
-	hi := b.Delay(0, func() float64 { return 0.999999 })
+	lo := delay(0, func() float64 { return 0 })
+	hi := delay(0, func() float64 { return 0.999999 })
 	if lo >= hi {
 		t.Fatalf("jitter produced no spread: lo %v, hi %v", lo, hi)
 	}
-	if lo < 900*time.Millisecond || hi > 1100*time.Millisecond {
+	if lo < 90*time.Millisecond || hi > 110*time.Millisecond {
 		t.Fatalf("jitter outside ±10%%: lo %v, hi %v", lo, hi)
 	}
 }
@@ -62,8 +63,7 @@ func TestPostJSONRetriesTransientStatuses(t *testing.T) {
 	defer srv.Close()
 
 	fs := &fakeSleeper{}
-	c := &Client{Retries: 4, Sleep: fs.sleep, Rand: noJitter,
-		Backoff: Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2}}
+	c := &Client{Sleep: fs.sleep, Rand: noJitter}
 	var out struct {
 		OK bool `json:"ok"`
 	}
@@ -94,8 +94,7 @@ func TestPostJSONHonorsRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	fs := &fakeSleeper{}
-	c := &Client{Sleep: fs.sleep, Rand: noJitter,
-		Backoff: Backoff{Base: 10 * time.Millisecond}}
+	c := &Client{Sleep: fs.sleep, Rand: noJitter}
 	status, _, err := c.PostJSON(context.Background(), srv.URL, nil, nil)
 	if err != nil || status != 200 {
 		t.Fatalf("PostJSON = %d, %v", status, err)
@@ -138,16 +137,19 @@ func TestPostJSONGivesUpAfterRetries(t *testing.T) {
 	defer srv.Close()
 
 	fs := &fakeSleeper{}
-	c := &Client{Retries: 2, Sleep: fs.sleep, Rand: noJitter,
-		Backoff: Backoff{Base: time.Millisecond}}
+	c := &Client{Sleep: fs.sleep, Rand: noJitter}
 	status, _, err := c.PostJSON(context.Background(), srv.URL, nil, nil)
 	// Exhausting retries on a retryable status surfaces the status, so
 	// protocol-aware callers still see what the server last said.
 	if err != nil || status != http.StatusBadGateway {
 		t.Fatalf("PostJSON = %d, %v; want 502, nil", status, err)
 	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want 3 (1 + 2 retries)", calls.Load())
+	if calls.Load() != 5 {
+		t.Fatalf("server saw %d calls, want 5 (1 + 4 retries)", calls.Load())
+	}
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 800 * time.Millisecond}
+	if !reflect.DeepEqual(fs.delays, want) {
+		t.Fatalf("delays = %v, want %v", fs.delays, want)
 	}
 }
 
@@ -156,12 +158,11 @@ func TestPostJSONRetriesTransportErrors(t *testing.T) {
 	srv.Close() // every dial now fails
 
 	fs := &fakeSleeper{}
-	c := &Client{Retries: 2, Sleep: fs.sleep, Rand: noJitter,
-		Backoff: Backoff{Base: time.Millisecond}}
+	c := &Client{Sleep: fs.sleep, Rand: noJitter}
 	if _, _, err := c.PostJSON(context.Background(), srv.URL, nil, nil); err == nil {
 		t.Fatal("PostJSON succeeded against a closed server")
 	}
-	if len(fs.delays) != 2 {
-		t.Fatalf("delays = %v, want 2 transport-error retries", fs.delays)
+	if len(fs.delays) != 4 {
+		t.Fatalf("delays = %v, want 4 transport-error retries", fs.delays)
 	}
 }

@@ -164,9 +164,6 @@ func TestOpPredicates(t *testing.T) {
 	if !OpAdd.HasDst() || !OpLoad.HasDst() || !OpVote3.HasDst() {
 		t.Error("dst ops misclassified")
 	}
-	if !OpFAdd.IsFloatOp() || OpAdd.IsFloatOp() {
-		t.Error("float ops misclassified")
-	}
 	if !OpEq.IsCompare() || !OpFGe.IsCompare() || OpAdd.IsCompare() {
 		t.Error("compares misclassified")
 	}

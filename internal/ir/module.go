@@ -95,6 +95,17 @@ type LoopInfo struct {
 	AROverride    float64
 }
 
+// AR resolves the loop's acceptable range: the pragma's override when
+// present, the deployment-wide global otherwise. The run-time check
+// and the trainer both resolve it here, so a loop is trained at the
+// range it is validated at.
+func (l *LoopInfo) AR(global float64) float64 {
+	if l.HasAROverride {
+		return l.AROverride
+	}
+	return global
+}
+
 // Func is an IR function.
 type Func struct {
 	Name    string

@@ -182,16 +182,6 @@ func (op Op) HasDst() bool {
 	return op != OpInvalid && op < opMax
 }
 
-// IsFloatOp reports whether the operation's destination is Float.
-func (op Op) IsFloatOp() bool {
-	switch op {
-	case OpConstFloat, OpFAdd, OpFSub, OpFMul, OpFDiv, OpFNeg, OpIToF,
-		OpSqrt, OpExp, OpLog, OpFAbs, OpPow, OpFloor, OpFMin, OpFMax:
-		return true
-	}
-	return false
-}
-
 // IsCompare reports whether the operation is a comparison.
 func (op Op) IsCompare() bool {
 	return op >= OpEq && op <= OpFGe

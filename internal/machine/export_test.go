@@ -1,6 +1,11 @@
 package machine
 
-import "rskip/internal/ir"
+import (
+	"crypto/sha256"
+	"fmt"
+
+	"rskip/internal/ir"
+)
 
 // Snapshots returns the resumable snapshots a capture holds.
 func Snapshots(c *Capture) []*Snapshot { return c.snaps }
@@ -27,4 +32,11 @@ func FlipDead(code *Code, s *Snapshot, bit uint) (*Snapshot, int) {
 		c.frames[i] = f
 	}
 	return &c, flipped
+}
+
+// FuncFingerprint hashes one function's decoded content in isolation.
+func (c *Code) FuncFingerprint(fi int) string {
+	h := sha256.New()
+	c.hashFunc(h, fi)
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

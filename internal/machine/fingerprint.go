@@ -72,13 +72,6 @@ func (c *Code) hashFunc(h hash.Hash, fi int) {
 	}
 }
 
-// FuncFingerprint hashes one function's decoded content in isolation.
-func (c *Code) FuncFingerprint(fi int) string {
-	h := sha256.New()
-	c.hashFunc(h, fi)
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // callees returns the static callee set of one decoded function.
 func (c *Code) callees(fi int) []int {
 	seen := map[int]bool{}

@@ -305,8 +305,38 @@ type frame struct {
 	savedArgs []uint64 // captured for CallTracer when this is the traced fn
 }
 
-// New creates a machine for the module.
+// New creates a machine for the module: it builds the state that
+// depends on the build — memory arena, decoded and compiled code,
+// region flags, metrics — and then the per-run state through Reset.
 func New(mod *ir.Module, cfg Config) *Machine {
+	cfg = withDefaults(cfg)
+	mem, pooled := newPooledMemory(cfg.MemWords)
+	m := &Machine{Mod: mod, Mem: mem}
+	if cfg.Metrics != nil {
+		m.met = newMachineMetrics(cfg.Metrics)
+		if pooled {
+			cfg.Metrics.Counter("machine_arena_pool_hits_total", "memory arenas recycled from the pool").Inc()
+		} else {
+			cfg.Metrics.Counter("machine_arena_pool_misses_total", "memory arenas freshly allocated").Inc()
+		}
+	}
+	code := cfg.Code
+	if code == nil || code.mod != mod {
+		code = CompileCode(mod)
+	}
+	m.code = code
+	m.backend = cfg.Backend
+	if m.backend == BackendCompiled {
+		m.ccode = code.compiledForm()
+		m.segHits = make([]uint64, len(m.ccode.segs))
+	}
+	m.region = code.regionFlags(&cfg)
+	m.Reset(cfg)
+	return m
+}
+
+// withDefaults fills the zero fields of cfg that have defaults.
+func withDefaults(cfg Config) Config {
 	if cfg.MemWords == 0 {
 		cfg.MemWords = 1 << 22
 	}
@@ -316,42 +346,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 	if cfg.MaxInstrs == 0 {
 		cfg.MaxInstrs = DefaultMaxInstrs
 	}
-	mem, pooled := newPooledMemory(cfg.MemWords)
-	m := &Machine{
-		Mod: mod,
-		Mem: mem,
-		cfg: cfg,
-	}
-	if cfg.Metrics != nil {
-		m.met = newMachineMetrics(cfg.Metrics)
-		if pooled {
-			cfg.Metrics.Counter("machine_arena_pool_hits_total", "memory arenas recycled from the pool").Inc()
-		} else {
-			cfg.Metrics.Counter("machine_arena_pool_misses_total", "memory arenas freshly allocated").Inc()
-		}
-	}
-	m.pl.init(cfg.IssueWidth, cfg.Untimed)
-	code := cfg.Code
-	if code == nil || code.mod != mod {
-		code = CompileCode(mod)
-	}
-	m.code = code
-	m.backend = cfg.Backend
-	if m.backend == BackendCompiled {
-		m.ccode = code.compiledForm()
-	}
-	m.region = code.regionFlags(&m.cfg)
-	m.hookOp = ir.OpRTObserve
-	if cfg.Fault != nil {
-		m.fault = faultState{plan: *cfg.Fault, armed: true}
-	}
-	m.armConvergence()
-	m.armHangProof()
-	if m.backend == BackendCompiled {
-		m.segHits = make([]uint64, len(m.ccode.segs))
-		m.recalcTriggers()
-	}
-	return m
+	return cfg
 }
 
 // Reset restores the machine to its just-constructed state for
@@ -361,22 +356,16 @@ func New(mod *ir.Module, cfg Config) *Machine {
 // cleared), the frame stack's register slabs, the shared decoded and
 // compiled code, and the register-tag cache. Campaign workers reset
 // one machine per replica instead of building one machine per run.
+// It is also the second half of New, so every per-run field is set up
+// in this one place.
 //
 // The build-affecting fields — Code, Backend, IssueWidth,
-// MemWords, RegionBlocks — must match the config the machine was
-// created with; Reset does not re-derive the decoded code, region
+// MemWords, RegionBlocks, Metrics — must match the config the machine
+// was created with; Reset does not re-derive the decoded code, region
 // flags or backend. Callers that need a different module or backend
 // create a new machine.
 func (m *Machine) Reset(cfg Config) {
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 22
-	}
-	if cfg.IssueWidth == 0 {
-		cfg.IssueWidth = 4
-	}
-	if cfg.MaxInstrs == 0 {
-		cfg.MaxInstrs = DefaultMaxInstrs
-	}
+	cfg = withDefaults(cfg)
 	m.cfg = cfg
 	m.C = Counters{}
 	m.pl.init(cfg.IssueWidth, cfg.Untimed)

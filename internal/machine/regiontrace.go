@@ -102,16 +102,16 @@ const defaultMaxSpans = 4 << 20
 type TraceOverflowError struct{ Cap int }
 
 func (e *TraceOverflowError) Error() string {
-	return fmt.Sprintf("machine: region trace exceeded %d spans; the region is too large for compositional analysis (raise RegionTrace.MaxSpans)", e.Cap)
+	return fmt.Sprintf("machine: region trace exceeded %d spans; the region is too large for compositional analysis", e.Cap)
 }
 
 // RegionTrace collects the in-region instruction layout of one run.
 // Attach it to Config.RegionTrace and read Spans afterwards.
 type RegionTrace struct {
-	// MaxSpans caps trace growth (0 = defaultMaxSpans). When the cap is
-	// hit, recording stops and Overflowed reports it; the run itself is
-	// unaffected.
-	MaxSpans int
+	// maxSpans caps trace growth (0 = defaultMaxSpans; tests set it).
+	// When the cap is hit, recording stops and Overflowed reports it;
+	// the run itself is unaffected.
+	maxSpans int
 
 	spans      []RegionSpan
 	total      uint64
@@ -131,7 +131,7 @@ func (t *RegionTrace) note(owner int, class OpClass) {
 			return
 		}
 	}
-	cap := t.MaxSpans
+	cap := t.maxSpans
 	if cap == 0 {
 		cap = defaultMaxSpans
 	}
@@ -150,14 +150,14 @@ func (t *RegionTrace) Spans() []RegionSpan { return t.spans }
 // it equals the run's Region counter unless the trace overflowed.
 func (t *RegionTrace) Total() uint64 { return t.total }
 
-// Overflowed reports that the trace hit MaxSpans and stopped
+// Overflowed reports that the trace hit its span cap and stopped
 // recording. Callers must treat the trace as unusable.
 func (t *RegionTrace) Overflowed() bool { return t.overflowed }
 
 // Err returns the typed overflow error, or nil for a complete trace.
 func (t *RegionTrace) Err() error {
 	if t.overflowed {
-		cap := t.MaxSpans
+		cap := t.maxSpans
 		if cap == 0 {
 			cap = defaultMaxSpans
 		}

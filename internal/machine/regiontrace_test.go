@@ -113,7 +113,7 @@ func TestRegionTraceTilesRegionCounter(t *testing.T) {
 }
 
 func TestRegionTraceOverflowIsTyped(t *testing.T) {
-	trace := RegionTrace{MaxSpans: 2}
+	trace := RegionTrace{maxSpans: 2}
 	runStagedTrace(t, &trace, BackendReference)
 	if !trace.Overflowed() {
 		t.Fatal("2-span cap did not overflow")

@@ -122,9 +122,6 @@ func SamePoints(a, b []Point) bool {
 	return true
 }
 
-// Pending returns the number of buffered (not yet validated) points.
-func (it *Interp) Pending() int { return len(it.pts) }
-
 // Observe feeds the next point. When the trend breaks, it returns the
 // completed phase (cut=true); the slicer keeps the phase's last point
 // (already validated as an endpoint) plus p as the seed of the next
@@ -195,38 +192,14 @@ func RelDiff(orig, pred float64) float64 {
 	return math.Abs(orig-pred) / den
 }
 
-// PhaseOutcome classifies the points of a completed phase for a given
-// acceptable range without performing exact validation: interior
-// points whose relative difference from the interpolant is within AR
-// are skippable; endpoints and out-of-range interiors need a second
-// predictor or re-computation. The offline trainer uses it to score
-// tuning parameters.
-type PhaseOutcome struct {
-	Skippable int // interior points accepted by fuzzy validation
-	Exact     int // points requiring exact validation (endpoints, rejects)
-}
-
-// ScorePhase evaluates one phase under the acceptable range ar
-// (relative, e.g. 0.2 for AR20).
-func ScorePhase(phase []Point, ar float64) PhaseOutcome {
-	var out PhaseOutcome
-	if len(phase) == 0 {
-		return out
+// Accepted is fuzzy validation's rule for point i of a completed
+// phase at acceptable range ar: an interior point is accepted when it
+// lies within ar of the interpolant between the phase's endpoints.
+// Endpoints, which interpolation cannot estimate, never are. The
+// run-time check and the trainer's skip scoring both apply it.
+func Accepted(phase []Point, i int, ar float64) bool {
+	if i <= 0 || i >= len(phase)-1 {
+		return false
 	}
-	first, last := phase[0], phase[len(phase)-1]
-	for i, p := range phase {
-		if p.Validated {
-			continue // endpoint shared with the previous phase
-		}
-		if i == 0 || i == len(phase)-1 {
-			out.Exact++
-			continue
-		}
-		if RelDiff(p.V, Predict(first, last, p.Iter)) <= ar {
-			out.Skippable++
-		} else {
-			out.Exact++
-		}
-	}
-	return out
+	return RelDiff(phase[i].V, Predict(phase[0], phase[len(phase)-1], phase[i].Iter)) <= ar
 }

@@ -58,9 +58,14 @@ func TestLinearSeriesOnePhase(t *testing.T) {
 	if len(phases) != 1 {
 		t.Fatalf("perfectly linear series split into %d phases", len(phases))
 	}
-	o := ScorePhase(phases[0], 0.01)
-	if o.Skippable != 6 || o.Exact != 2 {
-		t.Errorf("linear phase: skippable=%d exact=%d, want 6/2", o.Skippable, o.Exact)
+	accepted := 0
+	for i := range phases[0] {
+		if Accepted(phases[0], i, 0.01) {
+			accepted++
+		}
+	}
+	if accepted != 6 || Accepted(phases[0], 0, 1e9) || Accepted(phases[0], 7, 1e9) {
+		t.Errorf("linear phase: %d interiors accepted, want all 6 and neither endpoint", accepted)
 	}
 }
 
@@ -121,32 +126,6 @@ func TestEveryPointValidatedOnce(t *testing.T) {
 		return counted == n
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a phase's skippable points really are within AR of the
-// interpolant (ScorePhase and Predict agree).
-func TestScorePhaseConsistent(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(30)
-		phase := make([]Point, n)
-		for i := range phase {
-			phase[i] = Point{Iter: int64(i * 2), V: rng.Float64()*100 - 50}
-		}
-		ar := 0.25
-		o := ScorePhase(phase, ar)
-		skippable := 0
-		first, last := phase[0], phase[n-1]
-		for i := 1; i < n-1; i++ {
-			if RelDiff(phase[i].V, Predict(first, last, phase[i].Iter)) <= ar {
-				skippable++
-			}
-		}
-		return o.Skippable == skippable && o.Skippable+o.Exact == n
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -303,3 +282,6 @@ func TestInterpSame(t *testing.T) {
 		}
 	}
 }
+
+// Pending returns the number of buffered (not yet validated) points.
+func (it *Interp) Pending() int { return len(it.pts) }

@@ -178,7 +178,8 @@ func regionSeed(seed int64, fp string) int64 {
 }
 
 // budgetFor buckets the fault-free instruction count to the next
-// power of two and applies the hang factor (50 in Analyze). Small
+// power of two and applies the hang factor (fault.HangFactor in
+// Analyze). Small
 // edits thus leave the budget — and with it every unedited region's
 // outcome — untouched; when an edit does cross a bucket boundary,
 // every region key misses and the whole campaign re-runs under the
@@ -194,9 +195,9 @@ func budgetFor(hangFactor, faultFreeInstrs uint64) uint64 {
 // Analyze runs (or serves from cache) one campaign per candidate-loop
 // region and composes the program-level figures. One traced fault-free
 // profile gives the region decomposition, each region's population and
-// the budget, and every region's campaign injects against it. The
-// per-region campaigns use explicit plan lists drawn from region-keyed
-// seeds, so after a source edit only regions whose fingerprint changed
+// the budget, and every region's campaign is an ordinary campaign on
+// the profile's view of that region (Profile.Within), seeded by the
+// region's fingerprint, so after a source edit only regions whose fingerprint changed
 // miss the cache; every other region replays its cached counts and the
 // composed rates are bit-identical to a cold full analysis of the
 // edited program.
@@ -219,7 +220,7 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 	if err != nil {
 		return nil, err
 	}
-	budget := budgetFor(50, prof.Result.Instrs)
+	budget := budgetFor(fault.HangFactor, prof.Result.Instrs)
 	rep := &Report{Scheme: s, Bench: p.Bench.Name, Budget: budget}
 	mod := p.Module(s)
 
@@ -234,13 +235,9 @@ func Analyze(ctx context.Context, p *core.Program, s core.Scheme, inst bench.Ins
 		fp := regionFP(p, s, lay.Key)
 		key := specKey(p, s, opts, lay.Key, fp, lay.Count, budget)
 		res, cached, err := opts.Cache.GetOrRun(key, func() (fault.Result, error) {
-			// Draw region-local targets, then map each into the global
-			// in-region index space through the current layout.
-			plans := fault.DrawPlans(regionSeed(opts.Seed, fp), opts.PerRegionN, fcfg, lay.Count)
-			for i := range plans {
-				plans[i].Target = lay.Pick(plans[i].Target)
-			}
-			return fault.CampaignWithPlans(ctx, prof, fcfg, plans)
+			cfg := fcfg
+			cfg.N, cfg.Seed = opts.PerRegionN, regionSeed(opts.Seed, fp)
+			return fault.CampaignOn(ctx, prof.Within(lay), cfg)
 		})
 		if err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package result
 import (
 	"rskip/internal/core"
 	"rskip/internal/fault"
-	"rskip/internal/machine"
 )
 
 // ComposeCounts pools per-region campaign results by the
@@ -32,27 +31,6 @@ func ComposeCounts(s core.Scheme, parts []fault.Result) fault.Result {
 			}
 			for msg, n := range byMsg {
 				out.Errors[class][msg] += n
-			}
-		}
-	}
-	return out
-}
-
-// Partition splits a monolithic campaign's plan list along the region
-// decomposition of a trace: each plan goes to the region whose
-// interval set contains its (global in-region) target. Plan order
-// within each part preserves the monolithic order. This is the
-// differential-test counterpart of Analyze's per-region drawing — a
-// monolithic plan list, partitioned and re-run per region, must
-// compose to counts bit-identical to the monolithic campaign.
-func Partition(plans []machine.FaultPlan, trace *machine.RegionTrace) map[int][]machine.FaultPlan {
-	layouts := trace.ByOwner()
-	out := map[int][]machine.FaultPlan{}
-	for _, pl := range plans {
-		for i := range layouts {
-			if l := &layouts[i]; l.Contains(pl.Target) {
-				out[l.Key] = append(out[l.Key], pl)
-				break
 			}
 		}
 	}

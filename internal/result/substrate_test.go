@@ -203,63 +203,97 @@ func profileOf(t *testing.T, p *core.Program, s core.Scheme, inst bench.Instance
 
 var allSchemes = []core.Scheme{core.Unsafe, core.SWIFT, core.SWIFTR, core.RSkip, core.SWIFTRHard}
 
-// The partition-sum property over the substrate: for 12 randomized
-// kernels and every scheme, a monolithic plan list split along the
-// region decomposition and re-run per region composes to counts
-// bit-identical to the monolithic campaign.
+// exhaustiveBudget is the fault package's default ExhaustiveBudget:
+// the differential enumerates only the profiles that fit it.
+const exhaustiveBudget = 200000
+
+// The partition-sum property over the substrate: for randomized
+// kernels and every scheme, the exhaustive skip and multibit campaigns
+// of every region view sum to the whole profile's exhaustive campaign
+// exactly — every fault site of the run lies in exactly one region, and
+// a view's campaign enumerates its region's sites with the records the
+// whole profile gives them. Each kernel runs on its shortest input, so
+// that enumeration stays cheap, and a profile is enumerated only if its
+// sites fit the model's cap: the default budget for skip, under which
+// every profile fits, and 30,000 for multibit's 32 sites per
+// instruction.
 func TestComposedMatchesMonolithicDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential substrate is not short")
 	}
-	const perKernelN = 40
-	for ki := 0; ki < 12; ki++ {
+	models := []struct {
+		name  string
+		mix   fault.Mix
+		sites uint64 // fault sites per in-region instruction
+		cap   uint64
+	}{
+		{"skip", fault.Mix{Skip: 1}, 1, exhaustiveBudget},
+		{"multibit", fault.Mix{MultiBit: 1}, 32, 30000},
+	}
+	kernels := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	if raceEnabled {
+		// The proof is deterministic; under the race detector two
+		// kernels, and the smallest multibit profile, keep the concurrent
+		// campaigns covered for both models.
+		kernels = []int{5, 6}
+		models[1].cap = 15000
+	}
+	var mu sync.Mutex
+	covered := map[string]int{}
+	t.Cleanup(func() { // after every parallel kernel subtest
+		for _, m := range models {
+			if covered[m.name] < 2 {
+				t.Errorf("%s: only %d region views enumerated", m.name, covered[m.name])
+			}
+		}
+	})
+	for _, ki := range kernels {
 		ki := ki
 		t.Run(fmt.Sprintf("kernel%02d", ki), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(1000 + ki)))
-			ks := genKernel(rng)
+			ks := genKernel(rand.New(rand.NewSource(int64(1000 + ki))))
+			ks.n = 0 // the shortest input every stage's window slides over twice
+			for _, st := range ks.stages {
+				ks.n = max(ks.n, st.k+1)
+			}
 			p, inst := buildKernel(t, ks, fmt.Sprintf("diffsub%02d", ki))
 			for _, s := range allSchemes {
 				prof := profileOf(t, p, s, inst)
-				trace := prof.Trace
-				cfg := fault.Config{Seed: int64(7 * (ki + 1)), Mix: fault.Mix{
-					RegFile: 0.3, Result: 0.3, Source: 0.2, Opcode: 0.1, Skip: 0.1,
-				}}
-				plans := fault.DrawPlans(cfg.Seed, perKernelN, cfg, trace.Total())
-
-				mono, err := fault.CampaignWithPlans(context.Background(), prof, cfg, plans)
-				if err != nil {
-					t.Fatalf("%s: monolithic: %v", s, err)
+				regions := prof.Trace.ByOwner()
+				if len(regions) < 2 {
+					t.Fatalf("%s: only %d regions; substrate kernels must span several", s, len(regions))
 				}
-
-				parts := Partition(plans, trace)
-				plansSeen := 0
-				var partRes []fault.Result
-				for owner, sub := range parts {
-					plansSeen += len(sub)
-					r, err := fault.CampaignWithPlans(context.Background(), prof, cfg, sub)
-					if err != nil {
-						t.Fatalf("%s: region %d: %v", s, owner, err)
+				for _, m := range models {
+					if m.sites*prof.Result.Region > m.cap {
+						continue
 					}
-					partRes = append(partRes, r)
-				}
-				if plansSeen != len(plans) {
-					t.Fatalf("%s: partition covers %d of %d plans", s, plansSeen, len(plans))
-				}
-				if len(parts) < 2 {
-					t.Fatalf("%s: only %d regions partitioned; substrate kernels must span several", s, len(parts))
-				}
-
-				comp := ComposeCounts(s, partRes)
-				if comp.N != mono.N || comp.Counts != mono.Counts ||
-					comp.Fired != mono.Fired || comp.FalseNeg != mono.FalseNeg ||
-					comp.Recovered != mono.Recovered {
-					t.Errorf("%s: composed != monolithic:\n  composed  N=%d counts=%v fired=%d fn=%d rec=%d\n  monolithic N=%d counts=%v fired=%d fn=%d rec=%d",
-						s, comp.N, comp.Counts, comp.Fired, comp.FalseNeg, comp.Recovered,
-						mono.N, mono.Counts, mono.Fired, mono.FalseNeg, mono.Recovered)
-				}
-				if !reflect.DeepEqual(normalizeErrors(comp.Errors), normalizeErrors(mono.Errors)) {
-					t.Errorf("%s: composed error taxonomy diverges:\n  composed  %v\n  monolithic %v", s, comp.Errors, mono.Errors)
+					cfg := fault.Config{Mix: m.mix, Exhaustive: true, Workers: 2}
+					mono, err := fault.CampaignOn(context.Background(), prof, cfg)
+					if err != nil {
+						t.Fatalf("%s/%s: monolithic: %v", s, m.name, err)
+					}
+					var parts []fault.Result
+					for _, lay := range regions {
+						r, err := fault.CampaignOn(context.Background(), prof.Within(lay), cfg)
+						if err != nil {
+							t.Fatalf("%s/%s: region %d: %v", s, m.name, lay.Key, err)
+						}
+						parts = append(parts, r)
+					}
+					comp := ComposeCounts(s, parts)
+					if comp.N != mono.N || comp.Counts != mono.Counts ||
+						comp.Fired != mono.Fired || comp.FalseNeg != mono.FalseNeg ||
+						comp.Recovered != mono.Recovered {
+						t.Errorf("%s/%s: composed != monolithic:\n  composed  N=%d counts=%v fired=%d fn=%d rec=%d\n  monolithic N=%d counts=%v fired=%d fn=%d rec=%d",
+							s, m.name, comp.N, comp.Counts, comp.Fired, comp.FalseNeg, comp.Recovered,
+							mono.N, mono.Counts, mono.Fired, mono.FalseNeg, mono.Recovered)
+					}
+					if !reflect.DeepEqual(normalizeErrors(comp.Errors), normalizeErrors(mono.Errors)) {
+						t.Errorf("%s/%s: composed error taxonomy diverges:\n  composed  %v\n  monolithic %v", s, m.name, comp.Errors, mono.Errors)
+					}
+					mu.Lock()
+					covered[m.name] += len(regions)
+					mu.Unlock()
 				}
 			}
 		})

@@ -286,16 +286,6 @@ func (m *Manager) LoopEnter(mc *machine.Machine, id int, invariants []uint64) er
 	return nil
 }
 
-// arFor returns the loop's effective acceptable range: the source
-// pragma's override when present (§3 footnote 5), the deployment
-// configuration otherwise.
-func (m *Manager) arFor(ls *loopState) float64 {
-	if ls.info.HasAROverride {
-		return ls.info.AROverride
-	}
-	return m.cfg.AR
-}
-
 func (m *Manager) tpFor(id int, sig string) float64 {
 	if q := m.cfg.QoS[id]; q != nil {
 		if tp := q.TPFor(sig); tp > 0 {
@@ -426,16 +416,14 @@ func (m *Manager) validatePhase(mc *machine.Machine, ls *loopState, st *LoopStat
 	if len(phase) == 0 {
 		return nil
 	}
-	first, last := phase[0], phase[len(phase)-1]
+	ar := ls.info.AR(m.cfg.AR)
 	for i, p := range phase {
 		if p.Validated {
 			continue // endpoint shared with the previous phase
 		}
-		interior := i > 0 && i < len(phase)-1
-		if interior {
+		if i > 0 && i < len(phase)-1 {
 			mc.Charge(costValidate)
-			pred := predict.Predict(first, last, p.Iter)
-			if predict.RelDiff(p.V, pred) <= m.arFor(ls) {
+			if predict.Accepted(phase, i, ar) {
 				st.Observed++
 				st.SkippedDI++
 				continue
@@ -456,7 +444,7 @@ func (m *Manager) secondLevel(mc *machine.Machine, ls *loopState, st *LoopStats,
 		mc.Charge(costMemoLookup(len(p.MemoIn)))
 		st.AMProbes++
 		if v, ok := memo.Lookup(p.MemoIn); ok {
-			if predict.RelDiff(p.V, v) <= m.arFor(ls) {
+			if predict.RelDiff(p.V, v) <= ls.info.AR(m.cfg.AR) {
 				st.Observed++
 				st.SkippedAM++
 				return nil

@@ -117,12 +117,11 @@ void kernel(float a[], float out[], int n) {
 		t.Fatalf("override not recorded: %+v", li)
 	}
 	mgr := NewManager(rsk, DefaultConfig(0.2))
-	ls := &loopState{info: &li}
-	if got := mgr.arFor(ls); got != 0.35 {
-		t.Errorf("arFor = %g, want 0.35", got)
+	if got := li.AR(mgr.cfg.AR); got != 0.35 {
+		t.Errorf("AR = %g, want 0.35", got)
 	}
 	li.HasAROverride = false
-	if got := mgr.arFor(&loopState{info: &li}); got != 0.2 {
-		t.Errorf("arFor without override = %g, want config AR", got)
+	if got := li.AR(mgr.cfg.AR); got != 0.2 {
+		t.Errorf("AR without override = %g, want config AR", got)
 	}
 }

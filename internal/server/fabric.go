@@ -203,6 +203,10 @@ func (s *Server) fabricCall(w http.ResponseWriter, jobID string, call func(fj *f
 			writeErr(w, http.StatusConflict, "lease_lost", "%v", err)
 			return
 		}
+		if errors.Is(err, fabric.ErrPayloadRefused) {
+			writeErr(w, http.StatusConflict, "payload_refused", "%v", err)
+			return
+		}
 		writeErr(w, http.StatusInternalServerError, "fabric_error", "%v", err)
 		return
 	}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
+	"rskip/internal/fabric"
 	"rskip/internal/fault"
 	"rskip/internal/server"
 )
@@ -19,8 +21,11 @@ import (
 // of a daemon that holds one distributed campaign no local loop works
 // on, then lets a real worker finish it. "$JOB" in a body stands for
 // the campaign's job ID. No body may panic the daemon or draw a 5xx,
-// and the campaign must either end with fault.Campaign's counts or
-// fail on a payload it names as rejected.
+// and the campaign must end with fault.Campaign's counts. Only a
+// completion from the worker the fuzzed lease call made the shard's
+// holder may instead fail the campaign, on a payload it names as
+// rejected: a refused payload from anyone else is answered 409 and
+// leaves the shard to its holder.
 func FuzzFabricWire(f *testing.F) {
 	b, err := bench.ByName("conv1d")
 	if err != nil {
@@ -60,6 +65,12 @@ func FuzzFabricWire(f *testing.F) {
 		id := submitCampaign(t, ts, map[string]any{"bench": "conv1d", "scheme": "unsafe", "n": 20, "seed": 3,
 			"distributed": true, "shard_size": 5, "local_workers": -1})
 		waitLeasing(t, ts)
+		var (
+			req     fabric.WireLeaseRequest
+			granted fabric.WireLease
+			cp      fabric.WireComplete
+			leased  bool
+		)
 		for _, call := range []struct {
 			path string
 			body []byte
@@ -69,11 +80,18 @@ func FuzzFabricWire(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if call.path == "lease" && resp.StatusCode == http.StatusOK {
+				leased = json.Unmarshal(body, &req) == nil && json.NewDecoder(resp.Body).Decode(&granted) == nil
+			}
 			resp.Body.Close()
 			if resp.StatusCode >= 500 {
 				t.Fatalf("POST /v1/fabric/%s %q: status %d", call.path, body, resp.StatusCode)
 			}
+			if call.path == "complete" && json.Unmarshal(body, &cp) != nil {
+				cp = fabric.WireComplete{}
+			}
 		}
+		holder := leased && cp.Worker == req.Worker && cp.JobID == granted.JobID && cp.Shard == granted.Shard.ID
 
 		w, err := server.NewWorker(server.WorkerConfig{Join: ts.URL, Name: "fuzz-worker", Poll: 5 * time.Millisecond,
 			Log: func(string, ...any) {}})
@@ -94,13 +112,70 @@ func FuzzFabricWire(f *testing.F) {
 				}
 			}
 		case "failed":
-			if !strings.Contains(st.Error, "payload rejected") {
-				t.Fatalf("campaign failed without naming a refused payload: %s", st.Error)
+			if !holder || !strings.Contains(st.Error, "payload rejected") {
+				t.Fatalf("campaign failed (completion from the lease holder: %v): %s", holder, st.Error)
 			}
 		default:
 			t.Fatalf("campaign ended %q: %s", st.State, st.Error)
 		}
 	})
+}
+
+// A completion whose payload the ledger refuses, posted by a worker
+// that holds no lease, is answered 409 and leaves the shard to be
+// leased and completed as usual: the job ends with fault.Campaign's
+// counts.
+func TestFabricStrayCompletionRefused(t *testing.T) {
+	b, err := bench.ByName("conv1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Build(b, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fault.Campaign(context.Background(), p, core.Unsafe, b.Gen(bench.TestSeed(0), bench.ScaleFI),
+		fault.Config{N: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, server.Config{Workers: 1})
+	id := submitCampaign(t, ts, map[string]any{"bench": "conv1d", "scheme": "unsafe", "n": 20, "seed": 3,
+		"distributed": true, "shard_size": 5, "local_workers": -1})
+	waitLeasing(t, ts)
+	body := `{"worker":"x","job_id":"` + id + `","shard":0,"payload":"x"}`
+	resp, err := http.Post(ts.URL+"/v1/fabric/complete", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || errCode(t, raw) != "payload_refused" {
+		t.Fatalf("stray completion: status %d, body %v; want 409 payload_refused", resp.StatusCode, raw)
+	}
+
+	w, err := server.NewWorker(server.WorkerConfig{Join: ts.URL, Name: "w", Poll: 5 * time.Millisecond,
+		Log: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() { w.Run(ctx); close(stopped) }()
+	st := waitFor(t, ts, id, 60*time.Second, terminal)
+	cancel()
+	<-stopped
+	if st.State != "done" {
+		t.Fatalf("campaign ended %q after a stray completion: %s", st.State, st.Error)
+	}
+	for c := fault.Correct; c < fault.NumClasses; c++ {
+		if st.Result.Counts[c.String()] != want.Counts[c] {
+			t.Fatalf("campaign ended with counts %v, fault.Campaign %v", st.Result.Counts, want.Counts)
+		}
+	}
 }
 
 // TestFabricCompleteRequiresPayload refuses a wire completion without

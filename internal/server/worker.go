@@ -28,8 +28,6 @@ type WorkerConfig struct {
 	// Workers overrides the within-shard injection parallelism
 	// (default: the spec's value, then GOMAXPROCS).
 	Workers int
-	// Client is the retrying HTTP client (default: a zero httpx.Client).
-	Client *httpx.Client
 	// Obs is the worker's telemetry handle (nil = metrics-only).
 	Obs *obs.Obs
 	// Log receives human progress lines (default os.Stderr).
@@ -67,9 +65,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 2 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &httpx.Client{}
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = &obs.Obs{Metrics: obs.NewMetrics()}
 	}
@@ -78,7 +73,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			fmt.Fprintf(os.Stderr, "rskipd worker: "+format+"\n", args...)
 		}
 	}
-	return &Worker{cfg: cfg, name: cfg.Name, cli: cfg.Client, execs: map[string]*fault.Executor{}}, nil
+	return &Worker{cfg: cfg, name: cfg.Name, cli: &httpx.Client{}, execs: map[string]*fault.Executor{}}, nil
 }
 
 // Run is the worker loop: lease, execute, complete, repeat until ctx

@@ -72,14 +72,8 @@ func TestSummaries(t *testing.T) {
 	if mn != 1 || mx != 4 {
 		t.Errorf("MinMax = %g %g", mn, mx)
 	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %g", g)
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || GeoMean(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Error("empty inputs should produce 0")
-	}
-	if GeoMean([]float64{1, -2}) != 0 {
-		t.Error("non-positive input should produce 0")
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // Config parameterizes training.
 type Config struct {
 	// AR is the acceptable range the deployment will use; skip-rate
-	// scoring depends on it.
+	// scoring and the memo gate use it for every loop without a pragma
+	// override (ir.LoopInfo.AR).
 	AR float64
 	// TPSweep lists candidate tuning parameters; empty uses defaults.
 	TPSweep []float64
@@ -231,12 +232,12 @@ func RunContext(ctx context.Context, mod *ir.Module, kernel int, instances []fun
 		_, spf := obs.Start(ctx, "train/fit")
 		spf.SetAttr("loop", info.Name)
 		spf.SetAttr("samples", n)
-		res.QoS[info.ID] = sweepTP(series, instanceMark[info.ID], cfg)
+		res.QoS[info.ID] = sweepTP(series, instanceMark[info.ID], cfg, info.AR(cfg.AR))
 		spf.SetAttr("tp", res.QoS[info.ID].Default)
 		spf.End()
 		if info.MemoFn >= 0 && len(memoSamples) > 0 {
 			_, spm := obs.Start(ctx, "train/memo")
-			table, acc := buildMemo(memoSamples, cfg)
+			table, acc := buildMemo(memoSamples, cfg, info.AR(cfg.AR))
 			res.MemoAccuracy[info.ID] = acc
 			if table != nil {
 				res.MemoBuilt[info.ID] = table
@@ -254,9 +255,9 @@ func RunContext(ctx context.Context, mod *ir.Module, kernel int, instances []fun
 }
 
 // sweepTP simulates phase slicing over the sampled series for each
-// candidate TP, scoring skip potential per context signature, and
-// returns the QoS model of (signature → best TP) pairs.
-func sweepTP(series [][]predict.Point, marks []int, cfg Config) *rtm.QoSModel {
+// candidate TP, scoring skip potential at the loop's acceptable range
+// ar per context signature, and returns the QoS model of (signature → best TP) pairs.
+func sweepTP(series [][]predict.Point, marks []int, cfg Config, ar float64) *rtm.QoSModel {
 	type score struct{ skippable, total int }
 	bySig := map[string]map[float64]*score{}
 	totals := map[float64]*score{}
@@ -317,14 +318,11 @@ func sweepTP(series [][]predict.Point, marks []int, cfg Config) *rtm.QoSModel {
 				if len(phase) == 0 {
 					return
 				}
-				first, last := phase[0], phase[len(phase)-1]
 				for i, p := range phase {
 					if p.Validated {
 						continue
 					}
-					skippable := i > 0 && i < len(phase)-1 &&
-						predict.RelDiff(p.V, predict.Predict(first, last, p.Iter)) <= cfg.AR
-					bump(sigOf[p.Iter], skippable)
+					bump(sigOf[p.Iter], predict.Accepted(phase, i, ar))
 				}
 			}
 			for _, p := range pts {
@@ -410,8 +408,8 @@ func sweepTP(series [][]predict.Point, marks []int, cfg Config) *rtm.QoSModel {
 
 // buildMemo constructs the lookup table from traced call samples,
 // holding out the tail for validation, and reports its accuracy at
-// the configured acceptable range.
-func buildMemo(samples []memoSample, cfg Config) (*predict.MemoTable, float64) {
+// the loop's acceptable range ar.
+func buildMemo(samples []memoSample, cfg Config, ar float64) (*predict.MemoTable, float64) {
 	if len(samples) < 16 {
 		return nil, 0
 	}
@@ -425,10 +423,6 @@ func buildMemo(samples []memoSample, cfg Config) (*predict.MemoTable, float64) {
 	})
 	if err != nil {
 		return nil, 0
-	}
-	ar := cfg.AR
-	if ar == 0 {
-		ar = 0.2
 	}
 	return table, table.Accuracy(teIn, teOut, ar)
 }

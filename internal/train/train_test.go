@@ -1,6 +1,9 @@
 package train
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"rskip/internal/analysis"
@@ -194,5 +197,88 @@ func TestTrainingFailsOnBrokenRun(t *testing.T) {
 	}
 	if _, err := Run(rsk, kernel, []func(mem *machine.Memory) []uint64{bad}, Config{AR: 0.2}); err == nil {
 		t.Error("training on a crashing run must error")
+	}
+}
+
+// A loop with a `#pragma rskip ar(x)` override is validated at x
+// whatever the global AR, so it must be trained at x too: the same
+// QoS model and memo gate as the loop without the pragma trained at a
+// global AR of x.
+func TestPragmaARTrainsAtLoopAR(t *testing.T) {
+	const noisy = `
+void kernel(float a[], float out[], int n) {
+	%s
+	for (int i = 0; i < n; i = i + 1) {
+		float s = 0.0;
+		for (int j = 0; j < 4; j = j + 1) { s = s + a[i + j]; }
+		out[i] = s;
+	}
+}`
+	noisySetup := func(seed int64) func(mem *machine.Memory) []uint64 {
+		return func(mem *machine.Memory) []uint64 {
+			rng := rand.New(rand.NewSource(seed))
+			n := 128
+			a := mem.Alloc(int64(n + 4))
+			for i := 0; i < n+4; i++ {
+				mem.SetFloat(a+int64(i), float64(i)+rng.Float64()*0.3)
+			}
+			out := mem.Alloc(int64(n))
+			return []uint64{uint64(a), uint64(out), uint64(n)}
+		}
+	}
+	const priced = `
+float price(float a, float b) {
+	return sqrt(a) * exp(b * 0.1) + log(a + b + 2.0) * a;
+}
+void kernel(float x[], float y[], float out[], int n) {
+	%s
+	for (int i = 0; i < n; i = i + 1) {
+		float p = price(x[i], y[i]);
+		out[i] = p;
+	}
+}`
+	pricedSetup := func(seed int64) func(mem *machine.Memory) []uint64 {
+		return func(mem *machine.Memory) []uint64 {
+			rng := rand.New(rand.NewSource(seed))
+			n := 512
+			x := mem.Alloc(int64(n))
+			y := mem.Alloc(int64(n))
+			for i := 0; i < n; i++ {
+				mem.SetFloat(x+int64(i), 1+4*rng.Float64())
+				mem.SetFloat(y+int64(i), 1+3*rng.Float64())
+			}
+			out := mem.Alloc(int64(n))
+			return []uint64{uint64(x), uint64(y), uint64(out), uint64(n)}
+		}
+	}
+	train := func(src, pragma string, setup func(int64) func(*machine.Memory) []uint64, ar float64) (*Result, int) {
+		rsk := buildPP(t, fmt.Sprintf(src, pragma))
+		res, err := Run(rsk, rsk.FuncByName("kernel"),
+			[]func(mem *machine.Memory) []uint64{setup(1), setup(2), setup(3)},
+			Config{AR: ar, MemoBits: 10, MemoAccuracyMin: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rsk.Loops[0].ID
+	}
+	for _, tc := range []struct {
+		name   string
+		src    string
+		setup  func(int64) func(*machine.Memory) []uint64
+		loopAR float64
+		global float64
+	}{
+		{"noisy ar(0)", noisy, noisySetup, 0, 0.2},
+		{"priced ar(0.002)", priced, pricedSetup, 0.002, 0.5},
+	} {
+		pragma, pid := train(tc.src, fmt.Sprintf("#pragma rskip ar(%g)", tc.loopAR), tc.setup, tc.global)
+		plain, id := train(tc.src, "", tc.setup, tc.loopAR)
+		if !reflect.DeepEqual(pragma.QoS[pid], plain.QoS[id]) {
+			t.Errorf("%s: QoS model %+v, want %+v (the loop trained at its own AR)", tc.name, pragma.QoS[pid], plain.QoS[id])
+		}
+		if pragma.MemoAccuracy[pid] != plain.MemoAccuracy[id] || (pragma.Memo[pid] == nil) != (plain.Memo[id] == nil) {
+			t.Errorf("%s: memo accuracy %g (deployed %v), want %g (deployed %v)", tc.name,
+				pragma.MemoAccuracy[pid], pragma.Memo[pid] != nil, plain.MemoAccuracy[id], plain.Memo[id] != nil)
+		}
 	}
 }

@@ -137,15 +137,3 @@ func eliminateDead(f *ir.Func) bool {
 	}
 	return changed
 }
-
-// StaticInstrCount reports the module's static instruction count, the
-// quantity the optimizer shrinks; exposed for tools and tests.
-func StaticInstrCount(m *ir.Module) int {
-	n := 0
-	for _, f := range m.Funcs {
-		for bi := range f.Blocks {
-			n += len(f.Blocks[bi].Instrs)
-		}
-	}
-	return n
-}

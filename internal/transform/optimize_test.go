@@ -72,9 +72,9 @@ void kernel(int a[], int out[], int n) {
 		out[i] = s;
 	}
 }`)
-	before := StaticInstrCount(mod)
+	before := staticInstrCount(mod)
 	Optimize(mod)
-	after := StaticInstrCount(mod)
+	after := staticInstrCount(mod)
 	if after >= before {
 		t.Errorf("optimizer did not shrink: %d -> %d", before, after)
 	}
@@ -96,7 +96,7 @@ func TestOptimizeFoldsConstants(t *testing.T) {
 	Optimize(mod)
 	// The function should collapse to const + ret (plus possibly a
 	// leftover move).
-	n := StaticInstrCount(mod)
+	n := staticInstrCount(mod)
 	if n > 3 {
 		t.Errorf("constant expression left %d instructions", n)
 	}
@@ -151,4 +151,16 @@ int f(int a) {
 	if int64(res.Ret) != 5*10+6 {
 		t.Errorf("got %d, want 56", int64(res.Ret))
 	}
+}
+
+// staticInstrCount reports the module's static instruction count, the
+// quantity the optimizer shrinks.
+func staticInstrCount(m *ir.Module) int {
+	n := 0
+	for _, f := range m.Funcs {
+		for bi := range f.Blocks {
+			n += len(f.Blocks[bi].Instrs)
+		}
+	}
+	return n
 }

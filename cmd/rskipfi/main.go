@@ -355,7 +355,7 @@ func metricsSummary(label string, delta map[string]float64) string {
 		// latter, identical either way. The counters remain in -metrics.
 		switch k {
 		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total",
-			"fault_hang_proofs_total", "fault_hang_instrs_skipped_total":
+			"fault_hang_proofs_total", "fault_hang_instrs_skipped_total", "fault_hang_unproved_total":
 			continue
 		}
 		if !inLead[k] && !strings.Contains(k, "_bucket") {

@@ -522,9 +522,11 @@ type Outcome struct {
 	// does, and HangSkipped how many instructions it therefore did not
 	// execute. Every other field is what the full run would report: a
 	// Hang's memory is never read (Output stays nil), which is what
-	// lets the proof leave memory stale.
+	// lets the proof leave memory stale. HangNested reports that a
+	// proof took a loop nested in the one it proved as one step.
 	HangProved  bool
 	HangSkipped uint64
+	HangNested  bool
 }
 
 // SkipRate aggregates the skip rate over all PP loops of the run.
@@ -638,6 +640,7 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 	}
 	out.ConvergedSkipped, out.Converged = m.Converged()
 	out.HangSkipped, out.HangProved = m.HangProved()
+	out.HangNested = m.HangNested()
 	return out
 }
 

@@ -312,11 +312,13 @@ type campaignMetrics struct {
 	convergedSkipped *obs.Counter
 	// hangProofs and hangSkipped count replicas that proved their
 	// runaway loop exhausts the budget, and the iterations' instructions
-	// they skipped.
-	hangProofs  *obs.Counter
-	hangSkipped *obs.Counter
-	classes     [NumClasses]*obs.Counter
-	kinds       [machine.NumFaultKinds]*obs.Counter
+	// they skipped; hangUnproved counts Hang replicas that executed to
+	// the budget without a proof.
+	hangProofs   *obs.Counter
+	hangSkipped  *obs.Counter
+	hangUnproved *obs.Counter
+	classes      [NumClasses]*obs.Counter
+	kinds        [machine.NumFaultKinds]*obs.Counter
 }
 
 func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
@@ -334,6 +336,7 @@ func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
 		hangProofs: m.Counter("fault_hang_proofs_total", "replicas that proved their runaway loop exhausts the budget and skipped to the iteration that does"),
 		hangSkipped: m.Counter("fault_hang_instrs_skipped_total",
 			"runaway-loop instructions hang-proved replicas skipped instead of executing"),
+		hangUnproved: m.Counter("fault_hang_unproved_total", "Hang replicas that executed to the budget without proving their runaway loop"),
 	}
 	for c := Correct; c < NumClasses; c++ {
 		slug := strings.ReplaceAll(strings.ToLower(c.String()), " ", "_")
@@ -464,6 +467,9 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		return RunRecord{}, false
 	}
 	cls, fn, recov := classify(&o, e.prof.Output)
+	if cls == Hang && !o.HangProved {
+		e.met.hangUnproved.Inc()
+	}
 	r := RunRecord{Done: true, Class: cls, Fired: o.FaultFired, FalseNeg: fn, Recovered: recov}
 	if o.Err != nil {
 		r.Err = o.Err.Error()

@@ -107,13 +107,86 @@ func TestHangProofsMatchReference(t *testing.T) {
 	}
 }
 
+// TestNestedHangProofsMatchReference is the hang-proof differential at
+// campaign scale, where runaway loops nest: every Hang plan of an
+// N=1000 default-mix UNSAFE campaign on sgemm and conv1d at ScaleFI,
+// replayed as the campaign replays it — resumed, converging and
+// hang-proving under the campaign's budget — ends exactly like the
+// reference engine's from-zero run of the plan. At least one plan per
+// kernel must prove its hang with a nested loop taken as one step. Under
+// the race detector only the first hangs of each campaign, nested ones
+// among them, are compared.
+func TestNestedHangProofsMatchReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("FI-scale hang-proof differential is slow")
+	}
+	for _, name := range []string{"sgemm", "conv1d"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			b, err := bench.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := core.Build(b, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
+			ctx := context.Background()
+			prof, err := NewProfile(ctx, p, core.Unsafe, inst, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := prepare(ctx, prof, Config{N: 1000, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, fresh := p.NewInjector(core.Unsafe), p.NewInjector(core.Unsafe)
+			defer replayed.Close()
+			defer fresh.Close()
+			hangs, proved, nested := 0, 0, 0
+			for i, plan := range e.plans {
+				if raceEnabled && hangs >= 2 && nested > 0 {
+					break
+				}
+				plan := plan
+				opts := core.RunOpts{Fault: &plan, MaxInstrs: e.budget}
+				got := replayed.Replay(inst, opts, prof.Capture)
+				var he *machine.HangError
+				if !errors.As(got.Err, &he) {
+					continue
+				}
+				hangs++
+				if raceEnabled && hangs > 2 && !got.HangNested {
+					continue
+				}
+				opts.Reference = true
+				sameOutcome(t, fmt.Sprintf("plan %d %+v", i, plan), got, fresh.Run(inst, opts))
+				if got.HangProved {
+					proved++
+				}
+				if got.HangNested {
+					nested++
+				}
+			}
+			t.Logf("%s UNSAFE: %d hangs, %d proved, %d with a nested step", name, hangs, proved, nested)
+			if nested == 0 {
+				t.Errorf("no hang proved with a nested loop as one step")
+			}
+		})
+	}
+}
+
 // TestHangProofEngaged pins that campaign replicas prove their runaway
-// loops: on an sgemm UNSAFE campaign under the default mix, the
-// runaway-loop instructions hang-proved replicas skipped must be at
+// loops: on an sgemm UNSAFE campaign under the default mix, every Hang
+// replica must prove its loop (none may reach the budget unproved), and
+// the runaway-loop instructions hang-proved replicas skipped must be at
 // least the given share of the instructions all replicas report — a
 // silent loss of the proofs fails here, without any timing. Measured:
-// 5 of 7 hangs proved, skipping 37.8%; the other two spin in a loop
-// whose iteration is longer than a 16th of the budget left.
+// 7 of 7 hangs proved, skipping 53.0%; two of them spin in a loop nest
+// whose outer iteration holds a whole middle loop, which the dry run
+// takes as one step.
 func TestHangProofEngaged(t *testing.T) {
 	b, err := bench.ByName("sgemm")
 	if err != nil {
@@ -140,9 +213,13 @@ func TestHangProofEngaged(t *testing.T) {
 	replicaInstrs := snap["machine_instrs_total"] - float64(clean.Result.Instrs)
 	skipped := snap["fault_hang_instrs_skipped_total"]
 	share := skipped / replicaInstrs
+	proofs, unproved := snap["fault_hang_proofs_total"], snap["fault_hang_unproved_total"]
 	t.Logf("%.0f of %d hangs proved, skipping %.0f of %.0f instructions (%.1f%%)",
-		snap["fault_hang_proofs_total"], r.Counts[Hang], skipped, replicaInstrs, 100*share)
-	const want = 0.34
+		proofs, r.Counts[Hang], skipped, replicaInstrs, 100*share)
+	if r.Counts[Hang] == 0 || proofs != float64(r.Counts[Hang]) || unproved != 0 {
+		t.Errorf("%.0f of %d hangs proved, %.0f unproved; want every hang proved", proofs, r.Counts[Hang], unproved)
+	}
+	const want = 0.51
 	if replicaInstrs <= 0 || share < want {
 		t.Errorf("hang-proved replicas skipped %.1f%% of the replicas' instructions, want >= %.0f%%", 100*share, 100*want)
 	}

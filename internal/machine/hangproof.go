@@ -27,12 +27,30 @@ import (
 //     operands keep a varying value affine. Registers the iteration
 //     reads before writing must come back as (a+b, b) — otherwise they
 //     become unknown and the dry run repeats.
+//   - A loop nested in the one being proved is one step of the dry run.
+//     At its header the dry run summarises it the same way, over its
+//     own index i, with values a + b·j + c·i: its exit iteration T is
+//     the first at which a comparison in it changes outcome, and the
+//     dry run steps iteration T concretely, which must leave the loop.
+//     Then T iterations apply at once: inner-affine registers move to
+//     a + c·T, every other register the inner loop writes becomes top,
+//     and the charges, the path's (segment, multiplicity) pairs among
+//     them, grow by T iterations' worth. The step nests, up to
+//     hangMaxDepth loops, and counts its dry-run work, not T times the
+//     inner iteration, against the path cap. A nested loop whose
+//     summary fails is walked block by block instead.
 //   - Obligations bound the number J of iterations the summary holds:
 //     every branch operand and address is known; no comparison or
 //     branch changes its j = 0 outcome; every address stays in
-//     [0, MappedLimit); no varying value leaves int64. Calls, returns,
-//     runtime hooks, Alloca and Check2 reject the loop, as do Div, Rem
-//     and FToI unless their trapping operand is invariant and safe.
+//     [0, MappedLimit); no varying value leaves int64. Inside a nested
+//     loop, a comparison may vary with one loop's index only: its own
+//     loop's, where it sets T, so that T is the same in every outer
+//     iteration, or an outer loop's, whose J it bounds. Ranges must hold
+//     over every index at once: the nested loop hands its parent each
+//     such obligation at i = 0 and at i = T, which bound the linear
+//     value over the whole (j, i) range. Calls, returns, runtime hooks,
+//     Alloca and Check2 reject the loop, as do Div, Rem and FToI unless
+//     their trapping operand is invariant and safe.
 //   - If the budget runs out in iteration k* < J, the replica adds k*
 //     iterations' worth of Dyn, Region and segment counts, moves each
 //     affine register to a + b·k*, and resumes normal dispatch, which
@@ -40,16 +58,24 @@ import (
 //     would. Registers the summary calls unknown, and memory, now hold
 //     stale values, which reach nothing but other unknown values and
 //     stored data before the run ends; the convergence check, which
-//     would compare them, is disarmed.
+//     would compare them, is disarmed. A dry run that reaches the
+//     budget's end before it gets back to the header proves the path
+//     to the crossing as well: the attempt holds, skipping nothing.
 //
 // An attempt tries the first loop header the top frame reaches, which
 // is the innermost loop around it. A loop whose proof shows it leaves
-// its path before the budget ends hands the attempt on as soon as it
-// has: to the parent loop's header if it exits, whose iterations
-// unroll it, or to its own header with its new path. An attempt that
-// fails, or tries hangTries loops or waits hangSeek instructions
-// without a proof, backs off exponentially. The reference engine never
-// proves: it stays the oracle the differential tests compare against.
+// its path before the budget ends hands the attempt on without
+// executing it: the dry run takes the rest of that loop as one step,
+// goes on to its parent's header, and proves the parent there, on the
+// copy; only a parent proof that holds is committed, together with the
+// rest of the loop. Failing that, the attempt goes on once the loop
+// has left its path. After a proof holds, the next attempt is due at
+// once: the budget may end inside a long nested loop of the iteration
+// reached, whose own proof skips to the crossing instruction. An
+// attempt that fails, or tries hangTries loops or waits hangSeek
+// instructions without a proof, backs off exponentially. The reference
+// engine never proves: it stays the oracle the differential tests
+// compare against.
 
 // hangState schedules one replica's hang-proof attempts.
 type hangState struct {
@@ -58,13 +84,19 @@ type hangState struct {
 	until uint64 // the attempt under way gives up past this Dyn; 0 when none is
 	tries int    // loops the attempt under way has tried
 
-	skipped uint64 // instructions a proof did not execute; > 0 once one did
+	skipped uint64 // instructions proofs did not execute; > 0 once one did
+}
+
+// hangCold is the hang proofs' state that no hot path reads.
+type hangCold struct {
+	nested bool   // a committed proof took a nested loop as one step
+	p      *proof // the dry runs' buffers, kept across runs of the machine
 }
 
 const (
-	// hangMaxPath caps the instructions one dry-run iteration may hold;
-	// so does a 16th of the budget left, so that a proof skips at least
-	// 16 iterations for one dry run's cost.
+	// hangMaxPath caps the instructions one dry-run iteration may
+	// execute; so does a 16th of the budget left, so that a dry run
+	// costs at most a 16th of what it may skip.
 	hangMaxPath = 1 << 18
 	// hangSeek is how many instructions an attempt may take to reach
 	// loop headers, and hangTries how many loops it may try.
@@ -72,6 +104,9 @@ const (
 	hangTries = 4
 	// hangMinGap is the shortest back-off after a failed attempt.
 	hangMinGap = 1 << 12
+	// hangMaxDepth caps the loops a dry run is inside at once: the loop
+	// being proved and the nested loops it takes as one step.
+	hangMaxDepth = 4
 )
 
 // armHangProof schedules the first attempt of a run with cfg: compiled
@@ -79,6 +114,7 @@ const (
 // run.
 func (m *Machine) armHangProof() {
 	m.hang = hangState{at: noCheck}
+	m.hangc.nested = false
 	if m.conv.c == nil || m.backend != BackendCompiled {
 		return
 	}
@@ -88,11 +124,15 @@ func (m *Machine) armHangProof() {
 }
 
 // HangProved reports whether the last run proved its runaway loop
-// exhausts the budget, and how many instructions of it the proof
+// exhausts the budget, and how many instructions of it the proofs
 // therefore did not execute.
 func (m *Machine) HangProved() (skipped uint64, ok bool) {
 	return m.hang.skipped, m.hang.skipped > 0
 }
+
+// HangNested reports whether a proof of the last run took a loop
+// nested in the one it proved as one step of its dry run.
+func (m *Machine) HangNested() bool { return m.hangc.nested }
 
 // backOff ends the current attempt and schedules the next.
 func (h *hangState) backOff(dyn uint64) {
@@ -128,9 +168,12 @@ func (m *Machine) tryHangProof(f *frame) {
 		return
 	}
 	h.tries++
-	switch res, flip := m.proveHang(f, &lf.loops[li]); {
+	switch res, flip := m.proveHang(f, lf, li); {
 	case res == proofHolds:
-		h.at = noCheck
+		// The budget ends in the iteration the frame now starts; a loop
+		// nested in it may hold the crossing, so the next attempt is due
+		// at the next block.
+		h.at, h.until, h.tries = m.C.Dyn+1, m.C.Dyn+hangSeek, 0
 	case res == proofExits && h.tries < hangTries:
 		// The attempt goes on once the loop has left its path: at the
 		// parent loop's header if it exits then, else at its own, with
@@ -141,212 +184,636 @@ func (m *Machine) tryHangProof(f *frame) {
 	}
 }
 
-// proofResult is one attempt's verdict.
+// proofResult is one dry run's verdict.
 type proofResult uint8
 
 const (
 	proofFails proofResult = iota // the summary cannot be built or does not last
 	proofExits                    // the loop leaves its path (exits, or takes another) before the budget ends
 	proofHolds                    // the budget ends inside the loop (iterations skipped if any)
+	proofSpent                    // the budget ends inside the dry run, before it gets back to the header
 )
 
 // never is an unbounded iteration count.
 const never = ^uint64(0)
 
-// aval is a register's value over the iterations j of the loop being
-// proved: a + b·j, where a is the register's concrete value at j = 0
-// (held in the dry run's register copy), or top when unknown. a and b
-// wrap like the machine's own arithmetic, so a + b·j is the value
-// modulo 2^64 at every j; the int64 range bound on every varying value
-// makes it the exact integer below J, which comparisons and address
-// checks rely on.
+// steps holds a value's change per iteration of each loop a dry run is
+// inside: index 0 is the loop being proved, index d the loop nested d
+// deep in it.
+type steps [hangMaxDepth]int64
+
+// aval is a register's value over the iterations of the loops a dry run
+// is inside: a + Σ b[d]·i_d, where a is the register's concrete value
+// at every index 0 (held in the dry run's register copy), or top when
+// unknown. a and b wrap like the machine's own arithmetic, so the
+// value is exact modulo 2^64 at every index; the int64 range bound on
+// every varying value makes it the exact integer within the bounds,
+// which comparisons and address checks rely on.
 type aval struct {
-	b   int64
+	b   steps
 	top bool
 }
 
 var top = aval{top: true}
 
-// proof is the state of one dry-run iteration.
-type proof struct {
-	f       frame   // the dry run's frame: a copy of the top frame's registers
-	entry   []aval  // register values at the header, per hypothesis
-	val     []aval  // register values as the dry run goes
-	written []bool  // registers the iteration wrote so far
-	first   []bool  // registers the iteration reads before writing them
-	iters   uint64  // J: iterations every obligation holds for
-	flip    uint64  // first iteration a comparison or branch changes outcome, or never
-	path    []int32 // the iteration's segments, one per block visited
-	dyn     uint64  // the iteration's Dyn
-	region  uint64  // the iteration's Region
-	loop    *analysis.Loop
-	instrs  int
+// zero reports whether the value is invariant.
+func (s *steps) zero() bool { return *s == steps{} }
+
+// outer reports whether the value varies with a loop outside level d.
+func (s *steps) outer(d int) bool {
+	for _, b := range s[:d] {
+		if b != 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// proveHang tries to prove that the loop whose header the top frame f
-// stands at runs its current path until the budget ends, and if so
-// skips to the iteration in which it ends. A loop that leaves its path
-// first reports the Dyn at which the iteration that leaves it starts.
-func (m *Machine) proveHang(f *frame, l *analysis.Loop) (proofResult, uint64) {
+// segRun is a path element: a segment and how often it runs.
+type segRun struct {
+	seg int32
+	n   uint64
+}
+
+// dutyKind is what an obligation requires.
+type dutyKind uint8
+
+const (
+	dutyRange   dutyKind = iota // x stays in int64
+	dutyAddress                 // x stays in [0, MappedLimit)
+	dutyCompare                 // op(x, y) keeps its outcome
+)
+
+// duty is an obligation on values that vary with several loops' indices:
+// x (and y, a comparison's second operand) at every index 0, and their
+// steps.
+type duty struct {
+	kind   dutyKind
+	op     ir.Op
+	x, y   uint64
+	xb, yb steps
+}
+
+// level is one loop of the nest a dry run is inside.
+type level struct {
+	loop    *analysis.Loop
+	start   []uint64 // the registers at the header, at every index 0
+	base    []aval   // the values at the header before this loop's hypotheses
+	entry   []aval   // the values at the header, per hypothesis
+	written []bool   // registers the iteration wrote so far
+	first   []bool   // registers the iteration reads before writing them
+	iters   uint64   // iterations every range and address obligation holds for
+	flip    uint64   // first iteration a comparison or branch changes outcome, or never
+	path    []segRun // the iteration's segments
+	dyn     uint64   // the iteration's Dyn
+	region  uint64   // the iteration's Region
+	duties  []duty   // obligations for the loops outside this one
+	nested  bool     // the iteration took a nested loop as one step
+}
+
+// bound lowers the level's iteration bound.
+func (lv *level) bound(iterations uint64) {
+	lv.iters = min(lv.iters, iterations)
+}
+
+// clearIteration resets what one iteration's dry run accumulates.
+func (lv *level) clearIteration() {
+	clear(lv.written)
+	clear(lv.first)
+	lv.iters, lv.flip = never, never
+	lv.path, lv.duties = lv.path[:0], lv.duties[:0]
+	lv.dyn, lv.region, lv.nested = 0, 0, false
+}
+
+// undo is the dry run's state at a nested loop's header, kept while
+// the dry run takes the loop as one step, for walking it instead.
+type undo struct {
+	regs                     []uint64
+	val                      []aval
+	iters, flip, dyn, region uint64 // the enclosing level's accumulation
+	path, duties             int
+	nested                   bool
+}
+
+// proof is the state of one attempt's dry runs.
+type proof struct {
+	f      frame  // the dry run's frame: a copy of the top frame's registers
+	val    []aval // register values as the dry run goes
+	lv     [hangMaxDepth]level
+	undo   []undo // one per summarise under way, innermost last
+	depth  int    // the level whose loop the dry run is in
+	instrs int    // instructions the current dry run executed
+	limit  int    // cap on instrs
+	rem    uint64
+	// pre is what the dry run took as one step before the header of
+	// the loop being proved: the rest of the loops it handed on from.
+	pre struct {
+		dyn, region uint64
+		path        []segRun
+		nested      bool
+	}
+}
+
+// newProof readies the machine's proof buffers for an attempt from the
+// top frame f.
+func (m *Machine) newProof(f *frame) *proof {
+	n := len(f.regs)
+	p := m.hangc.p
+	if p == nil || cap(p.val) < n {
+		p = &proof{val: make([]aval, n), f: frame{regs: make([]uint64, n), ready: make([]uint64, n)}}
+		for d := range p.lv {
+			lv := &p.lv[d]
+			lv.start, lv.base, lv.entry = make([]uint64, n), make([]aval, n), make([]aval, n)
+			lv.written, lv.first = make([]bool, n), make([]bool, n)
+		}
+		m.hangc.p = p
+	}
+	p.val = p.val[:n]
+	clear(p.val)
+	p.f = frame{fn: f.fn, fi: f.fi, inRegion: f.inRegion, regs: p.f.regs[:n], ready: p.f.ready[:n]}
+	copy(p.f.regs, f.regs)
+	for d := range p.lv {
+		lv := &p.lv[d]
+		lv.start, lv.base, lv.entry = lv.start[:n], lv.base[:n], lv.entry[:n]
+		lv.written, lv.first = lv.written[:n], lv.first[:n]
+	}
+	p.undo = p.undo[:0]
+	p.rem = m.cfg.MaxInstrs - m.C.Dyn
+	p.limit = int(min(hangMaxPath, p.rem/16))
+	p.pre.dyn, p.pre.region, p.pre.path, p.pre.nested = 0, 0, p.pre.path[:0], false
+	return p
+}
+
+// proveHang tries to prove that the loop lf.loops[li], whose header the
+// top frame f stands at, or a loop around it, runs its current path
+// until the budget ends, and if so skips to the iteration in which it
+// ends. A loop that leaves its path first, and hands on to no loop
+// around it that holds, reports the Dyn at which the iteration that
+// leaves it starts.
+func (m *Machine) proveHang(f *frame, lf *loopForest, li int) (proofResult, uint64) {
 	if m.C.Dyn >= m.cfg.MaxInstrs {
 		return proofFails, 0 // a runtime charge spent the budget: the run hangs now
 	}
-	n := len(f.regs)
-	p := &proof{
-		f:       frame{fn: f.fn, fi: f.fi, inRegion: f.inRegion, regs: make([]uint64, n), ready: make([]uint64, n)},
-		entry:   make([]aval, n),
-		val:     make([]aval, n),
-		written: make([]bool, n),
-		first:   make([]bool, n),
-		loop:    l,
+	p := m.newProof(f)
+	l := &lf.loops[li]
+	res, k := m.proveLoop(p, l)
+	if res == proofExits {
+		exit := m.C.Dyn + k*p.lv[0].dyn
+		for tries := 1; res == proofExits && l.Parent >= 0 && tries < hangTries; tries++ {
+			parent := &lf.loops[l.Parent]
+			if !m.handOn(p, l, parent) {
+				break
+			}
+			l = parent
+			res, k = m.proveLoop(p, l)
+		}
+		if res != proofHolds {
+			return proofExits, exit
+		}
 	}
-	// The first pass holds every register invariant; its end values
-	// give each register read before written its per-iteration step.
-	if r := m.dryRun(f, p); r != proofHolds {
-		return r, m.C.Dyn
+	if res == proofHolds {
+		m.commit(f, p, l, k)
 	}
-	for r, rf := range p.first {
-		if !rf {
+	return res, 0
+}
+
+// proveLoop proves loop l from the dry run's state at its header: it
+// reports proofHolds with the iterations k the budget leaves before the
+// iteration it ends in, or proofExits with the iteration that leaves
+// the path.
+func (m *Machine) proveLoop(p *proof, l *analysis.Loop) (proofResult, uint64) {
+	lv := p.enter(0, l)
+	switch r := m.converge(p, 0); r {
+	case proofSpent:
+		return proofHolds, 0
+	case proofHolds:
+	default:
+		return r, 0
+	}
+	if lv.dyn == 0 {
+		return proofFails, 0
+	}
+	k := p.rem / lv.dyn
+	if k >= min(lv.iters, lv.flip) {
+		if lv.flip <= k {
+			return proofExits, lv.flip
+		}
+		return proofFails, 0
+	}
+	return proofHolds, k
+}
+
+// handOn takes the rest of loop l, whose proof showed it leaves its
+// path before the budget ends, as one step of a dry run from its header
+// on to the header of its parent loop, where the parent's proof starts.
+// It reports false if the run leaves the parent, fails, or spends the
+// budget before it gets there.
+func (m *Machine) handOn(p *proof, l, parent *analysis.Loop) bool {
+	lv := &p.lv[0]
+	copy(p.f.regs, lv.start)
+	copy(p.val, lv.base)
+	p.f.block, p.f.ip = l.Header, 0
+	lv.loop = parent
+	lv.clearIteration()
+	p.instrs = 0
+	if m.walk(p, 0, parent, false) != proofHolds {
+		return false
+	}
+	p.pre.dyn += lv.dyn
+	p.pre.region += lv.region
+	p.pre.path = append(p.pre.path, lv.path...)
+	p.pre.nested = p.pre.nested || lv.nested
+	p.rem -= lv.dyn
+	return true
+}
+
+// commit applies a holding proof of loop l to the top frame f: the
+// loops handed on from, then k iterations of l.
+func (m *Machine) commit(f *frame, p *proof, l *analysis.Loop, k uint64) {
+	lv := &p.lv[0]
+	skip := p.pre.dyn + k*lv.dyn
+	if skip == 0 {
+		return
+	}
+	m.C.Dyn += skip
+	m.C.Region += p.pre.region + k*lv.region
+	for _, s := range p.pre.path {
+		m.segHits[s.seg] += s.n
+	}
+	for _, s := range lv.path {
+		m.segHits[s.seg] += k * s.n
+	}
+	copy(f.regs, lv.start)
+	for r, e := range lv.entry {
+		if lv.first[r] && !e.top {
+			f.regs[r] += uint64(e.b[0]) * k
+		}
+	}
+	f.block, f.ip, f.nseg = l.Header, 0, -1
+	m.conv.c, m.conv.at = nil, noCheck
+	m.hang.skipped += skip
+	m.hangc.nested = m.hangc.nested || p.pre.nested || lv.nested
+}
+
+// enter starts level d's summary of loop l at the dry run's state.
+func (p *proof) enter(d int, l *analysis.Loop) *level {
+	lv := &p.lv[d]
+	lv.loop = l
+	copy(lv.start, p.f.regs)
+	copy(lv.base, p.val)
+	copy(lv.entry, p.val)
+	return lv
+}
+
+// converge builds level d's summary: it refutes hypotheses until the
+// summary maps the loop's header onto itself. The first dry run holds
+// every register invariant in the loop's index; its end values give
+// each register read before written its step. A first dry run that
+// does not get back to the header reports why.
+func (m *Machine) converge(p *proof, d int) proofResult {
+	lv := &p.lv[d]
+	if r := m.iterate(p, d); r != proofHolds {
+		return r
+	}
+	for r, rf := range lv.first {
+		if !rf || lv.entry[r].top {
 			continue
 		}
 		if p.val[r].top {
-			p.entry[r] = top
+			lv.entry[r] = top
 		} else {
-			p.entry[r].b = int64(p.f.regs[r] - f.regs[r])
+			lv.entry[r].b[d] = int64(p.f.regs[r] - lv.start[r])
 		}
 	}
-	// Refute hypotheses until the summary maps the header onto itself.
 	for {
-		if r := m.dryRun(f, p); r != proofHolds {
-			return r, m.C.Dyn
+		if m.iterate(p, d) != proofHolds {
+			return proofFails
 		}
 		stable := true
-		for r, rf := range p.first {
-			e := &p.entry[r]
-			if rf && !e.top && (p.val[r] != *e || p.f.regs[r] != f.regs[r]+uint64(e.b)) {
+		for r, rf := range lv.first {
+			e := &lv.entry[r]
+			if rf && !e.top && (p.val[r] != *e || p.f.regs[r] != lv.start[r]+uint64(e.b[d])) {
 				*e = top
 				stable = false
 			}
 		}
 		if stable {
-			break
-		}
-	}
-	if p.dyn == 0 {
-		return proofFails, 0
-	}
-	k := (m.cfg.MaxInstrs - m.C.Dyn) / p.dyn
-	if k >= p.iters {
-		if p.flip <= k {
-			return proofExits, m.C.Dyn + p.flip*p.dyn
-		}
-		return proofFails, 0
-	}
-	if k == 0 {
-		return proofHolds, 0 // the budget ends in this iteration: nothing to skip
-	}
-	m.C.Dyn += k * p.dyn
-	m.C.Region += k * p.region
-	for _, si := range p.path {
-		m.segHits[si] += k
-	}
-	for r, e := range p.entry {
-		if p.first[r] && !e.top {
-			f.regs[r] += uint64(e.b) * k
-		}
-	}
-	m.conv.c, m.conv.at = nil, noCheck
-	m.hang.skipped = k * p.dyn
-	return proofHolds, 0
-}
-
-// dryRun executes one iteration from the loop header on p's register
-// copy under p.entry, recording the path, the iteration's charges and
-// the obligations' bound. It writes no memory.
-func (m *Machine) dryRun(f *frame, p *proof) proofResult {
-	sf := &p.f
-	copy(sf.regs, f.regs)
-	copy(p.val, p.entry)
-	clear(p.written)
-	clear(p.first)
-	sf.block, sf.ip = f.block, 0
-	p.iters, p.flip = never, never
-	p.path, p.dyn, p.region, p.instrs = p.path[:0], 0, 0, 0
-	for r, e := range p.entry {
-		if !e.top && e.b != 0 {
-			p.bound(rangeEnd(int64(sf.regs[r]), e.b))
-		}
-	}
-	cf := &m.ccode.fns[f.fi]
-	limit := int(min(hangMaxPath, (m.cfg.MaxInstrs-m.C.Dyn)/16))
-	for {
-		b := sf.block
-		if !p.loop.Blocks[b] {
-			return proofExits // the loop exits now
-		}
-		blk := &m.code.fns[f.fi].blocks[b]
-		if len(blk.ins) == 0 {
-			return proofFails
-		}
-		si := cf.blocks[b].segAt[0]
-		if si < 0 || int(m.ccode.segs[si].count) != len(blk.ins) {
-			return proofFails // a call or hook splits the block
-		}
-		if p.instrs += len(blk.ins); p.instrs > limit {
-			return proofFails
-		}
-		p.path = append(p.path, si)
-		p.dyn += blk.uops
-		if m.blockInRegion(sf) {
-			p.region += uint64(len(blk.ins))
-		}
-		ops := cf.blocks[b].ops
-		for i := range blk.ins {
-			if !m.stepProof(p, &blk.ins[i], ops[i]) {
-				return proofFails
-			}
-		}
-		if sf.block == f.block {
 			return proofHolds
 		}
 	}
 }
 
-// read returns register r's value, noting a read before any write.
-func (p *proof) read(r ir.Reg) aval {
-	if !p.written[r] {
-		p.first[r] = true
+// iterate dry-runs one iteration of level d's loop from its header
+// under the level's hypotheses, recording the path, the iteration's
+// charges and the obligations' bounds. It writes no memory.
+func (m *Machine) iterate(p *proof, d int) proofResult {
+	lv := &p.lv[d]
+	copy(p.f.regs, lv.start)
+	copy(p.val, lv.entry)
+	p.f.block, p.f.ip = lv.loop.Header, 0
+	lv.clearIteration()
+	if d == 0 {
+		p.instrs = 0
 	}
-	return p.val[r]
+	p.depth = d
+	for r, e := range lv.entry {
+		if !e.top && e.b[d] != 0 {
+			p.oblige(duty{kind: dutyRange, x: p.f.regs[r], xb: e.b})
+		}
+	}
+	return m.walk(p, d, lv.loop, false)
 }
 
-// bound lowers J to iterations.
-func (p *proof) bound(iterations uint64) {
-	p.iters = min(p.iters, iterations)
+// walk dry-runs from the frame's block at level d until the run gets
+// back to loop l's header (proofHolds), leaves l (proofExits) or
+// reaches the budget's end (proofSpent). A loop nested in l whose
+// header it reaches is one step (summarise), or, if that fails, walked
+// block by block. With exit set the walk is a summarised loop's exit
+// iteration, which must leave l before its header comes round again.
+func (m *Machine) walk(p *proof, d int, l *analysis.Loop, exit bool) proofResult {
+	sf := &p.f
+	lf := m.code.loopForest(sf.fi)
+	cf := &m.ccode.fns[sf.fi]
+	lv := &p.lv[d]
+	var used uint64 // Dyn of the iterations around this one so far
+	for i := range d {
+		used += p.lv[i].dyn
+	}
+	var unrolled *analysis.Loop // the nested loop walked block by block
+	for {
+		p.depth = d
+		b := sf.block
+		if !l.Blocks[b] {
+			return proofExits // the loop exits now
+		}
+		if unrolled != nil && !unrolled.Blocks[b] {
+			unrolled = nil
+		}
+		if li := lf.inner[b]; b != l.Header && li >= 0 && lf.loops[li].Header == b && &lf.loops[li] != unrolled {
+			switch r := m.summarise(p, d+1, &lf.loops[li]); r {
+			case proofHolds:
+			case proofFails:
+				if p.instrs > p.limit {
+					return proofFails
+				}
+				unrolled = &lf.loops[li]
+				continue
+			default:
+				return r
+			}
+		} else if !m.stepBlock(p, lv, cf, b) {
+			return proofFails
+		}
+		if used+lv.dyn > p.rem {
+			return proofSpent
+		}
+		if sf.block == l.Header {
+			if exit {
+				return proofFails
+			}
+			return proofHolds
+		}
+	}
 }
 
-// address checks a load or store address: known, in [0, MappedLimit)
-// now, and bounding J by the iteration it leaves that range.
-func (p *proof) address(v aval, bits uint64) bool {
-	a := int64(bits)
-	if v.top || a < 0 || a >= MappedLimit {
+// stepBlock dry-runs block b of the frame at level lv.
+func (m *Machine) stepBlock(p *proof, lv *level, cf *cfunc, b int) bool {
+	blk := &m.code.fns[p.f.fi].blocks[b]
+	if len(blk.ins) == 0 {
 		return false
 	}
-	if v.b > 0 {
-		p.bound(uint64(MappedLimit-1-a)/uint64(v.b) + 1)
-	} else if v.b < 0 {
-		p.bound(uint64(a)/(-uint64(v.b)) + 1)
+	si := cf.blocks[b].segAt[0]
+	if si < 0 || int(m.ccode.segs[si].count) != len(blk.ins) {
+		return false // a call or hook splits the block
+	}
+	if p.instrs += len(blk.ins); p.instrs > p.limit {
+		return false
+	}
+	lv.path = append(lv.path, segRun{si, 1})
+	lv.dyn += blk.uops
+	if m.blockInRegion(&p.f) {
+		lv.region += uint64(len(blk.ins))
+	}
+	ops := cf.blocks[b].ops
+	for i := range blk.ins {
+		if !m.stepProof(p, &blk.ins[i], ops[i]) {
+			return false
+		}
 	}
 	return true
 }
 
-// compare bounds J by the first iteration at which integer comparison
-// op of x and y (concrete values xa, ya now) changes its outcome.
-func (p *proof) compare(op ir.Op, xa uint64, x aval, ya uint64, y aval) {
-	if j := flipIndex(op, xa, x.b, ya, y.b, p.iters); j < p.flip {
-		p.flip = j
-		p.bound(j)
+// summarise takes loop l, whose header the dry run at level c-1 stands
+// at, as one step: it proves l's iterations at level c, applies the T
+// before its exit iteration at once, and dry-runs the exit iteration at
+// level c-1. On failure it leaves the dry run as it found it.
+func (m *Machine) summarise(p *proof, c int, l *analysis.Loop) proofResult {
+	if c >= hangMaxDepth {
+		return proofFails
 	}
+	u := p.save(c - 1)
+	defer func() { p.undo = p.undo[:len(p.undo)-1] }()
+	r := m.collapse(p, c, l)
+	switch r {
+	case proofHolds:
+		p.lv[c-1].nested = true
+	case proofFails:
+		p.restore(c-1, u, l)
+	}
+	return r
+}
+
+// save pushes the dry run's state at a nested loop's header.
+func (p *proof) save(d int) *undo {
+	n := len(p.val)
+	if len(p.undo) == cap(p.undo) {
+		p.undo = append(p.undo, undo{regs: make([]uint64, n), val: make([]aval, n)})
+	} else {
+		p.undo = p.undo[:len(p.undo)+1]
+	}
+	u := &p.undo[len(p.undo)-1]
+	if len(u.regs) < n {
+		u.regs, u.val = make([]uint64, n), make([]aval, n)
+	}
+	u.regs, u.val = u.regs[:n], u.val[:n]
+	copy(u.regs, p.f.regs)
+	copy(u.val, p.val)
+	lv := &p.lv[d]
+	u.iters, u.flip, u.dyn, u.region = lv.iters, lv.flip, lv.dyn, lv.region
+	u.path, u.duties, u.nested = len(lv.path), len(lv.duties), lv.nested
+	return u
+}
+
+// restore returns the dry run to the state save kept, at the header of
+// loop l.
+func (p *proof) restore(d int, u *undo, l *analysis.Loop) {
+	copy(p.f.regs, u.regs)
+	copy(p.val, u.val)
+	lv := &p.lv[d]
+	lv.iters, lv.flip, lv.dyn, lv.region = u.iters, u.flip, u.dyn, u.region
+	lv.path, lv.duties, lv.nested = lv.path[:u.path], lv.duties[:u.duties], u.nested
+	p.f.block, p.f.ip = l.Header, 0
+}
+
+// collapse is summarise's proof: l's summary at level c, its T iterations
+// folded into level c-1, and its exit iteration.
+func (m *Machine) collapse(p *proof, c int, l *analysis.Loop) proofResult {
+	sf := &p.f
+	lv := p.enter(c, l)
+	switch r := m.converge(p, c); r {
+	case proofExits:
+		// The first iteration left l: the dry run took the exit
+		// iteration itself, once.
+		if !p.fold(c, 1) {
+			return proofFails
+		}
+		return proofHolds
+	case proofHolds:
+	default:
+		return r
+	}
+	var used uint64
+	for i := range c {
+		used += p.lv[i].dyn
+	}
+	if n := min(lv.flip, lv.iters); n > (p.rem-used)/lv.dyn {
+		return proofSpent // the budget ends in one of the iterations proved
+	}
+	if lv.flip >= lv.iters {
+		return proofFails
+	}
+	t := lv.flip
+	copy(sf.regs, lv.start)
+	for r := range sf.regs {
+		switch e := lv.entry[r]; {
+		case lv.first[r] && !e.top:
+			sf.regs[r] += uint64(e.b[c]) * t
+			e.b[c] = 0
+			p.val[r] = e
+		case lv.written[r]:
+			p.val[r] = top
+		default:
+			p.val[r] = lv.base[r]
+		}
+	}
+	if !p.fold(c, t) {
+		return proofFails
+	}
+	sf.block, sf.ip = l.Header, 0
+	if r := m.walk(p, c-1, l, true); r != proofExits {
+		if r == proofSpent {
+			return r
+		}
+		return proofFails
+	}
+	return proofHolds
+}
+
+// fold adds t iterations of level c to level c-1: their charges and
+// path, and level c's obligations for the loops outside it.
+func (p *proof) fold(c int, t uint64) bool {
+	lv, pv := &p.lv[c], &p.lv[c-1]
+	pv.dyn += t * lv.dyn
+	pv.region += t * lv.region
+	for _, s := range lv.path {
+		pv.path = append(pv.path, segRun{s.seg, t * s.n})
+	}
+	p.depth = c - 1
+	for _, u := range lv.duties {
+		// A comparison keeps its outcome over level c's iterations; a
+		// linear value lies within a range over iterations [0, t] if it
+		// does at both ends.
+		bc := u.xb[c]
+		u.xb[c], u.yb[c] = 0, 0
+		if !p.oblige(u) {
+			return false
+		}
+		if u.kind != dutyCompare && bc != 0 {
+			u.x += uint64(bc) * t
+			if !p.oblige(u) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// oblige imposes obligation u at the current level: it bounds the
+// level's iterations or flip by it, and keeps it for the loops outside
+// if it varies with their indices. It reports false when u cannot hold.
+func (p *proof) oblige(u duty) bool {
+	d := p.depth
+	lv := &p.lv[d]
+	switch u.kind {
+	case dutyAddress:
+		a := int64(u.x)
+		if a < 0 || a >= MappedLimit {
+			return false
+		}
+		if b := u.xb[d]; b > 0 {
+			lv.bound(uint64(MappedLimit-1-a)/uint64(b) + 1)
+		} else if b < 0 {
+			lv.bound(uint64(a)/(-uint64(b)) + 1)
+		}
+	case dutyRange:
+		if b := u.xb[d]; b != 0 {
+			lv.bound(rangeEnd(int64(u.x), b))
+		}
+	case dutyCompare:
+		// The outcome may change with one loop's index only.
+		in := -1
+		for i := 0; i <= d; i++ {
+			if u.xb[i] != u.yb[i] {
+				if in >= 0 {
+					return false
+				}
+				in = i
+			}
+		}
+		switch {
+		case in < 0:
+		case in == d:
+			lv.flip = min(lv.flip, flipIndex(u.op, u.x, u.xb[d], u.y, u.yb[d], lv.iters))
+		default:
+			lv.duties = append(lv.duties, u)
+		}
+		return true
+	}
+	if u.xb.outer(d) {
+		lv.duties = append(lv.duties, u)
+	}
+	return true
+}
+
+// read returns register r's value, noting a read before any write.
+func (p *proof) read(r ir.Reg) aval {
+	for d := 0; d <= p.depth; d++ {
+		if !p.lv[d].written[r] {
+			p.lv[d].first[r] = true
+		}
+	}
+	return p.val[r]
+}
+
+// write sets register r's value.
+func (p *proof) write(r ir.Reg, v aval) {
+	p.val[r] = v
+	for d := 0; d <= p.depth; d++ {
+		p.lv[d].written[r] = true
+	}
+}
+
+// address checks a load or store address: known, in [0, MappedLimit)
+// now, and bounding the iterations by where it leaves that range.
+func (p *proof) address(v aval, bits uint64) bool {
+	return !v.top && p.oblige(duty{kind: dutyAddress, x: bits, xb: v.b})
+}
+
+// compare bounds the iterations by the first at which integer
+// comparison op of x and y (concrete values xa, ya now) changes its
+// outcome.
+func (p *proof) compare(op ir.Op, xa uint64, x aval, ya uint64, y aval) bool {
+	return p.oblige(duty{kind: dutyCompare, op: op, x: xa, xb: x.b, y: ya, yb: y.b})
 }
 
 // stepProof executes one instruction of the dry run: concretely on the
@@ -381,51 +848,48 @@ func (m *Machine) stepProof(p *proof, d *dinstr, op cop) bool {
 		v = top
 	case ir.OpBr, ir.OpConstInt, ir.OpConstFloat:
 	case ir.OpCondBr:
-		if x.top {
+		if x.top || !p.compare(ir.OpNe, sf.regs[d.a0], x, 0, aval{}) {
 			return false
-		}
-		if x.b != 0 {
-			p.compare(ir.OpNe, sf.regs[d.a0], x, 0, aval{})
 		}
 	case ir.OpMov:
 		v = x
 	case ir.OpAdd:
-		v = affine(x, y, x.b+y.b)
+		v = affine(x, y, axpy(1, y.b, x.b))
 	case ir.OpSub:
-		v = affine(x, y, x.b-y.b)
+		v = affine(x, y, axpy(-1, y.b, x.b))
 	case ir.OpNeg:
-		v = affine(x, x, -x.b)
+		v = affine(x, x, axpy(-1, x.b, steps{}))
 	case ir.OpMul:
 		switch {
 		case x.top || y.top:
 			v = top
-		case y.b == 0:
-			v.b = x.b * int64(sf.regs[d.a1])
-		case x.b == 0:
-			v.b = y.b * int64(sf.regs[d.a0])
+		case y.b.zero():
+			v.b = axpy(int64(sf.regs[d.a1]), x.b, steps{})
+		case x.b.zero():
+			v.b = axpy(int64(sf.regs[d.a0]), y.b, steps{})
 		default:
 			v = top
 		}
 	case ir.OpShl:
-		if y.b != 0 {
+		if !y.b.zero() {
 			v = top
 		} else {
-			v = affine(x, y, x.b<<(sf.regs[d.a1]&63))
+			v = affine(x, y, axpy(1<<(sf.regs[d.a1]&63), x.b, steps{}))
 		}
 	case ir.OpDiv, ir.OpRem:
-		if y.top || y.b != 0 {
+		if y.top || !y.b.zero() {
 			return false // the divisor could become zero
 		}
 		v = invariant(x, y, z)
 	case ir.OpFToI:
-		if x.top || x.b != 0 {
+		if x.top || !x.b.zero() {
 			return false // the operand could leave int64's range
 		}
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 		if x.top || y.top {
 			v = top
-		} else if x.b != 0 || y.b != 0 {
-			p.compare(d.op, sf.regs[d.a0], x, sf.regs[d.a1], y)
+		} else if !p.compare(d.op, sf.regs[d.a0], x, sf.regs[d.a1], y) {
+			return false
 		}
 	case ir.OpVote3:
 		switch {
@@ -439,41 +903,50 @@ func (m *Machine) stepProof(p *proof, d *dinstr, op cop) bool {
 	default:
 		v = invariant(x, y, z)
 	}
-	// Concretely: a trap here is a trap at j = 0, which the run itself
-	// will raise.
+	// Concretely: a trap here is a trap at every index 0, which the run
+	// itself will raise.
 	if err := op(m, sf); err != nil {
 		return false
 	}
 	if d.dst != ir.NoReg {
-		p.val[d.dst] = v
-		p.written[d.dst] = true
-		if !v.top && v.b != 0 {
-			p.bound(rangeEnd(int64(sf.regs[d.dst]), v.b))
+		p.write(d.dst, v)
+		if !v.top && !v.b.zero() {
+			p.oblige(duty{kind: dutyRange, x: sf.regs[d.dst], xb: v.b})
 		}
 	}
 	return true
 }
 
-// affine is the value with step b of an operation on x and y that keeps
-// affine values affine.
-func affine(x, y aval, b int64) aval {
+// affine is the value with steps b of an operation on x and y that
+// keeps affine values affine.
+func affine(x, y aval, b steps) aval {
 	if x.top || y.top {
 		return top
 	}
 	return aval{b: b}
 }
 
+// axpy returns k·x + y, wrapping like the machine's arithmetic; a shift
+// left by n is a multiply by 1<<n.
+func axpy(k int64, x, y steps) steps {
+	for i := range y {
+		y[i] += k * x[i]
+	}
+	return y
+}
+
 // invariant is the value of an operation that keeps only invariant
 // values known: its operands' concrete result, the same every
 // iteration.
 func invariant(x, y, z aval) aval {
-	if x.top || y.top || z.top || x.b != 0 || y.b != 0 || z.b != 0 {
+	if x.top || y.top || z.top || !x.b.zero() || !y.b.zero() || !z.b.zero() {
 		return top
 	}
 	return aval{}
 }
 
-// same reports whether two known values are one function of j.
+// same reports whether two known values are one function of the
+// indices.
 func same(x, y aval, xa, ya uint64) bool {
 	return !x.top && !y.top && x.b == y.b && xa == ya
 }

@@ -253,10 +253,14 @@ type Machine struct {
 	hang hangState // hang-proof attempts (hangproof.go)
 	nest int       // runtime-hook recompute runs in progress
 
-	// pl sits last: its fixed slot/ring arrays span several pages, and
-	// keeping them past the scalar fields keeps every other hot field
+	// pl sits past the scalar fields: its fixed slot/ring arrays span
+	// several pages, and keeping them there keeps every other hot field
 	// of the struct within the first cache lines.
 	pl pipeline
+
+	// hangc, which no hot path reads, sits past pl so that its size
+	// moves no hot field.
+	hangc hangCold
 }
 
 // cancelPollInterval bounds how many dynamic instructions execute

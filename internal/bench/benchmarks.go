@@ -45,7 +45,10 @@ func ParseScale(name string) (Scale, error) {
 // Instance is one concrete input set for a benchmark.
 type Instance struct {
 	// Setup copies the input data into a fresh machine memory and
-	// returns the kernel's argument list (raw bits).
+	// returns the kernel's argument list (raw bits). It only stores:
+	// a campaign replica resumed from a snapshot runs it on an arena
+	// whose other words are a previous replica's until the resume
+	// restores them (machine.ResetForResume).
 	Setup func(mem *machine.Memory) []uint64
 	// Output reads the program's output words after a run; runs are
 	// compared bitwise against a fault-free reference (the paper

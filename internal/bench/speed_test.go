@@ -28,7 +28,9 @@ func buildFor(b *testing.B, name string) (*core.Program, bench.Instance) {
 // dynamic instruction: one full kernel run per iteration (machine
 // construction, setup and teardown included — that is what a campaign
 // pays per injection). The compiled/reference pair is the speedup the
-// compiled backend buys over the seed per-instruction interpreter.
+// compiled backend buys over the seed per-instruction interpreter;
+// untimed is the compiled run as a campaign replica makes it, through
+// a one-shot core.Injector with the cycle model off.
 //
 // Profile the hot path with:
 //
@@ -39,16 +41,21 @@ func BenchmarkStep(b *testing.B) {
 		p, inst := buildFor(b, name)
 		for _, mode := range []struct {
 			label string
-			opts  core.RunOpts
+			run   func() core.Outcome
 		}{
-			{"compiled", core.RunOpts{}},
-			{"reference", core.RunOpts{Reference: true}},
+			{"compiled", func() core.Outcome { return p.Run(core.Unsafe, inst, core.RunOpts{}) }},
+			{"untimed", func() core.Outcome {
+				inj := p.NewInjector(core.Unsafe)
+				defer inj.Close()
+				return inj.Run(inst, core.RunOpts{})
+			}},
+			{"reference", func() core.Outcome { return p.Run(core.Unsafe, inst, core.RunOpts{Reference: true}) }},
 		} {
 			b.Run(name+"/"+mode.label, func(b *testing.B) {
 				var instrs uint64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					o := p.Run(core.Unsafe, inst, mode.opts)
+					o := mode.run()
 					if o.Err != nil {
 						b.Fatal(o.Err)
 					}

@@ -717,9 +717,13 @@ func (in *Injector) run(inst bench.Instance, opts RunOpts, snap *machine.Snapsho
 	mcfg, mgr := in.p.machineConfig(in.s, in.mod, opts)
 	mcfg.Untimed = true
 	mcfg.Converge = c
-	if in.m == nil {
+	switch {
+	case in.m == nil:
 		in.m = machine.New(in.mod, mcfg)
-	} else {
+	case snap != nil:
+		// Resume's restore is the arena's one clear.
+		in.m.ResetForResume(mcfg)
+	default:
 		in.m.Reset(mcfg)
 	}
 	return in.p.runOn(in.m, in.mod, mgr, inst, snap)

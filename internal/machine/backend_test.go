@@ -2,6 +2,9 @@ package machine
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rskip/internal/ir"
@@ -233,7 +236,11 @@ func TestBackendsAgreeCleanRun(t *testing.T) {
 // TestResetTogglesUntimed pins Config.Untimed across Reset on every
 // backend: an untimed run on a machine a timed run left dirty reports
 // Cycles == 0 and otherwise the timed result, and a timed run after it
-// (whose init skipped nothing) reproduces the first run exactly.
+// (whose init skipped nothing) reproduces the first run exactly. It
+// then pins the single clear of a resumed replica (ResetForResume):
+// replicas from zero and from a snapshot, and a timed run, alternate
+// on one machine and each equals a fresh machine's run in every field,
+// the whole arena included.
 func TestResetTogglesUntimed(t *testing.T) {
 	mod, fi := faultHarness(t)
 	for _, be := range allBackends {
@@ -266,6 +273,86 @@ func TestResetTogglesUntimed(t *testing.T) {
 		}
 		if again := run(false); again != timed {
 			t.Errorf("backend %v: timed after untimed %+v, want %+v", be, again, timed)
+		}
+		m.Release()
+	}
+	lazyClearSequence(t)
+}
+
+// lazyClearSequence runs, on one machine per backend: a from-zero
+// replica that dirties the high stack and a sparse page before it
+// segfaults, a replica resumed mid-run that traps soon after the
+// snapshot (so a word the restore failed to clear stays visible), a
+// from-zero replica and a timed run.
+func lazyClearSequence(t *testing.T) {
+	mod, fi, cfg := snapHarness(t)
+	for _, be := range allBackends {
+		cfg := cfg
+		cfg.Backend = be
+		c := NewCapture(4)
+		clean := captureRun(t, mod, fi, cfg, be, c)
+		untimed := cfg
+		untimed.Untimed, untimed.MaxInstrs = true, 2*clean.Instrs
+
+		type replica struct {
+			name string
+			cfg  Config
+			snap *Snapshot
+		}
+		run := func(m *Machine, r replica) (RunResult, error) {
+			if r.snap != nil {
+				m.ResetForResume(r.cfg)
+				snapSetup(m)
+				return m.Resume(r.snap)
+			}
+			m.Reset(r.cfg)
+			return m.Run(fi, snapSetup(m))
+		}
+		fresh := func(r replica) (*Machine, RunResult, error) {
+			m := New(mod, r.cfg)
+			res, err := run(m, r)
+			return m, res, err
+		}
+
+		// A strike late in the run that sends an address past the
+		// mapped space: the run has written stack arrays and sparse
+		// pages by then.
+		var segv replica
+		for tgt := clean.Region * 3 / 4; tgt < clean.Region && segv.name == ""; tgt++ {
+			r := replica{name: "segfault from zero", cfg: untimed}
+			r.cfg.Fault = &FaultPlan{Kind: FaultResultBit, Target: tgt, Bit: 31}
+			fm, _, err := fresh(r)
+			var se *SegfaultError
+			if errors.As(err, &se) && fm.Mem.pages != nil && fm.Mem.dirtyHiStart < int64(len(fm.Mem.words)) {
+				segv = r
+			}
+			fm.Release()
+		}
+		if segv.name == "" {
+			t.Fatalf("backend %v: no late strike segfaults", be)
+		}
+		snap := c.Latest(clean.Region/4, untimed.MaxInstrs)
+		resumed := replica{name: "resumed", cfg: untimed, snap: snap}
+		resumed.cfg.Fault = &FaultPlan{Kind: FaultOpcode, Target: snap.Region() + 3, Bit: 7}
+		timed := cfg
+		timed.MaxInstrs = untimed.MaxInstrs
+
+		m := New(mod, untimed)
+		for _, r := range []replica{segv, resumed, {name: "from zero", cfg: untimed}, {name: "timed", cfg: timed}} {
+			got, gerr := run(m, r)
+			fm, want, werr := fresh(r)
+			label := fmt.Sprintf("backend %v, %s", be, r.name)
+			if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Errorf("%s: (%+v, %v), fresh machine (%+v, %v)", label, got, gerr, want, werr)
+			}
+			if m.FaultFired() != fm.FaultFired() {
+				t.Errorf("%s: fault fired %v, fresh machine %v", label, m.FaultFired(), fm.FaultFired())
+			}
+			if !slices.Equal(m.Mem.words, fm.Mem.words) || !reflect.DeepEqual(m.Mem.pages, fm.Mem.pages) ||
+				m.Mem.heapEnd != fm.Mem.heapEnd || m.Mem.stackPtr != fm.Mem.stackPtr {
+				t.Errorf("%s: memory differs from a fresh machine's", label)
+			}
+			fm.Release()
 		}
 		m.Release()
 	}

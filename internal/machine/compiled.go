@@ -41,6 +41,13 @@ import (
 //     produces bit-identical counters, cycles and outcomes, just more
 //     slowly.
 //
+//   - A guarded cycle model. Each closure's timing statement — the
+//     operands' ready reads, the pipeline issue and the destination's
+//     ready write — sits under one `if !m.pl.off`, so an untimed run
+//     (Config.Untimed: every campaign replica) touches no ready cycle.
+//     Its frames carry no ready half (newFrame), so an access the guard
+//     missed panics instead of quietly costing time.
+//
 // Counter totals, cycles, outputs and fault outcomes are bit-identical
 // to the reference backend — the two-way golden sweep in
 // internal/bench proves it. (The only deliberate non-contract freedom
@@ -435,40 +442,50 @@ func pureOp(op ir.Op) bool {
 
 func issue0(lat uint64) cop {
 	return func(m *Machine, f *frame) error {
-		m.pl.issue(0, lat)
+		if !m.pl.off {
+			m.pl.issue(0, lat)
+		}
 		return nil
 	}
 }
 
 func issue1(a0 ir.Reg, lat uint64) cop {
 	return func(m *Machine, f *frame) error {
-		m.pl.issue(f.ready[a0], lat)
+		if !m.pl.off {
+			m.pl.issue(f.ready[a0], lat)
+		}
 		return nil
 	}
 }
 
 func issue2(a0, a1 ir.Reg, lat uint64) cop {
 	return func(m *Machine, f *frame) error {
-		m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+		if !m.pl.off {
+			m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+		}
 		return nil
 	}
 }
 
 func issue3(a0, a1, a2 ir.Reg, lat uint64) cop {
 	return func(m *Machine, f *frame) error {
-		m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
+		if !m.pl.off {
+			m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
+		}
 		return nil
 	}
 }
 
 // compileIns compiles one pre-decoded instruction to a closure. Every
-// case follows the reference interpreter's exec (exec.go): the
-// timing-model issue happens first with the same operand-ready cycle,
-// then the operation, in the identical order — cycles and traps stay
-// bit-identical. The closure is the compiled engine's only
-// implementation of the instruction: segments, runPlain, stepCareful
-// and the hang-proof dry run all call it. n0/n1 are the nextHints
-// successor segments for branches, calls and hooks.
+// case follows the reference interpreter's exec (exec.go): the timing
+// statement, skipped whole when the model is off, comes first with the
+// same operand-ready cycle, then the operation — cycles and traps stay
+// bit-identical. (A trapping op writes its destination's ready cycle
+// before the trap; the trap ends the frame, so nothing reads it.) The
+// closure is the compiled engine's only implementation of the
+// instruction: segments, runPlain, stepCareful and the hang-proof dry
+// run all call it. n0/n1 are the nextHints successor segments for
+// branches, calls and hooks.
 func compileIns(d *dinstr, n0, n1 int32) cop {
 	dst, a0, a1, a2 := d.dst, d.a0, d.a1, d.a2
 	lat := uint64(d.lat)
@@ -490,52 +507,60 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 	case ir.OpConstInt:
 		bits := uint64(d.imm)
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(0, lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(0, lat)
+			}
 			f.regs[dst] = bits
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpConstFloat:
 		bits := f2b(d.fimm)
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(0, lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(0, lat)
+			}
 			f.regs[dst] = bits
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpMov:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f.regs[a0]
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpAdd:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = uint64(int64(f.regs[a0]) + int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpSub:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = uint64(int64(f.regs[a0]) - int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpMul:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = uint64(int64(f.regs[a0]) * int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpDiv:
 		if dst == ir.NoReg {
 			return func(m *Machine, f *frame) error {
-				m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+				if !m.pl.off {
+					m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+				}
 				if int64(f.regs[a1]) == 0 {
 					return &TrapError{Reason: "integer divide by zero"}
 				}
@@ -543,19 +568,22 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 			}
 		}
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			dv := int64(f.regs[a1])
 			if dv == 0 {
 				return &TrapError{Reason: "integer divide by zero"}
 			}
 			f.regs[dst] = uint64(int64(f.regs[a0]) / dv)
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpRem:
 		if dst == ir.NoReg {
 			return func(m *Machine, f *frame) error {
-				m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+				if !m.pl.off {
+					m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+				}
 				if int64(f.regs[a1]) == 0 {
 					return &TrapError{Reason: "integer remainder by zero"}
 				}
@@ -563,190 +591,217 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 			}
 		}
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			dv := int64(f.regs[a1])
 			if dv == 0 {
 				return &TrapError{Reason: "integer remainder by zero"}
 			}
 			f.regs[dst] = uint64(int64(f.regs[a0]) % dv)
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpAnd:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f.regs[a0] & f.regs[a1]
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpOr:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f.regs[a0] | f.regs[a1]
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpXor:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f.regs[a0] ^ f.regs[a1]
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpShl:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f.regs[a0] << (f.regs[a1] & 63)
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpShr:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f.regs[a0] >> (f.regs[a1] & 63)
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpNeg:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = uint64(-int64(f.regs[a0]))
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpFAdd:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(b2f(f.regs[a0]) + b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFSub:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(b2f(f.regs[a0]) - b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFMul:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(b2f(f.regs[a0]) * b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFDiv:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(b2f(f.regs[a0]) / b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFNeg:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(-b2f(f.regs[a0]))
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpEq:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(int64(f.regs[a0]) == int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpNe:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(int64(f.regs[a0]) != int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpLt:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(int64(f.regs[a0]) < int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpLe:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(int64(f.regs[a0]) <= int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpGt:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(int64(f.regs[a0]) > int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpGe:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(int64(f.regs[a0]) >= int64(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFEq:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(b2f(f.regs[a0]) == b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFNe:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(b2f(f.regs[a0]) != b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFLt:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(b2f(f.regs[a0]) < b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFLe:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(b2f(f.regs[a0]) <= b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFGt:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(b2f(f.regs[a0]) > b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFGe:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = boolBits(b2f(f.regs[a0]) >= b2f(f.regs[a1]))
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpIToF:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(float64(int64(f.regs[a0])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFToI:
 		if dst == ir.NoReg {
 			return func(m *Machine, f *frame) error {
-				m.pl.issue(f.ready[a0], lat)
+				if !m.pl.off {
+					m.pl.issue(f.ready[a0], lat)
+				}
 				v := b2f(f.regs[a0])
 				if math.IsNaN(v) || v > math.MaxInt64 || v < math.MinInt64 {
 					return &TrapError{Reason: "float to int conversion out of range"}
@@ -755,20 +810,23 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 			}
 		}
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			v := b2f(f.regs[a0])
 			if math.IsNaN(v) || v > math.MaxInt64 || v < math.MinInt64 {
 				return &TrapError{Reason: "float to int conversion out of range"}
 			}
 			f.regs[dst] = uint64(int64(v))
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpLoad:
 		if dst == ir.NoReg {
 			return func(m *Machine, f *frame) error {
-				m.pl.issue(f.ready[a0], lat)
+				if !m.pl.off {
+					m.pl.issue(f.ready[a0], lat)
+				}
 				addr := int64(f.regs[a0])
 				if !(m.overrideActive && addr == m.overrideAddr) {
 					if _, err := m.Mem.LoadWord(addr); err != nil {
@@ -779,7 +837,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 			}
 		}
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			addr := int64(f.regs[a0])
 			var w uint64
 			if m.overrideActive && addr == m.overrideAddr {
@@ -792,95 +852,109 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 				}
 			}
 			f.regs[dst] = w
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpStore:
 		return func(m *Machine, f *frame) error {
-			m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			return m.Mem.StoreWord(int64(f.regs[a0]), f.regs[a1])
 		}
 	case ir.OpAlloca:
 		size := d.imm
 		if dst == ir.NoReg {
 			return func(m *Machine, f *frame) error {
-				m.pl.issue(0, lat)
+				if !m.pl.off {
+					m.pl.issue(0, lat)
+				}
 				_, err := m.Mem.pushStack(size)
 				return err
 			}
 		}
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(0, lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(0, lat)
+			}
 			base, err := m.Mem.pushStack(size)
 			if err != nil {
 				return err
 			}
 			f.regs[dst] = uint64(base)
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpSqrt:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(math.Sqrt(b2f(f.regs[a0])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpExp:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(math.Exp(b2f(f.regs[a0])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpLog:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(math.Log(b2f(f.regs[a0])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFAbs:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(math.Abs(b2f(f.regs[a0])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpPow:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(math.Pow(b2f(f.regs[a0]), b2f(f.regs[a1])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFloor:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
+			}
 			f.regs[dst] = f2b(math.Floor(b2f(f.regs[a0])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFMin:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(math.Min(b2f(f.regs[a0]), b2f(f.regs[a1])))
-			f.ready[dst] = done
 			return nil
 		}
 	case ir.OpFMax:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			f.regs[dst] = f2b(math.Max(b2f(f.regs[a0]), b2f(f.regs[a1])))
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpBr:
 		b0 := int(d.b0)
 		return func(m *Machine, f *frame) error {
-			m.pl.issue(0, lat)
+			if !m.pl.off {
+				m.pl.issue(0, lat)
+			}
 			f.block = b0
 			f.ip = 0
 			f.nseg = n0
@@ -889,7 +963,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 	case ir.OpCondBr:
 		b0, b1 := int(d.b0), int(d.b1)
 		return func(m *Machine, f *frame) error {
-			m.pl.issue(f.ready[a0], lat)
+			if !m.pl.off {
+				m.pl.issue(f.ready[a0], lat)
+			}
 			if f.regs[a0] != 0 {
 				f.block = b0
 				f.nseg = n0
@@ -903,11 +979,15 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 	case ir.OpRet:
 		hasArg := d.nargs == 1
 		return func(m *Machine, f *frame) error {
-			var rdy uint64
-			if hasArg {
-				rdy = f.ready[a0]
+			timed := !m.pl.off
+			var done uint64
+			if timed {
+				var rdy uint64
+				if hasArg {
+					rdy = f.ready[a0]
+				}
+				done = m.pl.issue(rdy, lat)
 			}
-			done := m.pl.issue(rdy, lat)
 			var ret uint64
 			if hasArg {
 				ret = f.regs[a0]
@@ -921,21 +1001,19 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 			if retDst != ir.NoReg && len(m.fr) > 0 {
 				caller := &m.fr[len(m.fr)-1]
 				caller.regs[retDst] = ret
-				caller.ready[retDst] = done
+				if timed {
+					caller.ready[retDst] = done
+				}
 			}
 			return nil
 		}
 	case ir.OpCall:
-		srcArgs := d.src.Args
+		src, srcArgs := d.src, d.src.Args
 		callee := int(d.callee)
 		return func(m *Machine, f *frame) error {
-			var r uint64
-			for _, a := range srcArgs {
-				if f.ready[a] > r {
-					r = f.ready[a]
-				}
+			if !m.pl.off {
+				m.pl.issue(readyOf(f, src), lat)
 			}
-			m.pl.issue(r, lat)
 			args := make([]uint64, len(srcArgs))
 			for i, a := range srcArgs {
 				args[i] = f.regs[a]
@@ -948,7 +1026,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 
 	case ir.OpCheck2:
 		return func(m *Machine, f *frame) error {
-			m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			if !m.pl.off {
+				m.pl.issue(max(f.ready[a0], f.ready[a1]), lat)
+			}
 			if f.regs[a0] != f.regs[a1] {
 				return &DetectError{Func: f.fn.Name}
 			}
@@ -956,7 +1036,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 		}
 	case ir.OpVote3:
 		return func(m *Machine, f *frame) error {
-			done := m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
+			if !m.pl.off {
+				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
+			}
 			a, b, c := f.regs[a0], f.regs[a1], f.regs[a2]
 			maj := a
 			switch {
@@ -966,21 +1048,16 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 				maj = b
 			}
 			f.regs[dst] = maj
-			f.ready[dst] = done
 			return nil
 		}
 
 	case ir.OpRTLoopEnter:
-		srcArgs := d.src.Args
+		src, srcArgs := d.src, d.src.Args
 		id := int(d.imm)
 		return func(m *Machine, f *frame) error {
-			var r uint64
-			for _, a := range srcArgs {
-				if f.ready[a] > r {
-					r = f.ready[a]
-				}
+			if !m.pl.off {
+				m.pl.issue(readyOf(f, src), lat)
 			}
-			m.pl.issue(r, lat)
 			f.nseg = n0
 			if m.cfg.Hooks != nil {
 				inv := make([]uint64, len(srcArgs))
@@ -995,7 +1072,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 	case ir.OpRTObserve:
 		id := int(d.imm)
 		return func(m *Machine, f *frame) error {
-			m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
+			if !m.pl.off {
+				m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
+			}
 			f.nseg = n0
 			if m.cfg.Hooks != nil {
 				m.hookOp = ir.OpRTObserve
@@ -1007,7 +1086,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 	case ir.OpRTLoopExit:
 		id := int(d.imm)
 		return func(m *Machine, f *frame) error {
-			m.pl.issue(0, lat)
+			if !m.pl.off {
+				m.pl.issue(0, lat)
+			}
 			f.nseg = n0
 			if m.cfg.Hooks != nil {
 				m.hookOp = ir.OpRTLoopExit
@@ -1020,15 +1101,11 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 	// Unknown opcode: issue with the generic operand-ready cycle, then
 	// trap — the reference's charge-then-trap order.
 	msg := "illegal instruction " + d.op.String()
-	srcArgs := d.src.Args
+	src := d.src
 	return func(m *Machine, f *frame) error {
-		var r uint64
-		for _, a := range srcArgs {
-			if f.ready[a] > r {
-				r = f.ready[a]
-			}
+		if !m.pl.off {
+			m.pl.issue(readyOf(f, src), lat)
 		}
-		m.pl.issue(r, lat)
 		return &TrapError{Reason: msg}
 	}
 }

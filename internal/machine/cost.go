@@ -90,7 +90,7 @@ func (c Cost) Add(o Cost) Cost {
 // hides part but not all of its extra instructions.
 type pipeline struct {
 	width uint16
-	off   bool // untimed run (Config.Untimed): issue schedules nothing
+	off   bool // untimed run (Config.Untimed): callers skip issue and every ready cycle
 
 	floor   uint64 // no μop issues before this cycle
 	maxDone uint64 // completion cycle of the latest-finishing μop
@@ -144,17 +144,12 @@ func (p *pipeline) advanceFloor(to uint64) {
 }
 
 // issue schedules one μop whose operands are ready at readyAt and
-// returns its completion cycle. An untimed pipeline schedules nothing
-// and returns 0, so every ready cycle and the run's total stay 0. The
-// wrapper is small enough to inline into every engine's dispatch.
+// returns its completion cycle. It is the timed path only: every
+// caller guards its whole timing statement — the operands' ready
+// reads, this call and the destination's ready write — with !p.off,
+// so an untimed run touches no ready cycle and no slot (its frames
+// have no ready half; see newFrame) and its total stays 0.
 func (p *pipeline) issue(readyAt uint64, lat uint64) uint64 {
-	if p.off {
-		return 0
-	}
-	return p.issueTimed(readyAt, lat)
-}
-
-func (p *pipeline) issueTimed(readyAt uint64, lat uint64) uint64 {
 	// In-flight window: this μop cannot issue before the μop robWindow
 	// back did (monotone floor keeps the slot array consistent).
 	ri := p.head & (robWindow - 1)

@@ -139,7 +139,9 @@ func (m *Machine) stepCareful(f *frame, inRegion bool) error {
 		}
 		return nil
 	case faultSkip:
-		m.pl.issue(readyD(f, d), 1)
+		if !m.pl.off {
+			m.pl.issue(readyOf(f, d.src), 1)
+		}
 		if d.op.IsTerminator() {
 			f.block = (f.block + 1) % len(f.fn.Blocks)
 			f.ip = 0
@@ -148,43 +150,13 @@ func (m *Machine) stepCareful(f *frame, inRegion bool) error {
 	case faultGarbage:
 		if d.dst != ir.NoReg {
 			f.regs[d.dst] = m.garbage(f.regs[d.dst])
-			f.ready[d.dst] = m.pl.issue(readyD(f, d), 1)
+			if !m.pl.off {
+				f.ready[d.dst] = m.pl.issue(readyOf(f, d.src), 1)
+			}
 		}
 		return nil
 	case faultTrap:
 		return &TrapError{Reason: "illegal instruction encoding (injected opcode fault)"}
 	}
 	return op(m, f)
-}
-
-// readyD returns the cycle all source operands are ready.
-func readyD(f *frame, d *dinstr) uint64 {
-	switch d.nargs {
-	case 0:
-		return 0
-	case 1:
-		return f.ready[d.a0]
-	case 2:
-		r := f.ready[d.a0]
-		if b := f.ready[d.a1]; b > r {
-			r = b
-		}
-		return r
-	case 3:
-		r := f.ready[d.a0]
-		if b := f.ready[d.a1]; b > r {
-			r = b
-		}
-		if c := f.ready[d.a2]; c > r {
-			r = c
-		}
-		return r
-	}
-	var r uint64
-	for _, a := range d.src.Args {
-		if f.ready[a] > r {
-			r = f.ready[a]
-		}
-	}
-	return r
 }

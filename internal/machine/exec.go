@@ -88,7 +88,9 @@ func (m *Machine) step() error {
 		}
 		return nil
 	case faultSkip:
-		m.pl.issue(readyOf(f, in), 1)
+		if !m.pl.off {
+			m.pl.issue(readyOf(f, in), 1)
+		}
 		if in.Op.IsTerminator() {
 			// A skipped terminator falls through to the next block.
 			f.block = (f.block + 1) % len(f.fn.Blocks)
@@ -98,7 +100,9 @@ func (m *Machine) step() error {
 	case faultGarbage:
 		if in.Dst != ir.NoReg {
 			f.regs[in.Dst] = m.garbage(f.regs[in.Dst])
-			f.ready[in.Dst] = m.pl.issue(readyOf(f, in), 1)
+			if !m.pl.off {
+				f.ready[in.Dst] = m.pl.issue(readyOf(f, in), 1)
+			}
 		}
 		return nil
 	case faultTrap:
@@ -119,18 +123,25 @@ func readyOf(f *frame, in *ir.Instr) uint64 {
 	return r
 }
 
-// exec performs the operation, updates the timing model, and writes
-// results.
+// exec updates the timing model, performs the operation, and writes
+// results. An untimed run skips the timing model and touches no ready
+// cycle.
 func (m *Machine) exec(f *frame, in *ir.Instr) error {
+	timed := !m.pl.off
 	argI := func(i int) int64 { return int64(f.regs[in.Args[i]]) }
 	argF := func(i int) float64 { return b2f(f.regs[in.Args[i]]) }
 	setDst := func(bits uint64, done uint64) {
 		if in.Dst != ir.NoReg {
 			f.regs[in.Dst] = bits
-			f.ready[in.Dst] = done
+			if timed {
+				f.ready[in.Dst] = done
+			}
 		}
 	}
-	done := m.pl.issue(readyOf(f, in), latency(in.Op))
+	var done uint64
+	if timed {
+		done = m.pl.issue(readyOf(f, in), latency(in.Op))
+	}
 
 	switch in.Op {
 	case ir.OpConstInt:
@@ -281,7 +292,9 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		if retDst != ir.NoReg && len(m.fr) > 0 {
 			caller := &m.fr[len(m.fr)-1]
 			caller.regs[retDst] = ret
-			caller.ready[retDst] = done
+			if timed {
+				caller.ready[retDst] = done
+			}
 		}
 
 	case ir.OpCall:

@@ -320,7 +320,7 @@ func (m *Machine) newProof(f *frame) *proof {
 	n := len(f.regs)
 	p := m.hangc.p
 	if p == nil || cap(p.val) < n {
-		p = &proof{val: make([]aval, n), f: frame{regs: make([]uint64, n), ready: make([]uint64, n)}}
+		p = &proof{val: make([]aval, n), f: frame{regs: make([]uint64, n)}}
 		for d := range p.lv {
 			lv := &p.lv[d]
 			lv.start, lv.base, lv.entry = make([]uint64, n), make([]aval, n), make([]aval, n)
@@ -330,7 +330,7 @@ func (m *Machine) newProof(f *frame) *proof {
 	}
 	p.val = p.val[:n]
 	clear(p.val)
-	p.f = frame{fn: f.fn, fi: f.fi, inRegion: f.inRegion, regs: p.f.regs[:n], ready: p.f.ready[:n]}
+	p.f = frame{fn: f.fn, fi: f.fi, inRegion: f.inRegion, regs: p.f.regs[:n]}
 	copy(p.f.regs, f.regs)
 	for d := range p.lv {
 		lv := &p.lv[d]

@@ -253,9 +253,13 @@ type Machine struct {
 	hang hangState // hang-proof attempts (hangproof.go)
 	nest int       // runtime-hook recompute runs in progress
 
-	// pl sits past the scalar fields: its fixed slot/ring arrays span
+	// pl sits past every hot field: its fixed slot/ring arrays span
 	// several pages, and keeping them there keeps every other hot field
-	// of the struct within the first cache lines.
+	// of the struct within the first cache lines. The pad puts it at a
+	// 64-byte offset, so its scalar head (off, read by every
+	// instruction) fills one cache line; a field added above moves it,
+	// and TestPipelineLayout fails until the pad is resized.
+	_  [48]byte
 	pl pipeline
 
 	// hangc, which no hot path reads, sits past pl so that its size
@@ -367,14 +371,30 @@ func withDefaults(cfg Config) Config {
 // MemWords, RegionBlocks, Metrics — must match the config the machine
 // was created with; Reset does not re-derive the decoded code, region
 // flags or backend. Callers that need a different module or backend
-// create a new machine.
+// create a new machine. A run that Resume starts next can skip the
+// arena clear through ResetForResume.
 func (m *Machine) Reset(cfg Config) {
+	m.Mem.reset()
+	m.resetRun(cfg)
+}
+
+// ResetForResume is Reset for a run that Resume starts next: it leaves
+// the arena's written words in place instead of zeroing them, because
+// Resume's restore overwrites or clears every one of them. Between the
+// two the caller may store to memory (an instance's Setup writing its
+// inputs) but must not read what it did not store, and Run panics.
+func (m *Machine) ResetForResume(cfg Config) {
+	m.Mem.rewind()
+	m.resetRun(cfg)
+}
+
+// resetRun is Reset's per-run state apart from the memory.
+func (m *Machine) resetRun(cfg Config) {
 	cfg = withDefaults(cfg)
 	m.cfg = cfg
 	m.C = Counters{}
 	m.pl.init(cfg.IssueWidth, cfg.Untimed)
 	m.fr = m.fr[:0]
-	m.Mem.reset()
 	m.overrideActive = false
 	m.overrideAddr = 0
 	m.overrideVal = 0
@@ -433,6 +453,9 @@ func (r RunResult) IPC() float64 {
 // returns. Errors are SegfaultError, TrapError, HangError or
 // DetectError; callers classify them into the paper's outcome classes.
 func (m *Machine) Run(fnIdx int, args []uint64) (RunResult, error) {
+	if m.Mem.stale {
+		panic("machine: Run after ResetForResume")
+	}
 	if m.cancelled() {
 		return RunResult{}, &CancelError{}
 	}
@@ -498,9 +521,11 @@ func (m *Machine) pushFrame(fnIdx int, args []uint64, retDst ir.Reg) error {
 	}
 	// Parameters become ready when the call issues; approximate with
 	// the current cycle.
-	now := m.pl.now()
-	for i := range args {
-		f.ready[i] = now
+	if !m.pl.off {
+		now := m.pl.now()
+		for i := range args {
+			f.ready[i] = now
+		}
 	}
 	f.inRegion = m.cfg.RegionFuncs[fnIdx]
 	if !f.inRegion && len(m.fr) > 1 {
@@ -516,6 +541,11 @@ func (m *Machine) pushFrame(fnIdx int, args []uint64, retDst ir.Reg) error {
 // frame must observe zeroed registers) instead of allocating.
 // Invoke-heavy runs — every suspected iteration calls an outlined
 // recompute slice — would otherwise allocate two slices per call.
+//
+// A timed frame's registers and their ready cycles share one slab, so
+// the value/ready pair an instruction touches shares cache lines. An
+// untimed frame has no ready half: its ready slice is empty, so any
+// ready-cycle access an untimed path failed to skip panics.
 func (m *Machine) newFrame(nr int) *frame {
 	var f *frame
 	if cap(m.fr) > len(m.fr) {
@@ -525,6 +555,16 @@ func (m *Machine) newFrame(nr int) *frame {
 		m.fr = append(m.fr, frame{})
 		f = &m.fr[len(m.fr)-1]
 	}
+	if m.pl.off {
+		f.ready = f.ready[:0]
+		if cap(f.regs) >= nr {
+			f.regs = f.regs[:nr]
+			clear(f.regs)
+		} else {
+			f.regs = make([]uint64, nr)
+		}
+		return f
+	}
 	if cap(f.regs) >= nr && cap(f.ready) >= nr {
 		f.regs = f.regs[:nr]
 		f.ready = f.ready[:nr]
@@ -533,9 +573,6 @@ func (m *Machine) newFrame(nr int) *frame {
 			f.ready[i] = 0
 		}
 	} else {
-		// One struct-of-arrays slab per frame: the register values and
-		// their ready cycles sit adjacent, so the value/ready pair an
-		// instruction touches shares cache lines across the whole file.
 		s := make([]uint64, 2*nr)
 		f.regs = s[:nr:nr]
 		f.ready = s[nr:]

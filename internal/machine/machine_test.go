@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rskip/internal/ir"
 	"rskip/internal/lower"
@@ -303,6 +304,19 @@ func TestPipelineProperties(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPipelineLayout pins Machine.pl to a 64-byte offset on 64-bit
+// hosts: timed runs' speed has followed its offset, so a field added
+// before it must come with a resized pad, not shift it silently.
+func TestPipelineLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is sized for 64-bit hosts")
+	}
+	var m Machine
+	if off := unsafe.Offsetof(m.pl); off%64 != 0 {
+		t.Fatalf("Machine.pl at offset %d, want a multiple of 64: resize the pad before it", off)
 	}
 }
 

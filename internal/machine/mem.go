@@ -39,6 +39,9 @@ type Memory struct {
 	// makes pooling memories across millions of runs worthwhile.
 	dirtyLoEnd   int64
 	dirtyHiStart int64
+	// stale marks words a rewind left in place for a restore to
+	// overwrite: until then the spans hold a previous run's contents.
+	stale bool
 }
 
 // MappedLimit bounds the simulated process's mapped address space in
@@ -95,18 +98,23 @@ func releaseMemory(m *Memory) {
 // reset restores the memory to its freshly-allocated state, zeroing
 // only the spans the watermarks prove were written.
 func (m *Memory) reset() {
-	for i := range m.words[:m.dirtyLoEnd] {
-		m.words[i] = 0
-	}
-	hi := m.words[m.dirtyHiStart:]
-	for i := range hi {
-		hi[i] = 0
-	}
+	clear(m.words[:m.dirtyLoEnd])
+	clear(m.words[m.dirtyHiStart:])
 	m.dirtyLoEnd = 0
 	m.dirtyHiStart = int64(len(m.words))
+	m.rewind()
+	m.stale = false
+}
+
+// rewind resets the segment pointers and drops the sparse pages but
+// leaves the written words, and the watermarks that cover them, for a
+// restore to overwrite or clear (snapshot.go): a resumed run's memory
+// is cleared once, by the restore, instead of by a reset as well.
+func (m *Memory) rewind() {
 	m.pages = nil
 	m.heapEnd = 0
 	m.stackPtr = int64(len(m.words))
+	m.stale = true
 }
 
 // Alloc reserves n words on the heap and returns the base address.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"rskip/internal/ir"
@@ -235,5 +236,165 @@ func TestCheck2Semantics(t *testing.T) {
 	m2 := New(mod, Config{TraceFn: -1})
 	if _, err := m2.Run(0, []uint64{4, 5}); err == nil {
 		t.Error("mismatching check did not signal detection")
+	}
+}
+
+// untimedHooks records every runtime-hook call and charges it work,
+// so the hooks' cycle-model charge runs too.
+type untimedHooks struct{ calls []string }
+
+func (h *untimedHooks) LoopEnter(m *Machine, id int, inv []uint64) error {
+	h.calls = append(h.calls, fmt.Sprint("enter", id, inv))
+	m.Charge(Cost{IntOps: 1, FpOps: 1, MemOps: 1, Branches: 1})
+	return nil
+}
+
+func (h *untimedHooks) Observe(m *Machine, id int, iter int64, value uint64, addr int64) error {
+	h.calls = append(h.calls, fmt.Sprint("observe", id, iter, value, addr))
+	m.Charge(Cost{IntOps: 2, MemOps: 1})
+	return nil
+}
+
+func (h *untimedHooks) LoopExit(m *Machine, id int) error {
+	h.calls = append(h.calls, fmt.Sprint("exit", id))
+	m.Charge(Cost{Branches: 1})
+	return nil
+}
+
+// TestUntimedClosuresSkipCycleModel runs every opcode, on each of its
+// paths, through its compiled closure and through the reference
+// engine on an untimed machine. An untimed frame has no ready half, so
+// a ready-cycle access that an untimed path failed to skip panics;
+// the registers of every frame, the error, the memory the op touched,
+// the counters and the hook calls must equal a timed run's.
+func TestUntimedClosuresSkipCycleModel(t *testing.T) {
+	// Registers: r0 a heap address holding 42, r1 7, r2 3, r3 2.5,
+	// r4 1.5, r5 the destination, r6 0 (a zero divisor), r7 NaN.
+	regs := []uint64{0, 7, 3, f2b(2.5), f2b(1.5), 0, 0, f2b(math.NaN())}
+	const dst = ir.Reg(5)
+	arity := func(op ir.Op) int {
+		switch op {
+		case ir.OpConstInt, ir.OpConstFloat:
+			return 0
+		case ir.OpMov, ir.OpNeg, ir.OpFNeg, ir.OpIToF, ir.OpSqrt, ir.OpExp,
+			ir.OpLog, ir.OpFAbs, ir.OpFloor:
+			return 1
+		case ir.OpVote3:
+			return 3
+		}
+		return 2
+	}
+	type tcase struct {
+		name string
+		in   ir.Instr
+	}
+	var cases []tcase
+	add := func(name string, in ir.Instr) { cases = append(cases, tcase{name, in}) }
+	for op := ir.Op(1); int(op) < ir.NumOps; op++ {
+		if !pureOp(op) {
+			continue
+		}
+		args := []ir.Reg{1, 2, 3}[:arity(op)]
+		add(op.String(), ir.Instr{Op: op, Dst: dst, Args: args, Imm: 11, FImm: 0.5})
+		add(op.String()+"/nodst", ir.Instr{Op: op, Dst: ir.NoReg, Args: args, Imm: 11, FImm: 0.5})
+	}
+	for _, op := range []ir.Op{ir.OpDiv, ir.OpRem} {
+		for _, d := range []ir.Reg{dst, ir.NoReg} {
+			add(fmt.Sprint(op, "/ok/", d), ir.Instr{Op: op, Dst: d, Args: []ir.Reg{1, 2}})
+			add(fmt.Sprint(op, "/trap/", d), ir.Instr{Op: op, Dst: d, Args: []ir.Reg{1, 6}})
+		}
+	}
+	for _, d := range []ir.Reg{dst, ir.NoReg} {
+		add(fmt.Sprint("ftoi/ok/", d), ir.Instr{Op: ir.OpFToI, Dst: d, Args: []ir.Reg{3}})
+		add(fmt.Sprint("ftoi/trap/", d), ir.Instr{Op: ir.OpFToI, Dst: d, Args: []ir.Reg{7}})
+		add(fmt.Sprint("load/", d), ir.Instr{Op: ir.OpLoad, Dst: d, Args: []ir.Reg{0}})
+		add(fmt.Sprint("load/segfault/", d), ir.Instr{Op: ir.OpLoad, Dst: d, Args: []ir.Reg{7}})
+		add(fmt.Sprint("alloca/", d), ir.Instr{Op: ir.OpAlloca, Dst: d, Imm: 4})
+	}
+	add("store", ir.Instr{Op: ir.OpStore, Args: []ir.Reg{0, 1}})
+	add("check2/equal", ir.Instr{Op: ir.OpCheck2, Args: []ir.Reg{1, 1}})
+	add("check2/detect", ir.Instr{Op: ir.OpCheck2, Args: []ir.Reg{1, 2}})
+	add("br", ir.Instr{Op: ir.OpBr, Blocks: []int{1}})
+	add("condbr/taken", ir.Instr{Op: ir.OpCondBr, Args: []ir.Reg{1}, Blocks: []int{1, 2}})
+	add("condbr/fallthrough", ir.Instr{Op: ir.OpCondBr, Args: []ir.Reg{6}, Blocks: []int{1, 2}})
+	add("call", ir.Instr{Op: ir.OpCall, Dst: dst, Args: []ir.Reg{1, 2}, Callee: 1})
+	add("ret", ir.Instr{Op: ir.OpRet, Args: []ir.Reg{1}})
+	add("ret/void", ir.Instr{Op: ir.OpRet})
+	add("rt.enter", ir.Instr{Op: ir.OpRTLoopEnter, Imm: 3, Args: []ir.Reg{1, 2}})
+	add("rt.observe", ir.Instr{Op: ir.OpRTObserve, Imm: 3, Args: []ir.Reg{1, 2, 0}})
+	add("rt.exit", ir.Instr{Op: ir.OpRTLoopExit, Imm: 3})
+	add("illegal", ir.Instr{Op: ir.OpInvalid, Args: []ir.Reg{1}})
+
+	type outcome struct {
+		regs    [][]uint64
+		err     string
+		lastRet uint64
+		c       Counters
+		word    uint64
+		stack   int64
+		hooks   []string
+	}
+	for _, tc := range cases {
+		// f runs the instruction in block 0; blocks 1 and 2 are branch
+		// targets. g, the callee, returns its first argument, so a call
+		// is followed by a return into the caller's destination.
+		ret := ir.Instr{Op: ir.OpRet, Args: []ir.Reg{1}}
+		f := &ir.Func{Name: "f", NumRegs: len(regs), Blocks: []ir.Block{
+			{Instrs: []ir.Instr{tc.in, ret}}, {Instrs: []ir.Instr{ret}}, {Instrs: []ir.Instr{ret}},
+		}}
+		for range regs {
+			f.Params = append(f.Params, ir.Param{Type: ir.Int})
+		}
+		g := &ir.Func{Name: "g", NumRegs: 2, Params: []ir.Param{{Type: ir.Int}, {Type: ir.Int}},
+			Blocks: []ir.Block{{Instrs: []ir.Instr{{Op: ir.OpRet, Args: []ir.Reg{0}}}}}}
+		mod := &ir.Module{Name: "t", Funcs: []*ir.Func{f, g}}
+		steps := 1
+		if tc.in.Op == ir.OpCall {
+			steps = 2
+		}
+		for _, be := range allBackends {
+			run := func(untimed bool) (o outcome) {
+				label := fmt.Sprintf("%s on %v, untimed %v", tc.name, be, untimed)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: panic: %v", label, r)
+					}
+				}()
+				h := &untimedHooks{}
+				m := New(mod, Config{TraceFn: -1, Backend: be, Untimed: untimed, Hooks: h})
+				defer m.Release()
+				m.Mem.SetInt(m.Mem.Alloc(1), 42)
+				if err := m.pushFrame(0, regs, ir.NoReg); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < steps && o.err == ""; i++ {
+					top := &m.fr[len(m.fr)-1]
+					if untimed && len(top.ready) != 0 {
+						t.Errorf("%s: an untimed frame of %s holds %d ready cycles", label, top.fn.Name, len(top.ready))
+					}
+					var err error
+					if be == BackendCompiled {
+						op := m.ccode.fns[top.fi].blocks[top.block].ops[top.ip]
+						top.ip++
+						err = op(m, top)
+					} else {
+						err = m.step()
+					}
+					if err != nil {
+						o.err = err.Error()
+					}
+				}
+				for i := range m.fr {
+					o.regs = append(o.regs, append([]uint64(nil), m.fr[i].regs...))
+				}
+				o.lastRet, o.c, o.hooks = m.lastRet, m.C, h.calls
+				o.word, o.stack = uint64(m.Mem.GetInt(0)), m.Mem.StackMark()
+				return o
+			}
+			timed, untimed := run(false), run(true)
+			if !reflect.DeepEqual(timed, untimed) {
+				t.Errorf("%s on %v: untimed %+v, timed %+v", tc.name, be, untimed, timed)
+			}
+		}
 	}
 }

@@ -128,10 +128,10 @@ func (m *Memory) snapshot() memState {
 	}
 }
 
-// restore makes the memory equal to the saved one: it zeroes whatever
-// the current watermarks cover beyond the saved spans, then overlays
-// them — cheaper than a full reset when the current contents (the
-// instance's inputs) are a subset of the saved spans.
+// restore makes the memory equal to the saved one, whatever the
+// current contents: it zeroes whatever the current watermarks cover
+// beyond the saved spans, then overlays them. A resumed replica's
+// arena is only rewound (ResetForResume), so this is its one clear.
 func (m *Memory) restore(st *memState) {
 	if int64(len(m.words)) != st.size {
 		panic(fmt.Sprintf("machine: snapshot of a %d-word memory restored into %d words", st.size, len(m.words)))
@@ -150,6 +150,7 @@ func (m *Memory) restore(st *memState) {
 	m.pages = clonePages(st.pages)
 	m.heapEnd = st.heapEnd
 	m.stackPtr = st.stackPtr
+	m.stale = false
 }
 
 // snapshot captures the run's state. Only called at a top-level
@@ -204,12 +205,13 @@ func (m *Machine) canSnapshot() bool {
 // Resume runs to completion from snap instead of from the kernel's
 // entry, as if the run had started at instruction 0 with the same
 // arguments: counters (Dyn included), outputs, error and fault
-// attribution equal the from-zero run's. It must directly follow New
-// or Reset on a machine built for the snapshot's module, and the
-// machine must be Untimed (a snapshot holds no cycle state). The
-// armed fault must not target a region index before snap.Region(),
-// nor the budget end before snap.Instrs() — those replicas diverge
-// inside the prefix; Capture.Latest only returns snapshots that fit.
+// attribution equal the from-zero run's. It must directly follow New,
+// Reset or ResetForResume on a machine built for the snapshot's
+// module, and the machine must be Untimed (a snapshot holds no cycle
+// state). The armed fault must not target a region index before
+// snap.Region(), nor the budget end before snap.Instrs() — those
+// replicas diverge inside the prefix; Capture.Latest only returns
+// snapshots that fit.
 // An instruction trace (Config.Trace) starts at the snapshot.
 func (m *Machine) Resume(snap *Snapshot) (RunResult, error) {
 	if snap.mod != m.Mod {

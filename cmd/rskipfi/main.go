@@ -354,7 +354,7 @@ func metricsSummary(label string, delta map[string]float64) string {
 		// campaign does, never what it computes; the summary reports the
 		// latter, identical either way. The counters remain in -metrics.
 		switch k {
-		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total",
+		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total", "fault_converged_isolated_total",
 			"fault_hang_proofs_total", "fault_hang_instrs_skipped_total", "fault_hang_unproved_total":
 			continue
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"testing"
 
 	"rskip/internal/bench"
@@ -34,8 +35,9 @@ import (
 // untimed), from instruction 0, resumed from the latest snapshot of
 // prefix that fits the run, and replayed against prefix with the
 // convergence early-exit: all must match the reference in everything
-// but Cycles, which must be 0.
-func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts, prefix *machine.Capture) {
+// but Cycles, which must be 0. Replays that converge by copy isolation
+// are counted into iso.
+func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts, prefix *machine.Capture, iso *isolations) {
 	t.Helper()
 	refOpts := opts
 	refOpts.Reference = true
@@ -64,9 +66,26 @@ func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Inst
 		if snap := prefix.Latest(target, budget); snap != nil {
 			sameAsRef(t, label+"/resumed", inj.Resume(gen(), o, snap), ref, untimedRef)
 		}
-		sameAsRef(t, label+"/converged", inj.Replay(gen(), o, prefix), ref, untimedRef)
+		replayed := inj.Replay(gen(), o, prefix)
+		sameAsRef(t, label+"/converged", replayed, ref, untimedRef)
+		if replayed.ConvergedIsolated {
+			iso.add(s.String() + "/" + label)
+		}
 		inj.Close()
 	}
+}
+
+// isolations counts replays that converged by copy isolation, per
+// scheme and engine, across parallel subtests.
+type isolations struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *isolations) add(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n[key]++
 }
 
 // sameAsRef reports every way got differs from the reference outcome,
@@ -120,6 +139,20 @@ func TestGoldenCountersThreeWay(t *testing.T) {
 		{machine.FaultSkip, 1}, {machine.FaultSkip, 3},
 		{machine.FaultMultiBit, 2}, {machine.FaultMultiBit, 5},
 	}
+	// The replays of SWIFT-R and RSkip, whose TMR votes outvote struck
+	// copies, must converge by copy isolation somewhere on each engine.
+	iso := &isolations{n: map[string]int{}}
+	t.Cleanup(func() {
+		for _, s := range []core.Scheme{core.SWIFTR, core.RSkip} {
+			for _, engine := range []string{"compiled", "reference"} {
+				key := s.String() + "/" + engine + "/untimed"
+				t.Logf("%s: %d replays converged by copy isolation", key, iso.n[key])
+				if iso.n[key] == 0 && !t.Failed() {
+					t.Errorf("%s: no replay converged by copy isolation", key)
+				}
+			}
+		}
+	})
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -140,7 +173,7 @@ func TestGoldenCountersThreeWay(t *testing.T) {
 				clean := p.RunCapture(s, inst, core.RunOpts{Reference: true}, prefix)
 				gen := func() bench.Instance { return b.Gen(bench.TestSeed(1), bench.ScaleFI) }
 				t.Run(s.String()+"/clean", func(t *testing.T) {
-					runBoth(t, p, s, gen, core.RunOpts{}, prefix)
+					runBoth(t, p, s, gen, core.RunOpts{}, prefix, iso)
 				})
 				region := clean.Result.Region
 				if region == 0 {
@@ -157,7 +190,7 @@ func TestGoldenCountersThreeWay(t *testing.T) {
 					}
 					t.Run(fmt.Sprintf("%s/%v.w%d@%d", s, pr.kind, pr.width, plan.Target), func(t *testing.T) {
 						runBoth(t, p, s, gen,
-							core.RunOpts{Fault: &plan, MaxInstrs: budget}, prefix)
+							core.RunOpts{Fault: &plan, MaxInstrs: budget}, prefix, iso)
 					})
 				}
 			}

@@ -513,10 +513,13 @@ type Outcome struct {
 	// Converged reports that a replayed replica (Injector.Replay)
 	// stopped once its state rejoined the clean run's, and
 	// ConvergedSkipped how many instructions of the clean run's
-	// remainder it therefore did not execute. Every other field is
-	// what the full run would report.
-	Converged        bool
-	ConvergedSkipped uint64
+	// remainder it therefore did not execute. ConvergedIsolated
+	// reports that it converged by copy isolation: registers that
+	// reach no effect except as single vote operands still differed.
+	// Every other field is what the full run would report.
+	Converged         bool
+	ConvergedSkipped  uint64
+	ConvergedIsolated bool
 	// HangProved reports that a replayed replica proved the loop it
 	// spun in exhausts the budget and skipped to the iteration that
 	// does, and HangSkipped how many instructions it therefore did not
@@ -639,6 +642,7 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 		out.Output = inst.Output(m.Mem)
 	}
 	out.ConvergedSkipped, out.Converged = m.Converged()
+	out.ConvergedIsolated = m.ConvergedIsolated()
 	out.HangSkipped, out.HangProved = m.HangProved()
 	out.HangNested = m.HangNested()
 	return out

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -199,4 +200,65 @@ func TestSchemesFaultFreeBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzIsolatedConvergence replays injected SWIFT-R and RSkip replicas
+// of a generated kernel against their clean run's capture — resumed
+// from a snapshot, and stopping early once converged, by copy
+// isolation among other ways — and requires each to equal the
+// reference engine's from-zero replica in result, error, output, fault
+// attribution and run-time statistics. The kernel seed picks the
+// program and its inputs; the plan index picks the fault kind, its
+// target, bit, register and width.
+func FuzzIsolatedConvergence(f *testing.F) {
+	for _, s := range []struct {
+		seed int64
+		plan uint32
+	}{{1000, 0}, {1001, 3}, {1002, 17}, {1003, 40}, {1004, 123}, {1005, 999}, {1006, 4242}} {
+		f.Add(s.seed, s.plan)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, plan uint32) {
+		b := genBenchmark("fuzz", rand.New(rand.NewSource(seed)))
+		p, err := core.Build(b, core.DefaultConfig())
+		if err != nil {
+			t.Fatalf("build failed for generated kernel:\n%s\nerror: %v", b.Source, err)
+		}
+		if err := p.Train([]int64{bench.TrainSeed(0)}, bench.ScaleTiny); err != nil {
+			t.Fatalf("train failed for generated kernel:\n%s\nerror: %v", b.Source, err)
+		}
+		inst := b.Gen(bench.TestSeed(0), bench.ScaleTiny)
+		for _, s := range []core.Scheme{core.SWIFTR, core.RSkip} {
+			c := machine.NewCapture(8)
+			clean := p.RunCapture(s, inst, core.RunOpts{}, c)
+			if clean.Err != nil || clean.Result.Region == 0 {
+				t.Fatalf("%s clean run: region %d, %v", s, clean.Result.Region, clean.Err)
+			}
+			fp := machine.FaultPlan{
+				Kind:   machine.FaultKind(plan % uint32(machine.NumFaultKinds)),
+				Target: uint64(plan/uint32(machine.NumFaultKinds)) * 7919 % clean.Result.Region,
+				Bit:    uint(plan / 3 % 32),
+				Pick:   int(plan / 5),
+				Width:  uint(1 + plan/7%4),
+			}
+			opts := core.RunOpts{Fault: &fp, MaxInstrs: 3 * clean.Result.Instrs}
+			replay := p.NewInjector(s)
+			got := replay.Replay(inst, opts, c)
+			replay.Close()
+			opts.Reference = true
+			fresh := p.NewInjector(s)
+			want := fresh.Run(inst, opts)
+			fresh.Close()
+			label := fmt.Sprintf("%s %+v (converged %v, by isolation %v)", s, fp, got.Converged, got.ConvergedIsolated)
+			if got.Result != want.Result || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+				t.Fatalf("%s: replayed %+v, %v; from zero %+v, %v", label, got.Result, got.Err, want.Result, want.Err)
+			}
+			if got.FaultFired != want.FaultFired || got.FaultTag != want.FaultTag || got.FaultOp != want.FaultOp ||
+				got.FaultInValueSlice != want.FaultInValueSlice {
+				t.Fatalf("%s: fault attribution diverged", label)
+			}
+			if !reflect.DeepEqual(got.Output, want.Output) || !reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Fatalf("%s: output or run-time statistics diverged", label)
+			}
+		}
+	})
 }

@@ -308,8 +308,10 @@ type campaignMetrics struct {
 	prefix     *obs.Counter
 	converged  *obs.Counter
 	// convergedSkipped counts the clean-run remainder converged
-	// replicas did not execute.
-	convergedSkipped *obs.Counter
+	// replicas did not execute; convergedIsolated the converged
+	// replicas whose isolated copies still differed.
+	convergedSkipped  *obs.Counter
+	convergedIsolated *obs.Counter
 	// hangProofs and hangSkipped count replicas that proved their
 	// runaway loop exhausts the budget, and the iterations' instructions
 	// they skipped; hangUnproved counts Hang replicas that executed to
@@ -333,6 +335,8 @@ func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
 		converged:  m.Counter("fault_converged_total", "replicas stopped early because their state rejoined the clean run's"),
 		convergedSkipped: m.Counter("fault_converged_instrs_skipped_total",
 			"clean-run instructions converged replicas took from the clean run's end instead of executing"),
+		convergedIsolated: m.Counter("fault_converged_isolated_total",
+			"converged replicas whose differing registers reached nothing but single vote operands (copy isolation)"),
 		hangProofs: m.Counter("fault_hang_proofs_total", "replicas that proved their runaway loop exhausts the budget and skipped to the iteration that does"),
 		hangSkipped: m.Counter("fault_hang_instrs_skipped_total",
 			"runaway-loop instructions hang-proved replicas skipped instead of executing"),
@@ -457,6 +461,9 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 	if o.Converged {
 		e.met.converged.Inc()
 		e.met.convergedSkipped.Add(o.ConvergedSkipped)
+		if o.ConvergedIsolated {
+			e.met.convergedIsolated.Inc()
+		}
 	}
 	if o.HangProved {
 		e.met.hangProofs.Inc()

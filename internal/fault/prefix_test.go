@@ -102,7 +102,7 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 				plans := prefixPlans(clean.Result.Region)
 				for _, ref := range []bool{false, true} {
 					fresh, resumed, replayed := p.NewInjector(s), p.NewInjector(s), p.NewInjector(s)
-					engaged, converged := 0, 0
+					engaged, converged, isolated := 0, 0, 0
 					for i := range plans {
 						plan := plans[i]
 						opts := core.RunOpts{Fault: &plan, MaxInstrs: budget, Reference: ref}
@@ -117,6 +117,9 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 						if got.Converged {
 							converged++
 						}
+						if got.ConvergedIsolated {
+							isolated++
+						}
 						sameOutcome(t, label+" converged", got, want)
 					}
 					fresh.Close()
@@ -126,9 +129,12 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 						t.Errorf("%s/reference=%v: only %d of %d replicas resumed from a snapshot (%d snapshots of a %d-instruction region)",
 							s, ref, engaged, len(plans), prefix.Len(), clean.Result.Region)
 					}
-					t.Logf("%s/reference=%v: %d of %d replicas converged", s, ref, converged, len(plans))
+					t.Logf("%s/reference=%v: %d of %d replicas converged, %d by copy isolation", s, ref, converged, len(plans), isolated)
 					if converged == 0 {
 						t.Errorf("%s/reference=%v: no replica converged", s, ref)
+					}
+					if isolated == 0 && (s == core.SWIFTR || s == core.RSkip) {
+						t.Errorf("%s/reference=%v: no replica converged by copy isolation", s, ref)
 					}
 				}
 			}
@@ -232,5 +238,40 @@ func TestConvergenceEngaged(t *testing.T) {
 				t.Errorf("converged replicas skipped %.1f%% of the replicas' instructions, want >= %.0f%%", 100*share, 100*tc.want)
 			}
 		})
+	}
+}
+
+// TestCopyIsolationEngaged pins that SWIFT-R replicas whose struck copy
+// is outvoted but never re-synced still converge: the share of a conv1d
+// campaign's replicas that converge by copy isolation must stay above
+// the bound — a silent loss of the rule fails here, without any timing.
+// Measured: 8.5% (17 of 200).
+func TestCopyIsolationEngaged(t *testing.T) {
+	b, err := bench.ByName("conv1d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Build(b, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
+	o := obs.New()
+	p.Observe(o)
+	defer p.Observe(nil)
+	const n = 200
+	r, err := Campaign(obs.Into(context.Background(), o), p, core.SWIFTR, inst, Config{N: n, Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.N != n {
+		t.Fatalf("campaign completed %d/%d runs", r.N, n)
+	}
+	snap := o.Metrics.Snapshot()
+	isolated := snap["fault_converged_isolated_total"]
+	t.Logf("%.0f of %d replicas converged, %.0f by copy isolation (%.1f%%)",
+		snap["fault_converged_total"], n, isolated, 100*isolated/n)
+	if isolated < 0.06*n {
+		t.Errorf("%.0f of %d replicas converged by copy isolation, want >= 6%%", isolated, n)
 	}
 }

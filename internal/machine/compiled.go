@@ -1040,14 +1040,15 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 				f.ready[dst] = m.pl.issue(max(f.ready[a0], f.ready[a1], f.ready[a2]), lat)
 			}
 			a, b, c := f.regs[a0], f.regs[a1], f.regs[a2]
-			maj := a
-			switch {
-			case a == b || a == c:
-				maj = a
-			case b == c:
-				maj = b
+			if a == b && b == c {
+				f.regs[dst] = a
+				return nil
 			}
-			f.regs[dst] = maj
+			m.splitVotes++
+			if a != b && a != c && b == c {
+				a = b
+			}
+			f.regs[dst] = a
 			return nil
 		}
 

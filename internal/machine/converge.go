@@ -2,9 +2,11 @@ package machine
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"rskip/internal/analysis"
 	"rskip/internal/ir"
@@ -25,8 +27,8 @@ import (
 // boundary where the replica's Region reaches the next clean
 // snapshot's; on the compiled engine the existing regionTrigger
 // compare raises it, so the fast path gains no branch. "Full state" is
-// what a Snapshot holds except faultFrameFn, with two refinements that
-// keep it exact:
+// what a Snapshot holds except faultFrameFn, with three refinements
+// that keep it exact:
 //
 //   - Registers compare only where liveness (analysis.SolveLiveness)
 //     says some path may read them: at the frame's (block, ip), and for
@@ -36,6 +38,19 @@ import (
 //     written (a register-file, result-bit or destination multi-bit
 //     strike on a dead register) leaves the replica converged the
 //     moment it fires; it exits at its next top-level boundary.
+//   - Copy isolation. Under TMR a struck copy is outvoted but often
+//     never re-synced, so its frame's registers never again equal the
+//     clean run's. When everything else matches, the registers that
+//     differ may still be isolated: a forward may-taint walk over each
+//     frame's function (isolates), from where the frame stands, finds
+//     that no path lets them reach anything but other registers and
+//     single vote operands. The replica then runs the clean run's
+//     instruction stream: by induction on its steps, its untainted
+//     registers equal the clean run's, no branch, address, store,
+//     call, return, hook, check or trap reads a tainted one, and a
+//     vote with one tainted operand takes the other two, which agree.
+//     They agree only where the clean run's vote did, so the rule is
+//     off for a capture whose run cast any split vote (Capture.split).
 //
 // The property test in internal/fault proves converged replicas equal
 // from-zero ones on both engines.
@@ -54,8 +69,9 @@ type convState struct {
 	at   uint64   // Region at which that check is due, or noCheck
 	dead bool     // the fault struck a dead register: converged already
 
-	ok      bool   // the run converged
-	skipped uint64 // instructions the exit did not execute
+	ok       bool   // the run converged
+	isolated bool   // it converged with isolated registers differing
+	skipped  uint64 // instructions the exit did not execute
 }
 
 // armConvergence prepares the check for a run with cfg: only untimed,
@@ -83,6 +99,11 @@ func (m *Machine) armConvergence() {
 func (m *Machine) Converged() (skipped uint64, ok bool) {
 	return m.conv.skipped, m.conv.ok
 }
+
+// ConvergedIsolated reports whether the last run converged while
+// registers isolated from every effect still differed from the clean
+// run's (copy isolation).
+func (m *Machine) ConvergedIsolated() bool { return m.conv.isolated }
 
 // seek makes the first snapshot at or past region the next check.
 func (cv *convState) seek(region uint64) {
@@ -122,7 +143,11 @@ func (m *Machine) converged() bool {
 	if m.fault.skipsLeft > 0 {
 		return false // the burst is still suppressing instructions
 	}
-	if cv.dead || m.sameState(cv.c.snaps[cv.next]) {
+	if cv.dead {
+		return true
+	}
+	if ok, isolated := m.converges(cv.c.snaps[cv.next], !cv.c.split); ok {
+		cv.isolated = isolated
 		return true
 	}
 	cv.seek(m.C.Region + 1)
@@ -140,34 +165,47 @@ func (m *Machine) jumpToEnd() {
 	m.restore(end)
 }
 
-// sameState reports whether the run's state equals snapshot s in
-// everything the rest of the run reads, cheapest comparison first:
-// counters, frames, hook state, memory.
-func (m *Machine) sameState(s *Snapshot) bool {
+// converges reports whether the run, standing where snapshot s was
+// taken, runs the rest of the clean run: its state equals s, or, with
+// isolate, differs only in registers each frame's isolates walk
+// accepts (then isolated is true). Cheapest comparison first:
+// counters, frame positions, the registers that differ, hook state,
+// memory, and last the walks.
+func (m *Machine) converges(s *Snapshot, isolate bool) (ok, isolated bool) {
 	// The eager counters decide most mismatches before the lazy
 	// per-segment counts are folded in.
 	if m.C.Dyn != s.c.Dyn || m.C.Region != s.c.Region || m.C.Runtime != s.c.Runtime {
-		return false
+		return false, false
 	}
 	if m.segHits != nil {
 		m.foldSegCounters()
 	}
 	if m.C != s.c || m.lastRet != s.lastRet || m.hookOp != s.hookOp ||
-		m.overrideActive != s.overrideActive || m.overrideAddr != s.overrideAddr || m.overrideVal != s.overrideVal {
-		return false
+		m.overrideActive != s.overrideActive || m.overrideAddr != s.overrideAddr || m.overrideVal != s.overrideVal ||
+		!m.samePositions(s.frames) {
+		return false, false
 	}
-	if !m.sameFrames(s.frames) {
-		return false
+	diff := m.diffRegs(s.frames)
+	if diff != nil && !isolate {
+		return false, false
 	}
 	if h, ok := m.cfg.Hooks.(StatefulHooks); ok != (s.hooks != nil) || ok && !h.SameState(s.hooks) {
-		return false
+		return false, false
 	}
-	return m.Mem.sameAs(&s.mem)
+	if !m.Mem.sameAs(&s.mem) {
+		return false, false
+	}
+	for i, d := range diff {
+		if f := &m.fr[i]; d != nil && !m.code.isolates(f.fi, f.block, f.ip, d) {
+			return false, false
+		}
+	}
+	return true, diff != nil
 }
 
-// sameFrames compares the frame stack: every position first, then the
-// live registers.
-func (m *Machine) sameFrames(saved []frameState) bool {
+// samePositions compares everything of the frame stack but the
+// registers.
+func (m *Machine) samePositions(saved []frameState) bool {
 	if len(m.fr) != len(saved) {
 		return false
 	}
@@ -179,30 +217,192 @@ func (m *Machine) sameFrames(saved []frameState) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// diffRegs returns, per frame, the registers that differ from the
+// saved ones where liveness (analysis.SolveLiveness) says some path
+// may read them — at the frame's (block, ip), and for a caller frame
+// at its return point without the callee's retDst, which the return
+// overwrites — as a set of the liveness solution's width, nil for a
+// frame without any; and nil when no frame has any.
+func (m *Machine) diffRegs(saved []frameState) [][]uint64 {
+	var diff [][]uint64
 	for i := range m.fr {
 		f := &m.fr[i]
-		// A caller waits at its return point, where the callee's
-		// return value will overwrite retDst.
 		ret := ir.NoReg
 		if i+1 < len(m.fr) {
 			ret = m.fr[i+1].retDst
 		}
-		if !sameLive(f.regs, saved[i].regs, m.code.liveAt(f.fi, f.block, f.ip), ret) {
-			return false
+		set := m.code.liveAt(f.fi, f.block, f.ip)
+		if !keepDiffering(set, f.regs, saved[i].regs, ret) {
+			continue
 		}
+		if diff == nil {
+			diff = make([][]uint64, len(m.fr))
+		}
+		diff[i] = set
 	}
-	return true
+	return diff
 }
 
-// sameLive compares the registers in the live set, except skip.
-func sameLive(a, b []uint64, live []uint64, skip ir.Reg) bool {
-	for k, word := range live {
-		for word != 0 {
-			r := 64*k + bits.TrailingZeros64(word)
-			word &= word - 1
-			if r < len(a) && ir.Reg(r) != skip && a[r] != b[r] {
-				return false
+// keepDiffering reduces the register set to the registers in it,
+// except skip, on which a and b differ, and reports whether any is
+// left.
+func keepDiffering(set, a, b []uint64, skip ir.Reg) bool {
+	left := false
+	for k, word := range set {
+		for w := word; w != 0; w &= w - 1 {
+			r := 64*k + bits.TrailingZeros64(w)
+			if r >= len(a) || ir.Reg(r) == skip || a[r] == b[r] {
+				word &^= 1 << (r % 64)
 			}
+		}
+		set[k] = word
+		left = left || word != 0
+	}
+	return left
+}
+
+// Copy-isolation classes of an op: what a tainted operand does.
+const (
+	isoReject = iota // may reach an effect: the walk rejects
+	isoPure          // taints the destination
+	isoVote          // one is outvoted; two reject
+)
+
+// isoClasses classifies every op for isolates. An op the IR calls pure
+// (no effect beyond its destination) propagates taint unless the
+// reference exec can make it trap: then its operands decide an effect.
+// Vote3 outvotes a single tainted operand. Every other op — memory,
+// control flow, calls, checks, runtime hooks — rejects a tainted
+// operand, and clears its destination when it reads none.
+var isoClasses = sync.OnceValue(func() (cls [ir.NumOps]uint8) {
+	for op := ir.Op(0); int(op) < ir.NumOps; op++ {
+		switch {
+		case !op.IsPure() || canTrap(op):
+		case op == ir.OpVote3:
+			cls[op] = isoVote
+		default:
+			cls[op] = isoPure
+		}
+	}
+	return cls
+})
+
+// trapProbes are operand values on which the reference exec's
+// trapping ops trap: zero and minus-one divisors, NaN, infinite and
+// out-of-range floats, and addresses outside the mapped space.
+var trapProbes = []uint64{0, 1, ^uint64(0), 1 << 63, 1<<63 - 1, uint64(MappedLimit),
+	f2b(math.NaN()), f2b(math.Inf(1)), f2b(-1e300), f2b(0.5)}
+
+// canTrap reports whether the reference exec returns an error for op
+// on some combination of probe values in its three operand registers.
+func canTrap(op ir.Op) bool {
+	m := &Machine{Mem: NewMemory(1)}
+	m.pl.off = true
+	f := &frame{fn: &ir.Func{}, regs: make([]uint64, 4)}
+	in := &ir.Instr{Op: op, Dst: 3, Args: []ir.Reg{0, 1, 2}}
+	for _, a := range trapProbes {
+		for _, b := range trapProbes {
+			for _, c := range trapProbes {
+				f.regs[0], f.regs[1], f.regs[2] = a, b, c
+				if m.exec(f, in) != nil {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// isolates reports whether the registers in taint, which differ from
+// the clean run's in a frame of function fi standing at (block, ip),
+// can change nothing the run does: a forward may-taint walk over the
+// function's CFG, to the fixpoint, with the union of taint where paths
+// join, finds no tainted operand of an op that rejects one and no vote
+// with two. A pure op that cannot trap taints its destination when it
+// reads a tainted register; every other write clears its destination.
+// A path ends at a return. taint is consumed.
+func (c *Code) isolates(fi, block, ip int, taint []uint64) bool {
+	fn := c.mod.Funcs[fi]
+	cls := isoClasses()
+	entry := make([][]uint64, len(fn.Blocks)) // nil: not reached tainted
+	queued := make([]bool, len(fn.Blocks))
+	var work []int
+	join := func(b int, t []uint64) {
+		if allZero(t) {
+			return // a clean path stays clean
+		}
+		if entry[b] == nil {
+			entry[b] = make([]uint64, len(t))
+		}
+		changed := false
+		for k, w := range t {
+			if entry[b][k]|w != entry[b][k] {
+				entry[b][k] |= w
+				changed = true
+			}
+		}
+		if changed && !queued[b] {
+			queued[b] = true
+			work = append(work, b)
+		}
+	}
+	// flow runs taint t through block b from instruction i and joins
+	// it into the successors.
+	flow := func(t []uint64, b, i int) bool {
+		ins := fn.Blocks[b].Instrs
+		for ; i < len(ins); i++ {
+			in := &ins[i]
+			n := 0
+			for _, a := range in.Args {
+				if isLive(t, a) {
+					n++
+				}
+			}
+			taints := false
+			switch cls[in.Op] {
+			case isoPure:
+				taints = n > 0
+			case isoVote:
+				if n > 1 {
+					return false
+				}
+			default:
+				if n > 0 {
+					return false
+				}
+			}
+			if d := in.Dst; in.Op.HasDst() && d >= 0 {
+				if taints {
+					t[d/64] |= 1 << (d % 64)
+				} else {
+					t[d/64] &^= 1 << (d % 64)
+				}
+			}
+			switch in.Op {
+			case ir.OpRet:
+				return true
+			case ir.OpBr, ir.OpCondBr:
+				for _, s := range in.Blocks {
+					join(s, t)
+				}
+				return true
+			}
+		}
+		return false // a block without a terminator
+	}
+	if !flow(taint, block, ip) {
+		return false
+	}
+	t := make([]uint64, len(taint))
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work, queued[b] = work[:len(work)-1], false
+		copy(t, entry[b])
+		if !flow(t, b, 0) {
+			return false
 		}
 	}
 	return true

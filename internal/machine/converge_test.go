@@ -201,6 +201,13 @@ func (h *stateHooks) SaveState() any           { return h.n }
 func (h *stateHooks) RestoreState(state any)   { h.n = state.(int) }
 func (h *stateHooks) SameState(saved any) bool { return h.n == saved.(int) }
 
+// sameState reports whether the run's state equals snapshot s in
+// everything the rest of the run reads, copy isolation off.
+func (m *Machine) sameState(s *Snapshot) bool {
+	ok, _ := m.converges(s, false)
+	return ok
+}
+
 // TestSameStateCoversSnapshot: the convergence equality holds between
 // a machine and the snapshot it was restored from — also when the
 // compiled engine's per-segment counts are not yet folded, and with a

@@ -310,14 +310,19 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		}
 	case ir.OpVote3:
 		a, b, c := f.regs[in.Args[0]], f.regs[in.Args[1]], f.regs[in.Args[2]]
-		maj := a
-		switch {
-		case a == b || a == c:
-			maj = a
-		case b == c:
-			maj = b
+		if a == b && b == c {
+			setDst(a, done)
+			break
 		}
-		setDst(maj, done)
+		// A vote without a destination compiles to an issue-only
+		// closure, so neither engine counts it.
+		if in.Dst != ir.NoReg {
+			m.splitVotes++
+		}
+		if a != b && a != c && b == c {
+			a = b
+		}
+		setDst(a, done)
 
 	case ir.OpRTLoopEnter:
 		if m.cfg.Hooks != nil {

@@ -265,6 +265,10 @@ type Machine struct {
 	// hangc, which no hot path reads, sits past pl so that its size
 	// moves no hot field.
 	hangc hangCold
+	// splitVotes counts the votes whose three operands were not all
+	// equal. A capture records whether its run cast any (converge.go);
+	// only a split vote, rare outside injected runs, writes it.
+	splitVotes uint64
 }
 
 // cancelPollInterval bounds how many dynamic instructions execute
@@ -408,6 +412,7 @@ func (m *Machine) resetRun(cfg Config) {
 	m.cancelAt = 0
 	m.hookOp = ir.OpRTObserve
 	m.nest = 0
+	m.splitVotes = 0
 	m.armConvergence()
 	m.armHangProof()
 	if m.backend == BackendCompiled {

@@ -298,6 +298,7 @@ type Capture struct {
 	next    uint64
 	snaps   []*Snapshot
 	final   *Snapshot // the end of a run that finished without error
+	split   bool      // the run cast a vote whose operands were not all equal
 	elapsed time.Duration
 }
 
@@ -327,10 +328,13 @@ func (c *Capture) take(m *Machine) {
 }
 
 // end records the finished run's final state — no frames, every
-// runtime hook flushed — which converged replicas take as their own.
+// runtime hook flushed — which converged replicas take as their own,
+// and whether the run cast a split vote, which rules out convergence
+// by copy isolation (converge.go).
 func (c *Capture) end(m *Machine) {
 	t0 := time.Now()
 	c.final = m.snapshot(m.C.Region)
+	c.split = m.splitVotes != 0
 	c.elapsed += time.Since(t0)
 }
 

@@ -345,17 +345,10 @@ func metricsSummary(label string, delta map[string]float64) string {
 		// Arena-pool reuse depends on which worker claims which batch
 		// (each worker builds one pooled machine per batch it runs), so
 		// those counters are scheduling noise here — the summary must
-		// stay a pure function of the flags. They remain in -metrics.
-		if strings.HasPrefix(k, "machine_arena_pool_") {
-			continue
-		}
-		// Prefix sharing (replicas resumed from clean-run snapshots),
-		// convergence early-exit and hang proofs change how much work a
-		// campaign does, never what it computes; the summary reports the
-		// latter, identical either way. The counters remain in -metrics.
-		switch k {
-		case "fault_prefix_instrs_skipped_total", "fault_converged_total", "fault_converged_instrs_skipped_total", "fault_converged_isolated_total",
-			"fault_hang_proofs_total", "fault_hang_instrs_skipped_total", "fault_hang_unproved_total":
+		// stay a pure function of the flags. Work counters follow how
+		// much work a campaign does, never what it computes, which is
+		// what the summary reports. Both remain in -metrics.
+		if strings.HasPrefix(k, "machine_arena_pool_") || fault.IsWorkCounter(k) {
 			continue
 		}
 		if !inLead[k] && !strings.Contains(k, "_bucket") {

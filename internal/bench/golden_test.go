@@ -35,17 +35,21 @@ import (
 // untimed), from instruction 0, resumed from the latest snapshot of
 // prefix that fits the run, and replayed against prefix with the
 // convergence early-exit: all must match the reference in everything
-// but Cycles, which must be 0. Replays that converge by copy isolation
-// are counted into iso.
+// but Cycles, which must be 0, and Work, which only the resumed and
+// replayed runs may report (noWork, checkWork). Replays that converge by copy
+// isolation are counted into iso.
 func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Instance, opts core.RunOpts, prefix *machine.Capture, iso *isolations) {
 	t.Helper()
 	refOpts := opts
 	refOpts.Reference = true
 	ref := p.Run(s, gen(), refOpts)
+	noWork(t, "reference", ref)
 	untimedRef := ref.Result
 	untimedRef.Cycles = 0
 
-	sameAsRef(t, "compiled", p.Run(s, gen(), opts), ref, ref.Result)
+	compiled := p.Run(s, gen(), opts)
+	sameAsRef(t, "compiled", compiled, ref, ref.Result)
+	noWork(t, "compiled", compiled)
 	careful := opts
 	careful.Trace, careful.TraceLimit = io.Discard, 1
 	sameAsRef(t, "compiled/careful", p.Run(s, gen(), careful), ref, ref.Result)
@@ -55,7 +59,9 @@ func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Inst
 			label = "reference/untimed"
 		}
 		inj := p.NewInjector(s)
-		sameAsRef(t, label, inj.Run(gen(), o), ref, untimedRef)
+		fromZero := inj.Run(gen(), o)
+		sameAsRef(t, label, fromZero, ref, untimedRef)
+		noWork(t, label, fromZero)
 		target, budget := ^uint64(0), o.MaxInstrs
 		if o.Fault != nil {
 			target = o.Fault.Target
@@ -63,12 +69,16 @@ func runBoth(t *testing.T, p *core.Program, s core.Scheme, gen func() bench.Inst
 		if budget == 0 {
 			budget = machine.DefaultMaxInstrs
 		}
-		if snap := prefix.Latest(target, budget); snap != nil {
-			sameAsRef(t, label+"/resumed", inj.Resume(gen(), o, snap), ref, untimedRef)
+		snap := prefix.Latest(target, budget)
+		if snap != nil {
+			resumed := inj.Resume(gen(), o, snap)
+			sameAsRef(t, label+"/resumed", resumed, ref, untimedRef)
+			checkWork(t, label+"/resumed", resumed, snap)
 		}
 		replayed := inj.Replay(gen(), o, prefix)
 		sameAsRef(t, label+"/converged", replayed, ref, untimedRef)
-		if replayed.ConvergedIsolated {
+		checkWork(t, label+"/converged", replayed, snap)
+		if replayed.Work.Isolated {
 			iso.add(s.String() + "/" + label)
 		}
 		inj.Close()
@@ -88,9 +98,32 @@ func (c *isolations) add(key string) {
 	c.n[key]++
 }
 
+// noWork requires a run that took no shortcut to report a zero Work.
+func noWork(t *testing.T, label string, o core.Outcome) {
+	t.Helper()
+	if o.Work != (machine.Work{}) {
+		t.Errorf("%s reports work %+v without a capture to resume or converge from", label, o.Work)
+	}
+}
+
+// checkWork holds a replica's Work to the snapshot it resumed from
+// (nil: it ran from instruction 0): it reports that snapshot's prefix,
+// and executed at most the instructions it reports.
+func checkWork(t *testing.T, label string, o core.Outcome, snap *machine.Snapshot) {
+	t.Helper()
+	var prefix uint64
+	if snap != nil {
+		prefix = snap.Instrs()
+	}
+	if o.Work.Resumed != prefix || o.Work.Executed(o.Result.Instrs) > o.Result.Instrs {
+		t.Errorf("%s work %+v of a run reporting %d instructions, want a prefix of %d", label, o.Work, o.Result.Instrs, prefix)
+	}
+}
+
 // sameAsRef reports every way got differs from the reference outcome,
 // holding its RunResult to want (the reference's, with Cycles zeroed
-// for an untimed run).
+// for an untimed run). Work is not compared: it is what the shortcuts
+// spared, which differs from the reference's zero by design.
 func sameAsRef(t *testing.T, label string, got, ref core.Outcome, want machine.RunResult) {
 	t.Helper()
 	if got.Result != want {

@@ -510,26 +510,10 @@ type Outcome struct {
 	// prediction-covered code: a TagValue site or an unprotected
 	// value-slice callee.
 	FaultInValueSlice bool
-	// Converged reports that a replayed replica (Injector.Replay)
-	// stopped once its state rejoined the clean run's, and
-	// ConvergedSkipped how many instructions of the clean run's
-	// remainder it therefore did not execute. ConvergedIsolated
-	// reports that it converged by copy isolation: registers that
-	// reach no effect except as single vote operands still differed.
-	// Every other field is what the full run would report.
-	Converged         bool
-	ConvergedSkipped  uint64
-	ConvergedIsolated bool
-	// HangProved reports that a replayed replica proved the loop it
-	// spun in exhausts the budget and skipped to the iteration that
-	// does, and HangSkipped how many instructions it therefore did not
-	// execute. Every other field is what the full run would report: a
-	// Hang's memory is never read (Output stays nil), which is what
-	// lets the proof leave memory stale. HangNested reports that a
-	// proof took a loop nested in the one it proved as one step.
-	HangProved  bool
-	HangSkipped uint64
-	HangNested  bool
+	// Work is what a resumed or replayed replica's shortcuts spared it
+	// (machine.Work); every other field is what the full run would
+	// report. Run and Injector.Run report a zero Work.
+	Work machine.Work
 }
 
 // SkipRate aggregates the skip rate over all PP loops of the run.
@@ -625,7 +609,7 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 	} else {
 		res, err = m.Run(p.Kernel, args)
 	}
-	out := Outcome{Result: res, Err: err, FaultFired: m.FaultFired()}
+	out := Outcome{Result: res, Err: err, FaultFired: m.FaultFired(), Work: m.Work()}
 	var faultFn int
 	out.FaultTag, out.FaultOp, faultFn = m.FaultSite()
 	if out.FaultFired {
@@ -641,10 +625,6 @@ func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, in
 	if err == nil {
 		out.Output = inst.Output(m.Mem)
 	}
-	out.ConvergedSkipped, out.Converged = m.Converged()
-	out.ConvergedIsolated = m.ConvergedIsolated()
-	out.HangSkipped, out.HangProved = m.HangProved()
-	out.HangNested = m.HangNested()
 	return out
 }
 
@@ -707,7 +687,8 @@ func (in *Injector) Run(inst bench.Instance, opts RunOpts) Outcome {
 // Resume executes one replica from snap — a snapshot RunCapture took
 // of this scheme's fault-free run of the same instance — instead of
 // from instruction 0; nil snap is Run. The outcome equals Run's in
-// every field: the replica's fault-free prefix is the clean run's, so
+// every field but Work, whose Resumed is the snapshot's instructions:
+// the replica's fault-free prefix is the clean run's, so
 // starting at a snapshot before the fault target and within the budget
 // (machine.Capture.Latest picks one) skips work without changing it.
 func (in *Injector) Resume(inst bench.Instance, opts RunOpts, snap *machine.Snapshot) Outcome {
@@ -738,8 +719,10 @@ func (in *Injector) run(inst bench.Instance, opts RunOpts, snap *machine.Snapsho
 // the latest snapshot the fault target and budget allow (from
 // instruction 0 when there is none) and, once the fault has fired,
 // stops as soon as its state rejoins the clean run's, taking the clean
-// run's end (machine.Config.Converge). The outcome equals Run's in
-// every field; Converged and ConvergedSkipped report the early exit.
+// run's end (machine.Config.Converge); a compiled replica that hangs
+// skips the runaway-loop iterations a hang proof shows spend the
+// budget. The outcome equals Run's in every field but Work, which
+// reports the instructions each of the three shortcuts spared.
 func (in *Injector) Replay(inst bench.Instance, opts RunOpts, c *machine.Capture) Outcome {
 	target, budget := ^uint64(0), opts.MaxInstrs
 	if opts.Fault != nil {

@@ -248,7 +248,18 @@ func FuzzIsolatedConvergence(f *testing.F) {
 			fresh := p.NewInjector(s)
 			want := fresh.Run(inst, opts)
 			fresh.Close()
-			label := fmt.Sprintf("%s %+v (converged %v, by isolation %v)", s, fp, got.Converged, got.ConvergedIsolated)
+			label := fmt.Sprintf("%s %+v (work %+v)", s, fp, got.Work)
+			// Work is not compared with the from-zero run's: it is what
+			// the replay's shortcuts spared, which the from-zero run's
+			// zero differs from by design.
+			var prefix uint64
+			if snap := c.Latest(fp.Target, opts.MaxInstrs); snap != nil {
+				prefix = snap.Instrs()
+			}
+			if got.Work.Resumed != prefix || got.Work.Executed(got.Result.Instrs) > got.Result.Instrs || want.Work != (machine.Work{}) {
+				t.Fatalf("%s: replayed work %+v of %d instructions, want a prefix of %d; from zero %+v",
+					label, got.Work, got.Result.Instrs, prefix, want.Work)
+			}
 			if got.Result != want.Result || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
 				t.Fatalf("%s: replayed %+v, %v; from zero %+v, %v", label, got.Result, got.Err, want.Result, want.Err)
 			}

@@ -305,22 +305,9 @@ type campaignMetrics struct {
 	fired      *obs.Counter
 	panics     *obs.Counter
 	ckWrites   *obs.Counter
-	prefix     *obs.Counter
-	converged  *obs.Counter
-	// convergedSkipped counts the clean-run remainder converged
-	// replicas did not execute; convergedIsolated the converged
-	// replicas whose isolated copies still differed.
-	convergedSkipped  *obs.Counter
-	convergedIsolated *obs.Counter
-	// hangProofs and hangSkipped count replicas that proved their
-	// runaway loop exhausts the budget, and the iterations' instructions
-	// they skipped; hangUnproved counts Hang replicas that executed to
-	// the budget without a proof.
-	hangProofs   *obs.Counter
-	hangSkipped  *obs.Counter
-	hangUnproved *obs.Counter
-	classes      [NumClasses]*obs.Counter
-	kinds        [machine.NumFaultKinds]*obs.Counter
+	work       []*obs.Counter // one per workRows row
+	classes    [NumClasses]*obs.Counter
+	kinds      [machine.NumFaultKinds]*obs.Counter
 }
 
 func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
@@ -331,20 +318,12 @@ func newCampaignMetrics(m *obs.Metrics) *campaignMetrics {
 		fired:      m.Counter("fault_fired_total", "injections whose fault actually struck"),
 		panics:     m.Counter("fault_panics_contained_total", "worker panics contained as CoreDump"),
 		ckWrites:   m.Counter("fault_checkpoint_writes_total", "checkpoint files written"),
-		prefix:     m.Counter("fault_prefix_instrs_skipped_total", "fault-free prefix instructions replicas resumed from snapshots instead of executing"),
-		converged:  m.Counter("fault_converged_total", "replicas stopped early because their state rejoined the clean run's"),
-		convergedSkipped: m.Counter("fault_converged_instrs_skipped_total",
-			"clean-run instructions converged replicas took from the clean run's end instead of executing"),
-		convergedIsolated: m.Counter("fault_converged_isolated_total",
-			"converged replicas whose differing registers reached nothing but single vote operands (copy isolation)"),
-		hangProofs: m.Counter("fault_hang_proofs_total", "replicas that proved their runaway loop exhausts the budget and skipped to the iteration that does"),
-		hangSkipped: m.Counter("fault_hang_instrs_skipped_total",
-			"runaway-loop instructions hang-proved replicas skipped instead of executing"),
-		hangUnproved: m.Counter("fault_hang_unproved_total", "Hang replicas that executed to the budget without proving their runaway loop"),
+	}
+	for _, r := range workRows {
+		cm.work = append(cm.work, m.Counter(r.name, r.help))
 	}
 	for c := Correct; c < NumClasses; c++ {
-		slug := strings.ReplaceAll(strings.ToLower(c.String()), " ", "_")
-		cm.classes[c] = m.Counter("fault_class_"+slug+"_total", "runs classified "+c.String())
+		cm.classes[c] = m.Counter("fault_class_"+c.slug()+"_total", "runs classified "+c.String())
 	}
 	for k := range cm.kinds {
 		kind := machine.FaultKind(k)
@@ -454,28 +433,18 @@ func (e *engine) runOne(ctx context.Context, inj *core.Injector, i int) (rec Run
 		e.cfg.runHook(i)
 	}
 	plan := e.plans[i]
-	if snap := e.prof.Capture.Latest(plan.Target, e.budget); snap != nil {
-		e.met.prefix.Add(snap.Instrs())
-	}
 	o := inj.Replay(e.prof.Inst, core.RunOpts{Fault: &plan, MaxInstrs: e.budget, Cancel: ctx.Done()}, e.prof.Capture)
-	if o.Converged {
-		e.met.converged.Inc()
-		e.met.convergedSkipped.Add(o.ConvergedSkipped)
-		if o.ConvergedIsolated {
-			e.met.convergedIsolated.Inc()
-		}
-	}
-	if o.HangProved {
-		e.met.hangProofs.Inc()
-		e.met.hangSkipped.Add(o.HangSkipped)
-	}
 	if _, cancelled := o.Err.(*machine.CancelError); cancelled {
 		// Campaign-level cancellation: the run is incomplete.
 		return RunRecord{}, false
 	}
 	cls, fn, recov := classify(&o, e.prof.Output)
-	if cls == Hang && !o.HangProved {
-		e.met.hangUnproved.Inc()
+	// Only non-zero values: a replica that took no shortcut moves its
+	// class's executed counter alone.
+	for k, row := range workRows {
+		if v := row.value(&o, cls); v != 0 {
+			e.met.work[k].Add(v)
+		}
 	}
 	r := RunRecord{Done: true, Class: cls, Fired: o.FaultFired, FalseNeg: fn, Recovered: recov}
 	if o.Err != nil {

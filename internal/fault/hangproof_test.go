@@ -9,7 +9,6 @@ import (
 	"rskip/internal/bench"
 	"rskip/internal/core"
 	"rskip/internal/machine"
-	"rskip/internal/obs"
 )
 
 // hangPlans is the plan list of the hang-proof differential over a
@@ -88,11 +87,11 @@ func TestHangProofsMatchReference(t *testing.T) {
 					if errors.As(want.Err, &he) {
 						hangs++
 					}
-					if got.HangProved {
+					if skipped := got.Work.HangSkipped; skipped > 0 {
 						proved++
-						if !errors.As(want.Err, &he) || got.HangSkipped == 0 || got.HangSkipped >= got.Result.Instrs {
+						if !errors.As(want.Err, &he) || skipped >= got.Result.Instrs {
 							t.Errorf("%s plan %d: proved a hang skipping %d of %d instructions of a run that ends %v",
-								s, i, got.HangSkipped, got.Result.Instrs, want.Err)
+								s, i, skipped, got.Result.Instrs, want.Err)
 						}
 					}
 				}
@@ -158,15 +157,15 @@ func TestNestedHangProofsMatchReference(t *testing.T) {
 					continue
 				}
 				hangs++
-				if raceEnabled && hangs > 2 && !got.HangNested {
+				if raceEnabled && hangs > 2 && !got.Work.HangNested {
 					continue
 				}
 				opts.Reference = true
 				sameOutcome(t, fmt.Sprintf("plan %d %+v", i, plan), got, fresh.Run(inst, opts))
-				if got.HangProved {
+				if got.Work.HangSkipped > 0 {
 					proved++
 				}
-				if got.HangNested {
+				if got.Work.HangNested {
 					nested++
 				}
 			}
@@ -188,29 +187,9 @@ func TestNestedHangProofsMatchReference(t *testing.T) {
 // whose outer iteration holds a whole middle loop, which the dry run
 // takes as one step.
 func TestHangProofEngaged(t *testing.T) {
-	b, err := bench.ByName("sgemm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Build(b, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
-	clean := p.Run(core.Unsafe, inst, core.RunOpts{})
-	o := obs.New()
-	p.Observe(o)
-	defer p.Observe(nil)
 	const n = 300
-	r, err := Campaign(obs.Into(context.Background(), o), p, core.Unsafe, inst, Config{N: n, Seed: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N != n {
-		t.Fatalf("campaign completed %d/%d runs", r.N, n)
-	}
-	snap := o.Metrics.Snapshot()
-	replicaInstrs := snap["machine_instrs_total"] - float64(clean.Result.Instrs)
+	e := runEngaged(t, "sgemm", core.Unsafe, Config{N: n})
+	r, snap, replicaInstrs := e.r, e.m, e.replica
 	skipped := snap["fault_hang_instrs_skipped_total"]
 	share := skipped / replicaInstrs
 	proofs, unproved := snap["fault_hang_proofs_total"], snap["fault_hang_unproved_total"]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rskip/internal/bench"
@@ -32,7 +33,9 @@ func prefixPlans(region uint64) []machine.FaultPlan {
 // sameOutcome reports every way a resumed replica differs from the
 // from-zero one: the full RunResult, the error, the output, the fault
 // attribution and the run-time management statistics (which feed the
-// Recovered column of every record).
+// Recovered column of every record). Work is not compared: it is what
+// the shortcuts spared, which differs from the from-zero run's by
+// design.
 func sameOutcome(t *testing.T, label string, got, want core.Outcome) {
 	t.Helper()
 	if got.Result != want.Result {
@@ -112,12 +115,26 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 						}
 						label := fmt.Sprintf("%s/reference=%v plan %d %+v", s, ref, i, plan)
 						want := fresh.Run(inst, opts)
-						sameOutcome(t, label, resumed.Resume(inst, opts, snap), want)
+						if want.Work != (machine.Work{}) {
+							t.Errorf("%s: a from-zero run reports work %+v", label, want.Work)
+						}
+						res := resumed.Resume(inst, opts, snap)
+						sameOutcome(t, label, res, want)
 						got := replayed.Replay(inst, opts, prefix)
-						if got.Converged {
+						var prefixInstrs uint64
+						if snap != nil {
+							prefixInstrs = snap.Instrs()
+						}
+						for _, o := range []core.Outcome{res, got} {
+							if o.Work.Resumed != prefixInstrs || o.Work.Executed(o.Result.Instrs) > o.Result.Instrs {
+								t.Errorf("%s: work %+v of a run reporting %d instructions, want a prefix of %d",
+									label, o.Work, o.Result.Instrs, prefixInstrs)
+							}
+						}
+						if got.Work.Converged > 0 {
 							converged++
 						}
-						if got.ConvergedIsolated {
+						if got.Work.Isolated {
 							isolated++
 						}
 						sameOutcome(t, label+" converged", got, want)
@@ -142,13 +159,24 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrefixSharingEngaged pins that campaigns actually resume their
-// replicas: on a SWIFT-R conv1d campaign the instructions replicas did
-// not re-execute must be at least 40% of the instructions they report
-// — a silent fallback to from-zero replicas fails here, without any
-// timing.
-func TestPrefixSharingEngaged(t *testing.T) {
-	b, err := bench.ByName("conv1d")
+// engaged is one campaign of an Engaged test: its result, its metrics
+// and the instructions its replicas report (machine_instrs_total less
+// the clean run's).
+type engaged struct {
+	r       Result
+	m       map[string]float64
+	replica float64
+}
+
+// runEngaged builds name, runs a campaign of scheme s under cfg (Seed
+// 1, and Workers 2 unless set) on its FI-scale instance, and
+// requires every replica to complete and the work counters to
+// reconcile: the per-class executed instructions plus the resumed,
+// converged and hang-skipped ones are the replicas' reported
+// instructions.
+func runEngaged(t *testing.T, name string, s core.Scheme, cfg Config) engaged {
+	t.Helper()
+	b, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,26 +185,59 @@ func TestPrefixSharingEngaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
-	clean := p.Run(core.SWIFTR, inst, core.RunOpts{})
+	clean := p.Run(s, inst, core.RunOpts{})
 	o := obs.New()
 	p.Observe(o)
 	defer p.Observe(nil)
-	const n = 200
-	r, err := Campaign(obs.Into(context.Background(), o), p, core.SWIFTR, inst, Config{N: n, Seed: 1, Workers: 2})
+	cfg.Seed = 1
+	if cfg.Workers == 0 {
+		cfg.Workers = 2
+	}
+	r, err := Campaign(obs.Into(context.Background(), o), p, s, inst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.N != n {
-		t.Fatalf("campaign completed %d/%d runs", r.N, n)
+	if r.N != cfg.N {
+		t.Fatalf("campaign completed %d/%d runs", r.N, cfg.N)
 	}
-	snap := o.Metrics.Snapshot()
+	e := engaged{r: r, m: o.Metrics.Snapshot()}
 	// machine_instrs_total counts the profile run and every replica.
-	replicaInstrs := snap["machine_instrs_total"] - float64(clean.Result.Instrs)
-	skipped := snap["fault_prefix_instrs_skipped_total"]
+	e.replica = e.m["machine_instrs_total"] - float64(clean.Result.Instrs)
+	var executed []string
+	sum := e.m["fault_prefix_instrs_skipped_total"] + e.m["fault_converged_instrs_skipped_total"] + e.m["fault_hang_instrs_skipped_total"]
+	for c := Correct; c < NumClasses; c++ {
+		v := e.m["fault_executed_instrs_"+c.slug()+"_total"]
+		executed = append(executed, fmt.Sprintf("%s %.0f", c, v))
+		sum += v
+	}
+	t.Logf("executed: %s; with the skips %.0f of %.0f replica instructions", strings.Join(executed, ", "), sum, e.replica)
+	if sum != e.replica {
+		t.Errorf("executed and skipped instructions sum to %.0f, want the replicas' %.0f", sum, e.replica)
+	}
+	return e
+}
+
+// TestPrefixSharingEngaged pins that campaigns actually resume their
+// replicas: on a SWIFT-R conv1d campaign the instructions replicas did
+// not re-execute must be at least 40% of the instructions they report
+// — a silent fallback to from-zero replicas fails here, without any
+// timing. The campaign runs on one worker and on four, whose work
+// counters must agree: each replica's work is its own, whichever
+// pooled machine ran it.
+func TestPrefixSharingEngaged(t *testing.T) {
+	const n = 200
+	e := runEngaged(t, "conv1d", core.SWIFTR, Config{N: n, Workers: 1})
+	skipped, replicaInstrs := e.m["fault_prefix_instrs_skipped_total"], e.replica
 	t.Logf("replicas skipped %.0f of %.0f instructions (%.1f%%)", skipped, replicaInstrs, 100*skipped/replicaInstrs)
 	if replicaInstrs <= 0 || skipped < 0.4*replicaInstrs {
 		t.Errorf("replicas skipped %.0f of %.0f instructions (%.1f%%), want >= 40%%",
 			skipped, replicaInstrs, 100*skipped/replicaInstrs)
+	}
+	four := runEngaged(t, "conv1d", core.SWIFTR, Config{N: n, Workers: 4})
+	for k, v := range e.m {
+		if IsWorkCounter(k) && four.m[k] != v {
+			t.Errorf("%s = %.0f on one worker, %.0f on four", k, v, four.m[k])
+		}
 	}
 }
 
@@ -192,15 +253,6 @@ func TestPrefixSharingEngaged(t *testing.T) {
 // replicas converge through liveness: a dead register struck, or one
 // overwritten before the next check point.
 func TestConvergenceEngaged(t *testing.T) {
-	b, err := bench.ByName("conv1d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Build(b, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
 	for _, tc := range []struct {
 		name  string
 		s     core.Scheme
@@ -216,24 +268,12 @@ func TestConvergenceEngaged(t *testing.T) {
 		{"SWIFT-R-stratified", core.SWIFTR, Mix{}, true, 0.40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clean := p.Run(tc.s, inst, core.RunOpts{})
-			o := obs.New()
-			p.Observe(o)
-			defer p.Observe(nil)
 			const n = 200
-			r, err := Campaign(obs.Into(context.Background(), o), p, tc.s, inst, Config{N: n, Seed: 1, Workers: 2, Mix: tc.mix, Stratify: tc.strat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.N != n {
-				t.Fatalf("campaign completed %d/%d runs", r.N, n)
-			}
-			snap := o.Metrics.Snapshot()
-			replicaInstrs := snap["machine_instrs_total"] - float64(clean.Result.Instrs)
-			skipped := snap["fault_converged_instrs_skipped_total"]
+			e := runEngaged(t, "conv1d", tc.s, Config{N: n, Mix: tc.mix, Stratify: tc.strat})
+			skipped, replicaInstrs := e.m["fault_converged_instrs_skipped_total"], e.replica
 			share := skipped / replicaInstrs
 			t.Logf("%.0f of %d replicas converged, skipping %.0f of %.0f instructions (%.1f%%)",
-				snap["fault_converged_total"], n, skipped, replicaInstrs, 100*share)
+				e.m["fault_converged_total"], n, skipped, replicaInstrs, 100*share)
 			if replicaInstrs <= 0 || share < tc.want {
 				t.Errorf("converged replicas skipped %.1f%% of the replicas' instructions, want >= %.0f%%", 100*share, 100*tc.want)
 			}
@@ -247,30 +287,11 @@ func TestConvergenceEngaged(t *testing.T) {
 // the bound — a silent loss of the rule fails here, without any timing.
 // Measured: 8.5% (17 of 200).
 func TestCopyIsolationEngaged(t *testing.T) {
-	b, err := bench.ByName("conv1d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Build(b, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := b.Gen(bench.TestSeed(0), bench.ScaleFI)
-	o := obs.New()
-	p.Observe(o)
-	defer p.Observe(nil)
 	const n = 200
-	r, err := Campaign(obs.Into(context.Background(), o), p, core.SWIFTR, inst, Config{N: n, Seed: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N != n {
-		t.Fatalf("campaign completed %d/%d runs", r.N, n)
-	}
-	snap := o.Metrics.Snapshot()
-	isolated := snap["fault_converged_isolated_total"]
+	e := runEngaged(t, "conv1d", core.SWIFTR, Config{N: n})
+	isolated := e.m["fault_converged_isolated_total"]
 	t.Logf("%.0f of %d replicas converged, %.0f by copy isolation (%.1f%%)",
-		snap["fault_converged_total"], n, isolated, 100*isolated/n)
+		e.m["fault_converged_total"], n, isolated, 100*isolated/n)
 	if isolated < 0.06*n {
 		t.Errorf("%.0f of %d replicas converged by copy isolation, want >= 6%%", isolated, n)
 	}

@@ -68,10 +68,6 @@ type convState struct {
 	next int      // the snapshot the next check compares against
 	at   uint64   // Region at which that check is due, or noCheck
 	dead bool     // the fault struck a dead register: converged already
-
-	ok       bool   // the run converged
-	isolated bool   // it converged with isolated registers differing
-	skipped  uint64 // instructions the exit did not execute
 }
 
 // armConvergence prepares the check for a run with cfg: only untimed,
@@ -92,18 +88,6 @@ func (m *Machine) armConvergence() {
 	}
 	m.conv.c = c
 }
-
-// Converged reports whether the last run stopped early because its
-// state rejoined the clean run's, and how many instructions of the
-// clean run's remainder it therefore did not execute.
-func (m *Machine) Converged() (skipped uint64, ok bool) {
-	return m.conv.skipped, m.conv.ok
-}
-
-// ConvergedIsolated reports whether the last run converged while
-// registers isolated from every effect still differed from the clean
-// run's (copy isolation).
-func (m *Machine) ConvergedIsolated() bool { return m.conv.isolated }
 
 // seek makes the first snapshot at or past region the next check.
 func (cv *convState) seek(region uint64) {
@@ -147,7 +131,7 @@ func (m *Machine) converged() bool {
 		return true
 	}
 	if ok, isolated := m.converges(cv.c.snaps[cv.next], !cv.c.split); ok {
-		cv.isolated = isolated
+		m.work.Isolated = isolated
 		return true
 	}
 	cv.seek(m.C.Region + 1)
@@ -155,12 +139,12 @@ func (m *Machine) converged() bool {
 }
 
 // jumpToEnd installs the clean run's final state in a converged
-// replica. The final counters already hold every instruction, so the
-// compiled engine's unfolded segment counts are discarded.
+// replica and notes the remainder it took in Work. The final counters
+// already hold every instruction, so the compiled engine's unfolded
+// segment counts are discarded.
 func (m *Machine) jumpToEnd() {
 	end := m.conv.c.final
-	m.conv.ok = true
-	m.conv.skipped = end.c.Dyn - m.C.Dyn
+	m.work.Converged = end.c.Dyn - m.C.Dyn
 	clear(m.segHits)
 	m.restore(end)
 }

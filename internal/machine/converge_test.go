@@ -49,7 +49,8 @@ func TestConvergedMatchesFromZero(t *testing.T) {
 						} else {
 							got, gerr = m.Run(fi, args)
 						}
-						skipped, ok := m.Converged()
+						skipped := m.Work().Converged
+						ok := skipped > 0
 						if ok {
 							if !m.conv.dead {
 								compared[be]++
@@ -99,8 +100,7 @@ func TestConvergenceOnlyWhereExact(t *testing.T) {
 		if _, err := m.Run(fi, snapSetup(m)); err != nil {
 			t.Fatal(err)
 		}
-		_, ok := m.Converged()
-		return ok
+		return m.Work().Converged > 0
 	}
 	// A register-file strike early in the region on a register whose
 	// replica converges when it may check.
@@ -124,7 +124,7 @@ func TestConvergenceOnlyWhereExact(t *testing.T) {
 		if name == "budget" {
 			m := New(mod, rcfg)
 			_, err := m.Run(fi, snapSetup(m))
-			if _, ok := m.Converged(); ok || err == nil {
+			if ok := m.Work().Converged > 0; ok || err == nil {
 				t.Errorf("%s: converged %v, err %v; want a hang", name, ok, err)
 			}
 			m.Release()

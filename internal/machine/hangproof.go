@@ -83,14 +83,6 @@ type hangState struct {
 	gap   uint64 // Dyn a failed attempt waits before the next; doubles
 	until uint64 // the attempt under way gives up past this Dyn; 0 when none is
 	tries int    // loops the attempt under way has tried
-
-	skipped uint64 // instructions proofs did not execute; > 0 once one did
-}
-
-// hangCold is the hang proofs' state that no hot path reads.
-type hangCold struct {
-	nested bool   // a committed proof took a nested loop as one step
-	p      *proof // the dry runs' buffers, kept across runs of the machine
 }
 
 const (
@@ -114,7 +106,6 @@ const (
 // run.
 func (m *Machine) armHangProof() {
 	m.hang = hangState{at: noCheck}
-	m.hangc.nested = false
 	if m.conv.c == nil || m.backend != BackendCompiled {
 		return
 	}
@@ -122,17 +113,6 @@ func (m *Machine) armHangProof() {
 	m.hang.at = end + 1
 	m.hang.gap = max(end/8, hangMinGap)
 }
-
-// HangProved reports whether the last run proved its runaway loop
-// exhausts the budget, and how many instructions of it the proofs
-// therefore did not execute.
-func (m *Machine) HangProved() (skipped uint64, ok bool) {
-	return m.hang.skipped, m.hang.skipped > 0
-}
-
-// HangNested reports whether a proof of the last run took a loop
-// nested in the one it proved as one step of its dry run.
-func (m *Machine) HangNested() bool { return m.hangc.nested }
 
 // backOff ends the current attempt and schedules the next.
 func (h *hangState) backOff(dyn uint64) {
@@ -318,7 +298,7 @@ type proof struct {
 // top frame f.
 func (m *Machine) newProof(f *frame) *proof {
 	n := len(f.regs)
-	p := m.hangc.p
+	p := m.hangp
 	if p == nil || cap(p.val) < n {
 		p = &proof{val: make([]aval, n), f: frame{regs: make([]uint64, n)}}
 		for d := range p.lv {
@@ -326,7 +306,7 @@ func (m *Machine) newProof(f *frame) *proof {
 			lv.start, lv.base, lv.entry = make([]uint64, n), make([]aval, n), make([]aval, n)
 			lv.written, lv.first = make([]bool, n), make([]bool, n)
 		}
-		m.hangc.p = p
+		m.hangp = p
 	}
 	p.val = p.val[:n]
 	clear(p.val)
@@ -451,8 +431,8 @@ func (m *Machine) commit(f *frame, p *proof, l *analysis.Loop, k uint64) {
 	}
 	f.block, f.ip, f.nseg = l.Header, 0, -1
 	m.conv.c, m.conv.at = nil, noCheck
-	m.hang.skipped += skip
-	m.hangc.nested = m.hangc.nested || p.pre.nested || lv.nested
+	m.work.HangSkipped += skip
+	m.work.HangNested = m.work.HangNested || p.pre.nested || lv.nested
 }
 
 // enter starts level d's summary of loop l at the dry run's state.

@@ -68,7 +68,8 @@ func runHang(t *testing.T, label string, k hangKernel, plan FaultPlan, budget ui
 	if m.FaultFired() != ref.FaultFired() || gt != wt || gop != wop || gfn != wfn {
 		t.Errorf("%s: fault attribution diverged", label)
 	}
-	skipped, proved := m.HangProved()
+	w := m.Work()
+	skipped, proved := w.HangSkipped, w.HangSkipped > 0
 	if proved {
 		var he *HangError
 		if !errors.As(werr, &he) || skipped == 0 || skipped >= got.Instrs {
@@ -77,10 +78,10 @@ func runHang(t *testing.T, label string, k hangKernel, plan FaultPlan, budget ui
 		if m.conv.c != nil || m.conv.at != noCheck {
 			t.Errorf("%s: convergence check still armed after the proof", label)
 		}
-	} else if m.HangNested() {
+	} else if w.HangNested {
 		t.Errorf("%s: a nested step is reported without a proof", label)
 	}
-	return hangRun{err: gerr, proved: proved, nested: m.HangNested()}
+	return hangRun{err: gerr, proved: proved, nested: w.HangNested}
 }
 
 // nest is the shape of a nestLoop kernel: the outer loop's comparison,

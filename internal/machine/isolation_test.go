@@ -282,8 +282,8 @@ func runIso(mod *ir.Module, cfg Config) isoRun {
 	if err == nil {
 		r.out = m.Mem.ReadInts(out, isoN+8)
 	}
-	r.skipped, r.converged = m.Converged()
-	r.isolate = m.ConvergedIsolated()
+	w := m.Work()
+	r.skipped, r.converged, r.isolate = w.Converged, w.Converged > 0, w.Isolated
 	return r
 }
 

@@ -202,7 +202,7 @@ func newMachineMetrics(m *obs.Metrics) *machineMetrics {
 	}
 	return &machineMetrics{
 		runs:    m.Counter("machine_runs_total", "kernel executions"),
-		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, counting prefixes resumed from snapshots, tails taken from the clean run and runaway-loop iterations skipped by hang proofs (see fault_prefix_instrs_skipped_total, fault_converged_instrs_skipped_total, fault_hang_instrs_skipped_total)"),
+		instrs:  m.Counter("machine_instrs_total", "dynamic instructions of finished runs, executed or skipped; for campaign replicas the work counters (fault_executed_instrs_<class>_total and fault_*_instrs_skipped_total) split them"),
 		cycles:  m.Counter("machine_cycles_total", "simulated cycles of timed runs (untimed campaign replicas add 0)"),
 		region:  m.Counter("machine_region_instrs_total", "dynamic instructions inside detected-loop regions"),
 		runtime: m.Counter("machine_runtime_charge_total", "instructions charged by runtime hooks"),
@@ -255,20 +255,21 @@ type Machine struct {
 
 	// pl sits past every hot field: its fixed slot/ring arrays span
 	// several pages, and keeping them there keeps every other hot field
-	// of the struct within the first cache lines. The pad puts it at a
-	// 64-byte offset, so its scalar head (off, read by every
-	// instruction) fills one cache line; a field added above moves it,
-	// and TestPipelineLayout fails until the pad is resized.
-	_  [48]byte
+	// of the struct within the first cache lines. The fields above end
+	// at a 64-byte offset (1024 on 64-bit hosts), so its scalar head
+	// (off, read by every instruction) fills one cache line; a field
+	// added above moves it, and TestPipelineLayout fails until a pad
+	// before it restores the alignment.
 	pl pipeline
 
-	// hangc, which no hot path reads, sits past pl so that its size
-	// moves no hot field.
-	hangc hangCold
+	// The fields below, which no hot path reads, sit past pl so that
+	// their size moves no hot field.
+	hangp *proof // the hang proofs' dry-run buffers, kept across runs (hangproof.go)
 	// splitVotes counts the votes whose three operands were not all
 	// equal. A capture records whether its run cast any (converge.go);
 	// only a split vote, rare outside injected runs, writes it.
 	splitVotes uint64
+	work       Work // what the run's shortcuts spared it
 }
 
 // cancelPollInterval bounds how many dynamic instructions execute
@@ -413,6 +414,7 @@ func (m *Machine) resetRun(cfg Config) {
 	m.hookOp = ir.OpRTObserve
 	m.nest = 0
 	m.splitVotes = 0
+	m.work = Work{}
 	m.armConvergence()
 	m.armHangProof()
 	if m.backend == BackendCompiled {
@@ -453,6 +455,26 @@ func (r RunResult) IPC() float64 {
 	}
 	return float64(r.Instrs) / float64(r.Cycles)
 }
+
+// Work is what a run's shortcuts spared it: instructions it reports
+// but did not execute. New, Reset and ResetForResume clear it, so a
+// Run without Config.Converge reports a zero Work.
+type Work struct {
+	Resumed     uint64 // the fault-free prefix Resume restored from a snapshot
+	Converged   uint64 // the clean run's remainder taken from its end; > 0 iff the run converged (converge.go)
+	Isolated    bool   // it converged by copy isolation, isolated registers still differing
+	HangSkipped uint64 // runaway-loop instructions hang proofs skipped; > 0 iff one held (hangproof.go)
+	HangNested  bool   // a proof took a loop nested in the one it proved as one step
+}
+
+// Executed is how many of a run's reported instructions it executed:
+// the reported count less the three skips.
+func (w Work) Executed(reported uint64) uint64 {
+	return reported - w.Resumed - w.Converged - w.HangSkipped
+}
+
+// Work reports what the last run's shortcuts spared it.
+func (m *Machine) Work() Work { return m.work }
 
 // Run executes function fnIdx with raw-bits arguments until it
 // returns. Errors are SegfaultError, TrapError, HangError or

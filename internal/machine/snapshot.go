@@ -230,6 +230,7 @@ func (m *Machine) Resume(snap *Snapshot) (RunResult, error) {
 		return RunResult{}, &CancelError{}
 	}
 	m.restore(snap)
+	m.work.Resumed = snap.c.Dyn
 	return m.finish(m.runToDepth(0))
 }
 

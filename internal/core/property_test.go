@@ -202,15 +202,15 @@ func TestSchemesFaultFreeBitIdentical(t *testing.T) {
 	}
 }
 
-// FuzzIsolatedConvergence replays injected SWIFT-R and RSkip replicas
+// FuzzConvergence replays injected UNSAFE, SWIFT-R and RSkip replicas
 // of a generated kernel against their clean run's capture — resumed
 // from a snapshot, and stopping early once converged, by copy
-// isolation among other ways — and requires each to equal the
+// isolation and with dead memory among other ways — and requires each to equal the
 // reference engine's from-zero replica in result, error, output, fault
 // attribution and run-time statistics. The kernel seed picks the
 // program and its inputs; the plan index picks the fault kind, its
 // target, bit, register and width.
-func FuzzIsolatedConvergence(f *testing.F) {
+func FuzzConvergence(f *testing.F) {
 	for _, s := range []struct {
 		seed int64
 		plan uint32
@@ -227,7 +227,7 @@ func FuzzIsolatedConvergence(f *testing.F) {
 			t.Fatalf("train failed for generated kernel:\n%s\nerror: %v", b.Source, err)
 		}
 		inst := b.Gen(bench.TestSeed(0), bench.ScaleTiny)
-		for _, s := range []core.Scheme{core.SWIFTR, core.RSkip} {
+		for _, s := range []core.Scheme{core.Unsafe, core.SWIFTR, core.RSkip} {
 			c := machine.NewCapture(8)
 			clean := p.RunCapture(s, inst, core.RunOpts{}, c)
 			if clean.Err != nil || clean.Result.Region == 0 {

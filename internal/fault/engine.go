@@ -172,6 +172,7 @@ func NewProfile(ctx context.Context, p *core.Program, s core.Scheme, inst bench.
 		}
 		sps.SetAttr("snapshots", capture.Len())
 		sps.SetAttr("words", capture.Words())
+		sps.SetAttr("record_words", capture.RecordWords())
 		sps.SetAttr("capture_us", capture.Elapsed().Microseconds())
 		sps.End()
 		spp.End()

@@ -105,7 +105,7 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 				plans := prefixPlans(clean.Result.Region)
 				for _, ref := range []bool{false, true} {
 					fresh, resumed, replayed := p.NewInjector(s), p.NewInjector(s), p.NewInjector(s)
-					engaged, converged, isolated := 0, 0, 0
+					engaged, converged, isolated, dead := 0, 0, 0, 0
 					for i := range plans {
 						plan := plans[i]
 						opts := core.RunOpts{Fault: &plan, MaxInstrs: budget, Reference: ref}
@@ -137,6 +137,9 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 						if got.Work.Isolated {
 							isolated++
 						}
+						if got.Work.DeadWords > 0 {
+							dead++
+						}
 						sameOutcome(t, label+" converged", got, want)
 					}
 					fresh.Close()
@@ -146,12 +149,18 @@ func TestResumedReplicasBitIdentical(t *testing.T) {
 						t.Errorf("%s/reference=%v: only %d of %d replicas resumed from a snapshot (%d snapshots of a %d-instruction region)",
 							s, ref, engaged, len(plans), prefix.Len(), clean.Result.Region)
 					}
-					t.Logf("%s/reference=%v: %d of %d replicas converged, %d by copy isolation", s, ref, converged, len(plans), isolated)
+					t.Logf("%s/reference=%v: %d of %d replicas converged, %d by copy isolation, %d with dead memory",
+						s, ref, converged, len(plans), isolated, dead)
 					if converged == 0 {
 						t.Errorf("%s/reference=%v: no replica converged", s, ref)
 					}
 					if isolated == 0 && (s == core.SWIFTR || s == core.RSkip) {
 						t.Errorf("%s/reference=%v: no replica converged by copy isolation", s, ref)
+					}
+					// lud factors its matrix in place: every word a
+					// replica corrupts, the clean run reads again.
+					if dead == 0 && s == core.Unsafe && name != "lud" {
+						t.Errorf("%s/reference=%v: no replica converged with dead memory", s, ref)
 					}
 				}
 			}
@@ -213,6 +222,18 @@ func runEngaged(t *testing.T, name string, s core.Scheme, cfg Config) engaged {
 	t.Logf("executed: %s; with the skips %.0f of %.0f replica instructions", strings.Join(executed, ", "), sum, e.replica)
 	if sum != e.replica {
 		t.Errorf("executed and skipped instructions sum to %.0f, want the replicas' %.0f", sum, e.replica)
+	}
+	var rejects []string
+	unconverged := 0.0
+	for r := machine.Reject(0); r < machine.NumRejects; r++ {
+		if v := e.m["fault_unconverged_"+r.String()+"_total"]; v > 0 {
+			rejects = append(rejects, fmt.Sprintf("%v %.0f", r, v))
+			unconverged += v
+		}
+	}
+	t.Logf("unconverged by last reject: %s", strings.Join(rejects, ", "))
+	if want := float64(cfg.N) - e.m["fault_converged_total"] - e.m["fault_hang_proofs_total"]; unconverged != want {
+		t.Errorf("the reject counters sum to %.0f, want the %.0f replicas that neither converged nor proved a hang", unconverged, want)
 	}
 	return e
 }
@@ -278,6 +299,22 @@ func TestConvergenceEngaged(t *testing.T) {
 				t.Errorf("converged replicas skipped %.1f%% of the replicas' instructions, want >= %.0f%%", 100*share, 100*tc.want)
 			}
 		})
+	}
+}
+
+// TestDeadMemoryEngaged pins that UNSAFE replicas whose memory differs
+// from the clean run's only in words the clean run never reads again
+// converge: the share of a conv1d campaign's replicas that converge
+// with dead memory must stay above the bound — a silent loss of the
+// rule fails here, without any timing. Measured: 10.5% (21 of 200).
+func TestDeadMemoryEngaged(t *testing.T) {
+	const n = 200
+	e := runEngaged(t, "conv1d", core.Unsafe, Config{N: n})
+	dead := e.m["fault_converged_dead_memory_total"]
+	t.Logf("%.0f of %d replicas converged, %.0f with dead memory (%.1f%%)",
+		e.m["fault_converged_total"], n, dead, 100*dead/n)
+	if dead < 0.08*n {
+		t.Errorf("%.0f of %d replicas converged with dead memory, want >= 8%%", dead, n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"rskip/internal/core"
+	"rskip/internal/machine"
 )
 
 // workRow is one work counter: what a campaign's replicas executed, or
@@ -29,13 +30,15 @@ var workRows = append([]workRow{
 		func(o *core.Outcome, _ Class) uint64 { return o.Work.Converged }},
 	{"fault_converged_isolated_total", "converged replicas whose differing registers reached nothing but single vote operands (copy isolation)",
 		func(o *core.Outcome, _ Class) uint64 { return count(o.Work.Isolated) }},
+	{"fault_converged_dead_memory_total", "converged replicas whose memory still differed in words the clean run never reads again (dead memory)",
+		func(o *core.Outcome, _ Class) uint64 { return count(o.Work.DeadWords > 0) }},
 	{"fault_hang_proofs_total", "replicas that proved their runaway loop exhausts the budget and skipped to the iteration that does",
 		func(o *core.Outcome, _ Class) uint64 { return count(o.Work.HangSkipped > 0) }},
 	{"fault_hang_instrs_skipped_total", "runaway-loop instructions hang-proved replicas skipped instead of executing",
 		func(o *core.Outcome, _ Class) uint64 { return o.Work.HangSkipped }},
 	{"fault_hang_unproved_total", "Hang replicas that executed to the budget without proving their runaway loop",
 		func(o *core.Outcome, cls Class) uint64 { return count(cls == Hang && o.Work.HangSkipped == 0) }},
-}, executedRows()...)
+}, append(executedRows(), unconvergedRows()...)...)
 
 // executedRows holds one row per outcome class: the instructions its
 // replicas executed.
@@ -44,6 +47,20 @@ func executedRows() (rows []workRow) {
 		rows = append(rows, workRow{"fault_executed_instrs_" + c.slug() + "_total",
 			"instructions replicas classified " + c.String() + " executed, not resumed or skipped",
 			func(o *core.Outcome, cls Class) uint64 { return count(cls == c) * o.Work.Executed(o.Result.Instrs) }})
+	}
+	return rows
+}
+
+// unconvergedRows holds one row per convergence reject reason: the
+// replicas that neither converged nor proved a hang whose last check
+// failed for it. Per campaign they sum to those replicas.
+func unconvergedRows() (rows []workRow) {
+	for r := machine.Reject(0); r < machine.NumRejects; r++ {
+		rows = append(rows, workRow{"fault_unconverged_" + r.String() + "_total",
+			"replicas that neither converged nor proved a hang, by why their last convergence check failed: " + r.String(),
+			func(o *core.Outcome, _ Class) uint64 {
+				return count(o.Work.Converged == 0 && o.Work.HangSkipped == 0 && o.Work.Reject == r)
+			}})
 	}
 	return rows
 }

@@ -51,6 +51,28 @@ import (
 //     vote with one tainted operand takes the other two, which agree.
 //     They agree only where the clean run's vote did, so the rule is
 //     off for a capture whose run cast any split vote (Capture.split).
+//   - Dead memory. A strike that corrupts a stored value, or a store's
+//     address, leaves memory differing in a word or two while the rest
+//     of the state rejoins the clean run's. When everything else
+//     matches (registers equal or isolated), memory may still differ
+//     in up to deadWordCap words, provided the clean run reads none of
+//     them after the snapshot the check compares against: the
+//     capture's record (memRecord) holds when the clean run last read
+//     and last wrote each word, counting every load of both engines
+//     and of the runtime hooks. By induction on the replica's steps
+//     every load reads an address the clean run reads at the same
+//     step, so never a differing word, and gets the clean run's value;
+//     every store writes the clean run's value to the clean run's
+//     address. The replica therefore runs the clean remainder
+//     instruction for instruction, and its memory at the end is the
+//     clean run's final memory except in the differing words the clean
+//     remainder never writes, which keep the replica's values:
+//     jumpToEnd stores them back, so an SDC stays in the output. Once
+//     a check finds more differing words than the cap, the run's later
+//     checks reject at once instead of scanning its memory again.
+//
+// A failed check notes in Work.Reject which part of the state failed
+// it; the last failed check's part stands.
 //
 // The property test in internal/fault proves converged replicas equal
 // from-zero ones on both engines.
@@ -75,6 +97,7 @@ type convState struct {
 // whole clean run can take the clean run's end.
 func (m *Machine) armConvergence() {
 	m.conv = convState{at: noCheck}
+	m.kept, m.overCap = m.kept[:0], false
 	c := m.cfg.Converge
 	if c == nil || c.final == nil || !m.fault.armed || m.cfg.Trace != nil || m.cfg.RegionTrace != nil ||
 		c.final.c.Dyn > m.cfg.MaxInstrs {
@@ -130,8 +153,7 @@ func (m *Machine) converged() bool {
 	if cv.dead {
 		return true
 	}
-	if ok, isolated := m.converges(cv.c.snaps[cv.next], !cv.c.split); ok {
-		m.work.Isolated = isolated
+	if m.converges(cv.c.snaps[cv.next], !cv.c.split, &cv.c.rec) {
 		return true
 	}
 	cv.seek(m.C.Region + 1)
@@ -139,52 +161,113 @@ func (m *Machine) converged() bool {
 }
 
 // jumpToEnd installs the clean run's final state in a converged
-// replica and notes the remainder it took in Work. The final counters
-// already hold every instruction, so the compiled engine's unfolded
-// segment counts are discarded.
+// replica, stores back the differing memory words it keeps, and notes
+// the remainder it took in Work. The final counters already hold every
+// instruction, so the compiled engine's unfolded segment counts are
+// discarded.
 func (m *Machine) jumpToEnd() {
 	end := m.conv.c.final
 	m.work.Converged = end.c.Dyn - m.C.Dyn
 	clear(m.segHits)
 	m.restore(end)
+	for _, w := range m.kept {
+		_ = m.Mem.StoreWord(w.addr, w.val) // a differing word is mapped: the store cannot fault
+	}
+}
+
+// deadWordCap bounds how many differing memory words a converging
+// replica may carry to the clean run's end.
+const deadWordCap = 64
+
+// memWord is a memory word and its value.
+type memWord struct {
+	addr int64
+	val  uint64
 }
 
 // converges reports whether the run, standing where snapshot s was
-// taken, runs the rest of the clean run: its state equals s, or, with
-// isolate, differs only in registers each frame's isolates walk
-// accepts (then isolated is true). Cheapest comparison first:
-// counters, frame positions, the registers that differ, hook state,
-// memory, and last the walks.
-func (m *Machine) converges(s *Snapshot, isolate bool) (ok, isolated bool) {
+// taken, runs the rest of the clean run: its state equals s, or
+// differs only in registers each frame's isolates walk accepts (with
+// isolate; Work.Isolated notes it) and in at most deadWordCap memory
+// words that rec, the capture's record, shows the clean run never
+// reads after s (a nil rec allows none; Work.DeadWords counts them,
+// and kept holds those the clean remainder does not write either;
+// overCap notes a check that found more). A failed check notes in
+// Work.Reject what failed. Cheapest comparison
+// first: counters, frame positions, the other control state, the
+// registers that differ, hook state, memory up to its first differing
+// word, the walks, and last the rest of the memory.
+func (m *Machine) converges(s *Snapshot, isolate bool, rec *memRecord) bool {
+	reject := func(r Reject) bool {
+		m.work.Reject = r
+		return false
+	}
 	// The eager counters decide most mismatches before the lazy
 	// per-segment counts are folded in.
-	if m.C.Dyn != s.c.Dyn || m.C.Region != s.c.Region || m.C.Runtime != s.c.Runtime {
-		return false, false
+	if m.C.Dyn != s.c.Dyn {
+		return reject(RejectDyn)
+	}
+	if m.C.Region != s.c.Region || m.C.Runtime != s.c.Runtime {
+		return reject(RejectCounters)
 	}
 	if m.segHits != nil {
 		m.foldSegCounters()
 	}
-	if m.C != s.c || m.lastRet != s.lastRet || m.hookOp != s.hookOp ||
-		m.overrideActive != s.overrideActive || m.overrideAddr != s.overrideAddr || m.overrideVal != s.overrideVal ||
-		!m.samePositions(s.frames) {
-		return false, false
+	if m.C != s.c {
+		return reject(RejectCounters)
+	}
+	if !m.samePositions(s.frames) {
+		return reject(RejectPositions)
+	}
+	if m.lastRet != s.lastRet || m.hookOp != s.hookOp ||
+		m.overrideActive != s.overrideActive || m.overrideAddr != s.overrideAddr || m.overrideVal != s.overrideVal {
+		return reject(RejectControl)
 	}
 	diff := m.diffRegs(s.frames)
 	if diff != nil && !isolate {
-		return false, false
+		return reject(RejectRegisters)
 	}
 	if h, ok := m.cfg.Hooks.(StatefulHooks); ok != (s.hooks != nil) || ok && !h.SameState(s.hooks) {
-		return false, false
+		return reject(RejectHooks)
 	}
-	if !m.Mem.sameAs(&s.mem) {
-		return false, false
+	size := int64(len(m.Mem.words))
+	// read reports whether the clean run reads the word at addr after s.
+	read := func(addr int64) bool { return rec == nil || rec.at(addr, size).read >= s.epoch }
+	first := int64(-1) // the first differing word's address
+	if !m.Mem.eachDiff(&s.mem, func(addr int64) bool { first = addr; return false }) && first < 0 {
+		return reject(RejectMemoryOther)
+	}
+	if first >= 0 && read(first) {
+		return reject(RejectMemoryLive)
+	}
+	if first >= 0 && m.overCap {
+		return reject(RejectMemoryOther)
 	}
 	for i, d := range diff {
 		if f := &m.fr[i]; d != nil && !m.code.isolates(f.fi, f.block, f.ip, d) {
-			return false, false
+			return reject(RejectWalk)
 		}
 	}
-	return true, diff != nil
+	m.kept = m.kept[:0]
+	n := 0
+	if first >= 0 && !m.Mem.eachDiff(&s.mem, func(addr int64) bool {
+		if n++; n > deadWordCap {
+			m.overCap = true
+			return reject(RejectMemoryOther)
+		}
+		if read(addr) {
+			return reject(RejectMemoryLive)
+		}
+		if rec.at(addr, size).write < s.epoch {
+			v, _ := m.Mem.LoadWord(addr) // a differing word is mapped: the load cannot fault
+			m.kept = append(m.kept, memWord{addr, v})
+		}
+		return true
+	}) {
+		return false
+	}
+	m.work.Isolated, m.work.DeadWords = diff != nil, n
+	return true
 }
 
 // samePositions compares everything of the frame stack but the
@@ -392,35 +475,79 @@ func (c *Code) isolates(fi, block, ip int, taint []uint64) bool {
 	return true
 }
 
-// sameAs reports whether the memory means the same as a saved one:
-// dense words over the union of both written spans (a word outside a
-// span is zero — the arena invariant reset and restore keep), sparse
-// pages with an absent page reading as zeros, and the segment
-// pointers.
-func (m *Memory) sameAs(st *memState) bool {
+// eachDiff calls visit, in ascending order, with each address at
+// which the memory's contents differ from a saved one's: dense words
+// over the union of both written spans (a word outside a span is zero
+// — the arena invariant reset and restore keep), and sparse pages, an
+// absent page reading as zeros. It returns false at once when the
+// segment pointers differ, and false when a visit does, stopping
+// there.
+func (m *Memory) eachDiff(st *memState, visit func(addr int64) bool) bool {
 	if m.heapEnd != st.heapEnd || m.stackPtr != st.stackPtr || int64(len(m.words)) != st.size {
 		return false
 	}
-	lo := int64(len(st.lo))
-	if !slices.Equal(m.words[:lo], st.lo) || !allZero(m.words[lo:max(lo, m.dirtyLoEnd)]) {
+	lo, hi := int64(len(st.lo)), st.hiStart
+	dirtyLo := max(lo, m.dirtyLoEnd)
+	dirtyHi := min(hi, m.dirtyHiStart)
+	if !diffSpan(m.words[:lo], st.lo, 0, visit) || !diffSpan(m.words[lo:dirtyLo], nil, lo, visit) ||
+		!diffSpan(m.words[dirtyHi:hi], nil, dirtyHi, visit) || !diffSpan(m.words[hi:], st.hi, hi, visit) {
 		return false
 	}
-	hi := st.hiStart
-	if !slices.Equal(m.words[hi:], st.hi) || !allZero(m.words[min(hi, m.dirtyHiStart):hi]) {
-		return false
-	}
+	var keys []int64 // the pages that differ
 	for k, pg := range m.pages {
 		if sp, ok := st.pages[k]; ok && !slices.Equal(pg, sp) || !ok && !allZero(pg) {
-			return false
+			keys = append(keys, k)
 		}
 	}
 	for k, sp := range st.pages {
 		if _, ok := m.pages[k]; !ok && !allZero(sp) {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !diffSpan(m.pages[k], st.pages[k], k*pageSize, visit) {
 			return false
 		}
 	}
 	return true
 }
+
+// diffSpan calls visit with base+i for each index i at which the spans
+// a and b differ, stopping and returning false when a visit does. The
+// spans have the same length, or one is empty and reads as zeros. They
+// are compared a chunk at a time, as arrays, which compiles to the
+// runtime's vectorized memequal, so a span that differs in a few words
+// costs about what an equal one does.
+func diffSpan(a, b []uint64, base int64, visit func(addr int64) bool) bool {
+	n := max(len(a), len(b))
+	for lo := 0; lo < n; lo += diffChunk {
+		hi := min(lo+diffChunk, n)
+		ca, cb := zeroChunk[:hi-lo], zeroChunk[:hi-lo]
+		if len(a) > 0 {
+			ca = a[lo:hi]
+		}
+		if len(b) > 0 {
+			cb = b[lo:hi]
+		}
+		if hi-lo == diffChunk && *(*[diffChunk]uint64)(ca) == *(*[diffChunk]uint64)(cb) ||
+			hi-lo < diffChunk && slices.Equal(ca, cb) {
+			continue
+		}
+		for i := range ca {
+			if ca[i] != cb[i] && !visit(base+int64(lo+i)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// diffChunk is diffSpan's chunk in words; zeroChunk is a chunk of
+// zeros that an empty span reads as.
+const diffChunk = 256
+
+var zeroChunk [diffChunk]uint64
 
 func allZero(ws []uint64) bool {
 	for _, w := range ws {

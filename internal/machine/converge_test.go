@@ -202,10 +202,15 @@ func (h *stateHooks) RestoreState(state any)   { h.n = state.(int) }
 func (h *stateHooks) SameState(saved any) bool { return h.n == saved.(int) }
 
 // sameState reports whether the run's state equals snapshot s in
-// everything the rest of the run reads, copy isolation off.
+// everything the rest of the run reads, copy isolation off and with no
+// record of the clean run's memory accesses.
 func (m *Machine) sameState(s *Snapshot) bool {
-	ok, _ := m.converges(s, false)
-	return ok
+	return m.converges(s, false, nil)
+}
+
+// sameAs reports whether the memory means the same as a saved one.
+func (m *Memory) sameAs(st *memState) bool {
+	return m.eachDiff(st, func(int64) bool { return false })
 }
 
 // TestSameStateCoversSnapshot: the convergence equality holds between
@@ -214,7 +219,9 @@ func (m *Machine) sameState(s *Snapshot) bool {
 // bit flipped in a dead register or in the retDst a callee's return
 // overwrites — and fails on a change to any other part of the state a
 // snapshot holds: each counter, each frame field, a live register, the
-// override, lastRet, hookOp, the hook state and memory.
+// override, lastRet, hookOp, the hook state and memory, whose every
+// differing word counts when no record of the clean run's accesses
+// says it is dead.
 func TestSameStateCoversSnapshot(t *testing.T) {
 	mod, fi, cfg := snapHarness(t)
 	cfg.Hooks = &stateHooks{n: 7}

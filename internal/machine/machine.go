@@ -270,6 +270,13 @@ type Machine struct {
 	// only a split vote, rare outside injected runs, writes it.
 	splitVotes uint64
 	work       Work // what the run's shortcuts spared it
+	// kept holds the differing memory words a converged replica keeps:
+	// the clean remainder neither reads nor writes them (converge.go).
+	kept []memWord
+	// overCap notes that a check found more differing memory words
+	// than deadWordCap: later checks of the run take that as final
+	// instead of collecting the difference again (converge.go).
+	overCap bool
 }
 
 // cancelPollInterval bounds how many dynamic instructions execute
@@ -463,9 +470,36 @@ type Work struct {
 	Resumed     uint64 // the fault-free prefix Resume restored from a snapshot
 	Converged   uint64 // the clean run's remainder taken from its end; > 0 iff the run converged (converge.go)
 	Isolated    bool   // it converged by copy isolation, isolated registers still differing
+	DeadWords   int    // memory words it converged still differing in, none of which the clean remainder reads
+	Reject      Reject // why its last convergence check failed
 	HangSkipped uint64 // runaway-loop instructions hang proofs skipped; > 0 iff one held (hangproof.go)
 	HangNested  bool   // a proof took a loop nested in the one it proved as one step
 }
+
+// Reject is the part of the state on which a convergence check found
+// a replica and the clean run apart (converge.go), in the order the
+// check compares them. RejectNoCheck, the zero value, stands for a
+// run that reached no check.
+type Reject uint8
+
+const (
+	RejectNoCheck     Reject = iota
+	RejectDyn                // the Dyn counter
+	RejectCounters           // another counter
+	RejectPositions          // the frame stack but its registers
+	RejectControl            // lastRet, the hook op or the load override
+	RejectRegisters          // live registers, copy isolation off
+	RejectHooks              // the runtime hooks' state
+	RejectMemoryLive         // a memory word the clean remainder reads
+	RejectMemoryOther        // the segment pointers, or more differing words than deadWordCap
+	RejectWalk               // registers the copy-isolation walk cannot isolate
+	NumRejects
+)
+
+var rejectNames = [NumRejects]string{"no_check", "dyn", "counters", "positions", "control", "registers",
+	"hooks", "memory_live", "memory_other", "walk"}
+
+func (r Reject) String() string { return rejectNames[r] }
 
 // Executed is how many of a run's reported instructions it executed:
 // the reported count less the three skips.

@@ -25,7 +25,12 @@ import (
 // Memory contents are assumed ECC-protected (faults are never injected
 // here), matching the paper's fault model.
 type Memory struct {
-	words    []uint64
+	words []uint64
+	// log, non-nil only while a capture run executes, lists the run's
+	// accesses since the capture last noted them in its record
+	// (memRecord, snapshot.go): a load's address, or a store's with
+	// logWrite set. Appending keeps LoadWord within the inlining budget.
+	log      []int64
 	pages    map[int64][]uint64
 	heapEnd  int64 // heap occupies [0, heapEnd)
 	stackPtr int64 // stack occupies [stackPtr, len(words))
@@ -43,6 +48,9 @@ type Memory struct {
 	// overwrite: until then the spans hold a previous run's contents.
 	stale bool
 }
+
+// logWrite marks a store in Memory.log.
+const logWrite = int64(1) << 62
 
 // MappedLimit bounds the simulated process's mapped address space in
 // words; accesses at or beyond it fault.
@@ -129,6 +137,9 @@ func (m *Memory) Alloc(n int64) int64 {
 
 // LoadWord reads the raw word at addr.
 func (m *Memory) LoadWord(addr int64) (uint64, error) {
+	if m.log != nil {
+		m.log = append(m.log, addr)
+	}
 	if addr >= 0 && addr < int64(len(m.words)) {
 		return m.words[addr], nil
 	}
@@ -143,6 +154,9 @@ func (m *Memory) LoadWord(addr int64) (uint64, error) {
 
 // StoreWord writes the raw word at addr.
 func (m *Memory) StoreWord(addr int64, v uint64) error {
+	if m.log != nil {
+		m.log = append(m.log, addr|logWrite)
+	}
 	if addr >= 0 && addr < int64(len(m.words)) {
 		// Watermarks move before the write so a panicking run still
 		// leaves them covering every written word.

@@ -49,6 +49,7 @@ type StatefulHooks interface {
 type Snapshot struct {
 	mod    *ir.Module
 	mark   uint64   // the Capture threshold this snapshot was taken for
+	epoch  uint32   // the capture's record dates the run's later accesses at or past it
 	c      Counters // with the compiled backend's segment counts folded in
 	frames []frameState
 	mem    memState
@@ -300,7 +301,106 @@ type Capture struct {
 	snaps   []*Snapshot
 	final   *Snapshot // the end of a run that finished without error
 	split   bool      // the run cast a vote whose operands were not all equal
+	rec     memRecord // when the run last read and wrote each word
 	elapsed time.Duration
+}
+
+// memRecord notes, for every word a capture run reads or writes, the
+// epoch of its last read and of its last write: how many snapshots
+// the run had taken before the access. Snapshot k carries epoch k, so
+// the run reads a word after a snapshot iff the word's last read
+// dates at or past the snapshot's epoch; a word it never touches
+// reads as epoch 0, like an access before the first snapshot. The
+// convergence check (converge.go) reads it. Every load and store the
+// run makes — both engines' and the runtime hooks' — goes through
+// Memory.LoadWord and StoreWord, which log it; the capture notes the
+// log here before each snapshot, at the end, and whenever it grows
+// past logDrain. The dense arena's two halves each grow their record
+// from their outer end, as the watermarks grow, so a run pays for the
+// words it touches; a dense access hashes nothing, and one into a
+// sparse page hashes its page as the access itself does.
+type memRecord struct {
+	epoch  uint32
+	lo, hi []wordEpochs // words[i] and words[size-1-i] of a size-word arena
+	pages  map[int64][]wordEpochs
+}
+
+// wordEpochs is one word's record.
+type wordEpochs struct{ read, write uint32 }
+
+// logDrain is the access-log length past which a capture run notes
+// the log in its record between two steps.
+const logDrain = 1 << 12
+
+// drain notes the accesses mem has logged, all in the current epoch,
+// and empties the log.
+func (r *memRecord) drain(mem *Memory) {
+	size := int64(len(mem.words))
+	for _, v := range mem.log {
+		e := r.slot(v&^logWrite, size)
+		switch {
+		case e == nil:
+		case v&logWrite != 0:
+			e.write = r.epoch
+		default:
+			e.read = r.epoch
+		}
+	}
+	mem.log = mem.log[:0]
+}
+
+// slot returns the record of the word at addr in a memory of size
+// words, growing the record to hold it; nil for an address that
+// faults.
+func (r *memRecord) slot(addr, size int64) *wordEpochs {
+	switch {
+	case addr < 0 || addr >= MappedLimit:
+		return nil
+	case addr < size/2:
+		return grownTo(&r.lo, addr)
+	case addr < size:
+		return grownTo(&r.hi, size-1-addr)
+	}
+	pg := r.pages[addr/pageSize]
+	if pg == nil {
+		if r.pages == nil {
+			r.pages = make(map[int64][]wordEpochs)
+		}
+		pg = make([]wordEpochs, pageSize)
+		r.pages[addr/pageSize] = pg
+	}
+	return &pg[addr%pageSize]
+}
+
+func grownTo(s *[]wordEpochs, i int64) *wordEpochs {
+	if n := int64(len(*s)); i >= n {
+		*s = append(*s, make([]wordEpochs, i+1-n)...)
+	}
+	return &(*s)[i]
+}
+
+// at returns the record of the word at addr, a mapped address of a
+// memory of size words: zero epochs for a word the run never touched.
+func (r *memRecord) at(addr, size int64) wordEpochs {
+	var s []wordEpochs
+	i := addr
+	switch {
+	case addr < size/2:
+		s = r.lo
+	case addr < size:
+		s, i = r.hi, size-1-addr
+	default:
+		s, i = r.pages[addr/pageSize], addr%pageSize
+	}
+	if i < int64(len(s)) {
+		return s[i]
+	}
+	return wordEpochs{}
+}
+
+// words returns how many words the record covers.
+func (r *memRecord) words() int {
+	return len(r.lo) + len(r.hi) + len(r.pages)*int(pageSize)
 }
 
 // NewCapture returns a capture that keeps at least min snapshots of a
@@ -311,8 +411,12 @@ func NewCapture(min int) *Capture {
 
 // take snapshots the run if it has reached the next threshold.
 func (c *Capture) take(m *Machine) {
+	c.rec.drain(m.Mem)
 	t0 := time.Now()
-	c.snaps = append(c.snaps, m.snapshot(m.C.Region/c.stride*c.stride))
+	s := m.snapshot(m.C.Region / c.stride * c.stride)
+	c.rec.epoch++
+	s.epoch = c.rec.epoch
+	c.snaps = append(c.snaps, s)
 	if len(c.snaps) > 2*c.min {
 		c.stride *= 2
 		kept := c.snaps[:0]
@@ -333,6 +437,7 @@ func (c *Capture) take(m *Machine) {
 // and whether the run cast a split vote, which rules out convergence
 // by copy isolation (converge.go).
 func (c *Capture) end(m *Machine) {
+	c.rec.drain(m.Mem)
 	t0 := time.Now()
 	c.final = m.snapshot(m.C.Region)
 	c.split = m.splitVotes != 0
@@ -364,7 +469,17 @@ func (c *Capture) Words() int {
 	return n
 }
 
-// Elapsed returns the wall time spent taking snapshots.
+// RecordWords returns the memory words the capture's record of the
+// run's reads and writes covers.
+func (c *Capture) RecordWords() int {
+	if c == nil {
+		return 0
+	}
+	return c.rec.words()
+}
+
+// Elapsed returns the wall time spent taking snapshots; it leaves out
+// the access log and the record it drains into.
 func (c *Capture) Elapsed() time.Duration {
 	if c == nil {
 		return 0
@@ -391,15 +506,20 @@ func (c *Capture) Latest(target, maxInstrs uint64) *Snapshot {
 
 // runCapturing is the top-level dispatch loop of a run with a
 // Capture: either engine's single-step dispatch, with a snapshot
-// check between steps. Nested runs (runtime hooks' recompute calls)
-// go through runToDepth and never snapshot. Snapshots sit only where
-// the compiled engine dispatches a segment, so a compiled replica
-// reaches every snapshot point of a reference-engine capture and can
-// check for convergence there.
+// check between steps, and the memory's access log on. Nested runs
+// (runtime hooks' recompute calls) go through runToDepth and never
+// snapshot, but their accesses are logged too.
+// Snapshots sit only where the compiled engine dispatches a segment,
+// so a compiled replica reaches every snapshot point of a
+// reference-engine capture and can check for convergence there.
 func (m *Machine) runCapturing(c *Capture) error {
+	m.Mem.log = make([]int64, 0, logDrain)
+	defer func() { m.Mem.log = nil }()
 	for len(m.fr) > 0 {
 		if m.C.Region >= c.next && m.atSegStart() {
 			c.take(m)
+		} else if len(m.Mem.log) >= logDrain {
+			c.rec.drain(m.Mem)
 		}
 		var err error
 		if m.backend == BackendCompiled {

@@ -45,10 +45,9 @@ func ParseScale(name string) (Scale, error) {
 // Instance is one concrete input set for a benchmark.
 type Instance struct {
 	// Setup copies the input data into a fresh machine memory and
-	// returns the kernel's argument list (raw bits). It only stores:
-	// a campaign replica resumed from a snapshot runs it on an arena
-	// whose other words are a previous replica's until the resume
-	// restores them (machine.ResetForResume).
+	// returns the kernel's argument list (raw bits). A campaign replica
+	// resumed from a snapshot runs it too, and the resume then replaces
+	// what it stored with the snapshot's memory.
 	Setup func(mem *machine.Memory) []uint64
 	// Output reads the program's output words after a run; runs are
 	// compared bitwise against a fault-free reference (the paper

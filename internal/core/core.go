@@ -649,7 +649,7 @@ func (p *Program) RunCapture(s Scheme, inst bench.Instance, opts RunOpts, c *mac
 
 // Injector executes many runs of one scheme through a single pooled
 // machine: the decoded (and, under the compiled backend, closure-
-// threaded) code object, the memory arena and the frame register
+// threaded) code object, the memory and the frame register
 // slabs are all reused across replicas via machine.Reset, so a fault
 // campaign pays construction cost once per worker instead of once per
 // injection.
@@ -663,7 +663,7 @@ func (p *Program) RunCapture(s Scheme, inst bench.Instance, opts RunOpts, c *mac
 // proves pooling changes nothing.
 //
 // An Injector is single-goroutine (campaign workers own one each);
-// Close releases the pooled arena.
+// Close releases the pooled memory.
 type Injector struct {
 	p   *Program
 	s   Scheme
@@ -702,13 +702,9 @@ func (in *Injector) run(inst bench.Instance, opts RunOpts, snap *machine.Snapsho
 	mcfg, mgr := in.p.machineConfig(in.s, in.mod, opts)
 	mcfg.Untimed = true
 	mcfg.Converge = c
-	switch {
-	case in.m == nil:
+	if in.m == nil {
 		in.m = machine.New(in.mod, mcfg)
-	case snap != nil:
-		// Resume's restore is the arena's one clear.
-		in.m.ResetForResume(mcfg)
-	default:
+	} else {
 		in.m.Reset(mcfg)
 	}
 	return in.p.runOn(in.m, in.mod, mgr, inst, snap)
@@ -734,12 +730,12 @@ func (in *Injector) Replay(inst bench.Instance, opts RunOpts, c *machine.Capture
 	return in.run(inst, opts, c.Latest(target, budget), c)
 }
 
-// Discard drops the pooled machine without releasing its arena back
+// Discard drops the pooled machine without releasing its memory back
 // to the pool — the contained-panic path, where per-run state may be
 // arbitrarily corrupt. The next Run builds a fresh machine.
 func (in *Injector) Discard() { in.m = nil }
 
-// Close releases the pooled machine's arena. The Injector must not be
+// Close releases the pooled machine's memory. The Injector must not be
 // used afterwards.
 func (in *Injector) Close() {
 	if in.m != nil {

@@ -104,13 +104,13 @@ func sameReplica(t *testing.T, label string, pooled, fresh Outcome) {
 	}
 }
 
-// lazyClearSequence pins the single clear of a resumed replica
-// (machine.ResetForResume) on one pooled machine: a from-zero replica
-// that segfaults late, after writing most of the output; a replica
-// resumed from an early snapshot whose skipped instructions leave an
-// output word unwritten, so a word the restore failed to clear shows
-// in its output; a from-zero replica; and, after Close hands the arena
-// back to the pool, a timed Run. Each equals a fresh machine's run.
+// lazyClearSequence pins the reuse of one pooled machine's memory: a
+// from-zero replica that segfaults late, after writing most of the
+// output; a replica resumed from an early snapshot whose skipped
+// instructions leave an output word unwritten, so a word the restore
+// failed to clear shows in its output; a from-zero replica; and, after
+// Close hands the memory back to the pool, a timed Run. Each equals a
+// fresh machine's run.
 func lazyClearSequence(t *testing.T, p *Program, s Scheme, inst bench.Instance, budget uint64, ref bool) {
 	t.Helper()
 	label := s.String() + "/" + engine(ref)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"rskip/internal/ir"
@@ -237,10 +236,10 @@ func TestBackendsAgreeCleanRun(t *testing.T) {
 // backend: an untimed run on a machine a timed run left dirty reports
 // Cycles == 0 and otherwise the timed result, and a timed run after it
 // (whose init skipped nothing) reproduces the first run exactly. It
-// then pins the single clear of a resumed replica (ResetForResume):
-// replicas from zero and from a snapshot, and a timed run, alternate
-// on one machine and each equals a fresh machine's run in every field,
-// the whole arena included.
+// then pins the reuse of one machine's memory: replicas from zero and
+// from a snapshot, and a timed run, alternate on one machine and each
+// equals a fresh machine's run in every field, every page of memory
+// included.
 func TestResetTogglesUntimed(t *testing.T) {
 	mod, fi := faultHarness(t)
 	for _, be := range allBackends {
@@ -280,10 +279,10 @@ func TestResetTogglesUntimed(t *testing.T) {
 }
 
 // lazyClearSequence runs, on one machine per backend: a from-zero
-// replica that dirties the high stack and a sparse page before it
+// replica that dirties a stack page and a sparse page before it
 // segfaults, a replica resumed mid-run that traps soon after the
-// snapshot (so a word the restore failed to clear stays visible), a
-// from-zero replica and a timed run.
+// snapshot (so a page the restore failed to unmap or overwrite stays
+// visible), a from-zero replica and a timed run.
 func lazyClearSequence(t *testing.T) {
 	mod, fi, cfg := snapHarness(t)
 	for _, be := range allBackends {
@@ -300,13 +299,12 @@ func lazyClearSequence(t *testing.T) {
 			snap *Snapshot
 		}
 		run := func(m *Machine, r replica) (RunResult, error) {
+			m.Reset(r.cfg)
+			args := snapSetup(m)
 			if r.snap != nil {
-				m.ResetForResume(r.cfg)
-				snapSetup(m)
 				return m.Resume(r.snap)
 			}
-			m.Reset(r.cfg)
-			return m.Run(fi, snapSetup(m))
+			return m.Run(fi, args)
 		}
 		fresh := func(r replica) (*Machine, RunResult, error) {
 			m := New(mod, r.cfg)
@@ -323,7 +321,7 @@ func lazyClearSequence(t *testing.T) {
 			r.cfg.Fault = &FaultPlan{Kind: FaultResultBit, Target: tgt, Bit: 31}
 			fm, _, err := fresh(r)
 			var se *SegfaultError
-			if errors.As(err, &se) && fm.Mem.pages != nil && fm.Mem.dirtyHiStart < int64(len(fm.Mem.words)) {
+			if errors.As(err, &se) && fm.Mem.table[snapFar/pageSize] != 0 && fm.Mem.table[(stackTop-1)/pageSize] != 0 {
 				segv = r
 			}
 			fm.Release()
@@ -348,8 +346,7 @@ func lazyClearSequence(t *testing.T) {
 			if m.FaultFired() != fm.FaultFired() {
 				t.Errorf("%s: fault fired %v, fresh machine %v", label, m.FaultFired(), fm.FaultFired())
 			}
-			if !slices.Equal(m.Mem.words, fm.Mem.words) || !reflect.DeepEqual(m.Mem.pages, fm.Mem.pages) ||
-				m.Mem.heapEnd != fm.Mem.heapEnd || m.Mem.stackPtr != fm.Mem.stackPtr {
+			if st := fm.Mem.snapshot(); !reflect.DeepEqual(m.Mem.snapshot(), st) {
 				t.Errorf("%s: memory differs from a fresh machine's", label)
 			}
 			fm.Release()

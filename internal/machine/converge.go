@@ -230,9 +230,8 @@ func (m *Machine) converges(s *Snapshot, isolate bool, rec *memRecord) bool {
 	if h, ok := m.cfg.Hooks.(StatefulHooks); ok != (s.hooks != nil) || ok && !h.SameState(s.hooks) {
 		return reject(RejectHooks)
 	}
-	size := int64(len(m.Mem.words))
 	// read reports whether the clean run reads the word at addr after s.
-	read := func(addr int64) bool { return rec == nil || rec.at(addr, size).read >= s.epoch }
+	read := func(addr int64) bool { return rec == nil || rec.at(addr).read >= s.epoch }
 	first := int64(-1) // the first differing word's address
 	if !m.Mem.eachDiff(&s.mem, func(addr int64) bool { first = addr; return false }) && first < 0 {
 		return reject(RejectMemoryOther)
@@ -258,7 +257,7 @@ func (m *Machine) converges(s *Snapshot, isolate bool, rec *memRecord) bool {
 		if read(addr) {
 			return reject(RejectMemoryLive)
 		}
-		if rec.at(addr, size).write < s.epoch {
+		if rec.at(addr).write < s.epoch {
 			v, _ := m.Mem.LoadWord(addr) // a differing word is mapped: the load cannot fault
 			m.kept = append(m.kept, memWord{addr, v})
 		}
@@ -366,7 +365,7 @@ var trapProbes = []uint64{0, 1, ^uint64(0), 1 << 63, 1<<63 - 1, uint64(MappedLim
 // canTrap reports whether the reference exec returns an error for op
 // on some combination of probe values in its three operand registers.
 func canTrap(op ir.Op) bool {
-	m := &Machine{Mem: NewMemory(1)}
+	m := &Machine{Mem: NewMemory()}
 	m.pl.off = true
 	f := &frame{fn: &ir.Func{}, regs: make([]uint64, 4)}
 	in := &ir.Instr{Op: op, Dst: 3, Args: []ir.Reg{0, 1, 2}}
@@ -476,37 +475,29 @@ func (c *Code) isolates(fi, block, ip int, taint []uint64) bool {
 }
 
 // eachDiff calls visit, in ascending order, with each address at
-// which the memory's contents differ from a saved one's: dense words
-// over the union of both written spans (a word outside a span is zero
-// — the arena invariant reset and restore keep), and sparse pages, an
-// absent page reading as zeros. It returns false at once when the
-// segment pointers differ, and false when a visit does, stopping
-// there.
+// which the memory's contents differ from a saved one's, a page that
+// one side does not hold reading as zeros. It returns false at once
+// when the segment pointers differ, and false when a visit does,
+// stopping there.
 func (m *Memory) eachDiff(st *memState, visit func(addr int64) bool) bool {
-	if m.heapEnd != st.heapEnd || m.stackPtr != st.stackPtr || int64(len(m.words)) != st.size {
+	if m.heapEnd != st.heapEnd || m.stackPtr != st.stackPtr {
 		return false
 	}
-	lo, hi := int64(len(st.lo)), st.hiStart
-	dirtyLo := max(lo, m.dirtyLoEnd)
-	dirtyHi := min(hi, m.dirtyHiStart)
-	if !diffSpan(m.words[:lo], st.lo, 0, visit) || !diffSpan(m.words[lo:dirtyLo], nil, lo, visit) ||
-		!diffSpan(m.words[dirtyHi:hi], nil, dirtyHi, visit) || !diffSpan(m.words[hi:], st.hi, hi, visit) {
-		return false
-	}
-	var keys []int64 // the pages that differ
-	for k, pg := range m.pages {
-		if sp, ok := st.pages[k]; ok && !slices.Equal(pg, sp) || !ok && !allZero(pg) {
-			keys = append(keys, k)
+	i, j := 0, 0
+	for i < len(m.used) || j < len(st.pages) {
+		var n int32
+		var a, b []uint64 // nil: a page the side does not hold
+		if i < len(m.used) && (j == len(st.pages) || m.used[i] <= st.pages[j].n) {
+			n = m.used[i]
+			a = m.slab[m.table[n]][:]
+			i++
 		}
-	}
-	for k, sp := range st.pages {
-		if _, ok := m.pages[k]; !ok && !allZero(sp) {
-			keys = append(keys, k)
+		if j < len(st.pages) && (a == nil || st.pages[j].n == n) {
+			n = st.pages[j].n
+			b = st.pages[j].words[:]
+			j++
 		}
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if !diffSpan(m.pages[k], st.pages[k], k*pageSize, visit) {
+		if !diffSpan(a, b, int64(n)*pageSize, visit) {
 			return false
 		}
 	}

@@ -152,32 +152,34 @@ func TestConvergenceOnlyWhereExact(t *testing.T) {
 	}
 }
 
-// TestMemorySameAs: memory compares by meaning — words outside the
-// written spans read as zero, an absent sparse page equals a zero one
-// — and any differing word, page or segment pointer is a mismatch.
+// TestMemorySameAs: memory compares by meaning — a page one side does
+// not hold reads as zeros, so an all-zero page equals an absent one —
+// and any differing word, on either side of a page boundary or far
+// from the segments, or a differing segment pointer is a mismatch.
 func TestMemorySameAs(t *testing.T) {
-	a, b := NewMemory(1<<12), NewMemory(1<<12)
+	a, b := NewMemory(), NewMemory()
 	a.SetInt(5, 9)
 	b.SetInt(5, 9)
-	b.SetInt(100, 0)  // widens b's low span with a zero
-	b.SetInt(4000, 0) // and its high span
+	b.SetInt(pageSize, 0) // a zero page
 	b.SetInt(1<<20, 0)
 	st := a.snapshot()
 	if !b.sameAs(&st) {
-		t.Error("zero-extended spans and a zero page differ from the unwritten memory")
+		t.Error("zero pages differ from the unwritten memory")
 	}
 	st = b.snapshot()
 	if !a.sameAs(&st) {
-		t.Error("unwritten memory differs from zero-extended spans and a zero page")
+		t.Error("unwritten memory differs from zero pages")
 	}
 	for name, mut := range map[string]func(m *Memory){
-		"low word":  func(m *Memory) { m.SetInt(99, 1) },
-		"high word": func(m *Memory) { m.SetInt(4001, 1) },
-		"page":      func(m *Memory) { m.SetInt(1<<21, 1) },
-		"heap end":  func(m *Memory) { m.Alloc(1) },
-		"stack":     func(m *Memory) { m.pushStack(1) },
+		"word":           func(m *Memory) { m.SetInt(99, 1) },
+		"last page word": func(m *Memory) { m.SetInt(pageSize-1, 1) },
+		"next page word": func(m *Memory) { m.SetInt(pageSize, 1) },
+		"stack word":     func(m *Memory) { m.SetInt(stackTop-1, 1) },
+		"far page":       func(m *Memory) { m.SetInt(MappedLimit-1, 1) },
+		"heap end":       func(m *Memory) { m.Alloc(1) },
+		"stack":          func(m *Memory) { m.pushStack(1) },
 	} {
-		m := NewMemory(1 << 12)
+		m := NewMemory()
 		m.SetInt(5, 9)
 		mut(m)
 		st := a.snapshot()
@@ -317,7 +319,7 @@ func TestSameStateCoversSnapshot(t *testing.T) {
 		"lastRet":        func(m *Machine) { m.lastRet++ },
 		"hookOp":         func(m *Machine) { m.hookOp = ir.OpRTLoopExit },
 		"hook state":     func(m *Machine) { m.cfg.Hooks.(*stateHooks).n++ },
-		"memory word":    func(m *Machine) { m.Mem.words[0]++ },
+		"memory word":    func(m *Machine) { m.Mem.SetInt(0, m.Mem.GetInt(0)+1) },
 		"page":           func(m *Machine) { m.Mem.SetInt(snapFar+snapN+7, 1) },
 		"heap end":       func(m *Machine) { m.Mem.Alloc(1) },
 		"stack pointer":  func(m *Machine) { m.Mem.stackPtr-- },

@@ -70,8 +70,8 @@ var deadCases = []deadCase{
 		tail: func(k *isoK) {
 			k.b.Raw(ir.Instr{Op: ir.OpRTObserve, Args: []ir.Reg{k.b.ConstInt(0), k.x, k.at(0)}})
 		}, reject: RejectMemoryLive},
-	// The struck address lands 2^25 words on, past the dense arena: the
-	// replica leaves out + n zero and writes a sparse page instead.
+	// The struck address lands 2^25 words on, past the stack: the
+	// replica leaves out + n zero and writes a far page instead.
 	{name: "scribble into a sparse page", op: ir.OpXor, bit: 25, setup: func(k *isoK) {
 		k.b.Store(k.b.Binop(ir.OpXor, ir.Ptr, k.at(0), k.b.ConstInt(0)), k.b.ConstInt(100))
 	}, dead: 2, sdc: true},
@@ -145,7 +145,7 @@ func runDead(mod *ir.Module, cfg Config) deadRun {
 
 // sameMem reports whether two saved memories hold the same contents.
 func sameMem(a, b *memState) bool {
-	m, _ := newPooledMemory(a.size)
+	m, _ := newPooledMemory()
 	defer releaseMemory(m)
 	m.restore(a)
 	return m.sameAs(b)

@@ -19,7 +19,7 @@ int f(int depth) {
 	if (depth == 0) { return t[0]; }
 	return f(depth - 1) + t[0];
 }`)
-	m := New(mod, Config{MemWords: 1 << 12, TraceFn: -1})
+	m := New(mod, Config{TraceFn: -1})
 	_, err := m.Run(0, []uint64{1 << 20})
 	var se *SegfaultError
 	if !errors.As(err, &se) {

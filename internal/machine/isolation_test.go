@@ -404,7 +404,7 @@ func TestCopyIsolationOpTable(t *testing.T) {
 		in := &ir.Instr{Op: op, Dst: 3, Args: []ir.Reg{0, 1, 2}}
 		d := decode(in)
 		closure := compileIns(&d, -1, -1)
-		m := &Machine{Mem: NewMemory(1)}
+		m := &Machine{Mem: NewMemory()}
 		m.pl.off = true
 		f := &frame{fn: &ir.Func{}, regs: make([]uint64, 4)}
 		for _, a := range vals {

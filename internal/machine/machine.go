@@ -107,8 +107,7 @@ func (c *Counters) OpsMap() map[ir.Op]uint64 {
 
 // Config parameterizes a machine.
 type Config struct {
-	MemWords   int64 // memory size in words (default 1<<22)
-	IssueWidth int   // superscalar width (default 4)
+	IssueWidth int // superscalar width (default 4)
 	MaxInstrs  uint64
 	Hooks      Hooks
 	// RegionFuncs marks function indexes whose execution counts
@@ -135,10 +134,10 @@ type Config struct {
 	// instructions (and once at Run entry), so cancellation latency is
 	// bounded without a per-instruction select on the hot path.
 	Cancel <-chan struct{}
-	// TraceFn, when >= 0 with a non-nil CallTracer, reports every
-	// completed call to that function index — the trainer uses it to
-	// sample memo-function input/output pairs. Set TraceFn to -1 when
-	// unused.
+	// TraceFn, with a non-nil CallTracer, names the function index
+	// whose every completed call CallTracer receives — the trainer uses
+	// it to sample memo-function input/output pairs. Without a
+	// CallTracer it is not read.
 	TraceFn    int
 	CallTracer func(args []uint64, ret uint64)
 	// Code, when non-nil, supplies the pre-decoded form of the module
@@ -252,6 +251,7 @@ type Machine struct {
 	conv convState // convergence check against the clean run (converge.go)
 	hang hangState // hang-proof attempts (hangproof.go)
 	nest int       // runtime-hook recompute runs in progress
+	_    [8]byte   // pads pl to a 64-byte offset
 
 	// pl sits past every hot field: its fixed slot/ring arrays span
 	// several pages, and keeping them there keeps every other hot field
@@ -326,11 +326,11 @@ type frame struct {
 }
 
 // New creates a machine for the module: it builds the state that
-// depends on the build — memory arena, decoded and compiled code,
+// depends on the build — memory, decoded and compiled code,
 // region flags, metrics — and then the per-run state through Reset.
 func New(mod *ir.Module, cfg Config) *Machine {
 	cfg = withDefaults(cfg)
-	mem, pooled := newPooledMemory(cfg.MemWords)
+	mem, pooled := newPooledMemory()
 	m := &Machine{Mod: mod, Mem: mem}
 	if cfg.Metrics != nil {
 		m.met = newMachineMetrics(cfg.Metrics)
@@ -357,9 +357,6 @@ func New(mod *ir.Module, cfg Config) *Machine {
 
 // withDefaults fills the zero fields of cfg that have defaults.
 func withDefaults(cfg Config) Config {
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 22
-	}
 	if cfg.IssueWidth == 0 {
 		cfg.IssueWidth = 4
 	}
@@ -372,36 +369,20 @@ func withDefaults(cfg Config) Config {
 // Reset restores the machine to its just-constructed state for
 // another run of the same module, replacing the per-run configuration
 // (fault plan, cancel channel, hooks, budget, tracing) with cfg while
-// keeping every pooled allocation: the memory arena (watermark-
-// cleared), the frame stack's register slabs, the shared decoded and
+// keeping every pooled allocation: the memory (its pages unmapped),
+// the frame stack's register slabs, the shared decoded and
 // compiled code, and the register-tag cache. Campaign workers reset
 // one machine per replica instead of building one machine per run.
 // It is also the second half of New, so every per-run field is set up
 // in this one place.
 //
 // The build-affecting fields — Code, Backend, IssueWidth,
-// MemWords, RegionBlocks, Metrics — must match the config the machine
-// was created with; Reset does not re-derive the decoded code, region
+// RegionBlocks, Metrics — must match the config the machine was
+// created with; Reset does not re-derive the decoded code, region
 // flags or backend. Callers that need a different module or backend
-// create a new machine. A run that Resume starts next can skip the
-// arena clear through ResetForResume.
+// create a new machine.
 func (m *Machine) Reset(cfg Config) {
 	m.Mem.reset()
-	m.resetRun(cfg)
-}
-
-// ResetForResume is Reset for a run that Resume starts next: it leaves
-// the arena's written words in place instead of zeroing them, because
-// Resume's restore overwrites or clears every one of them. Between the
-// two the caller may store to memory (an instance's Setup writing its
-// inputs) but must not read what it did not store, and Run panics.
-func (m *Machine) ResetForResume(cfg Config) {
-	m.Mem.rewind()
-	m.resetRun(cfg)
-}
-
-// resetRun is Reset's per-run state apart from the memory.
-func (m *Machine) resetRun(cfg Config) {
 	cfg = withDefaults(cfg)
 	m.cfg = cfg
 	m.C = Counters{}
@@ -433,11 +414,11 @@ func (m *Machine) resetRun(cfg Config) {
 	}
 }
 
-// Release returns the machine's pooled resources (its memory arena)
-// for reuse by a future New. The machine and its Mem must not be used
+// Release returns the machine's pooled resources (its memory) for
+// reuse by a future New. The machine and its Mem must not be used
 // afterwards. Calling Release is optional — an unreleased machine is
 // simply collected — but campaign-style callers that build one machine
-// per run save a full arena allocation and clear per run.
+// per run save a memory's allocation per run.
 func (m *Machine) Release() {
 	mem := m.Mem
 	m.Mem = nil
@@ -464,8 +445,8 @@ func (r RunResult) IPC() float64 {
 }
 
 // Work is what a run's shortcuts spared it: instructions it reports
-// but did not execute. New, Reset and ResetForResume clear it, so a
-// Run without Config.Converge reports a zero Work.
+// but did not execute. New and Reset clear it, so a Run without
+// Config.Converge reports a zero Work.
 type Work struct {
 	Resumed     uint64 // the fault-free prefix Resume restored from a snapshot
 	Converged   uint64 // the clean run's remainder taken from its end; > 0 iff the run converged (converge.go)
@@ -514,9 +495,6 @@ func (m *Machine) Work() Work { return m.work }
 // returns. Errors are SegfaultError, TrapError, HangError or
 // DetectError; callers classify them into the paper's outcome classes.
 func (m *Machine) Run(fnIdx int, args []uint64) (RunResult, error) {
-	if m.Mem.stale {
-		panic("machine: Run after ResetForResume")
-	}
 	if m.cancelled() {
 		return RunResult{}, &CancelError{}
 	}

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -21,7 +22,7 @@ func compile(t *testing.T, src string) *ir.Module {
 }
 
 func TestMemorySegments(t *testing.T) {
-	m := NewMemory(1 << 12)
+	m := NewMemory()
 	a := m.Alloc(16)
 	b := m.Alloc(16)
 	if a == b {
@@ -49,22 +50,45 @@ func TestMemorySegments(t *testing.T) {
 	}
 }
 
+// TestMemorySparsePages: any mapped word reads zero until stored to,
+// a store maps only its own page — across a page boundary, and far
+// from the segments — and a faulting access maps none. A memory holding
+// a stray page near MappedLimit restores to exactly a snapshot's
+// pages: restore leaves nothing of its previous contents behind.
 func TestMemorySparsePages(t *testing.T) {
-	m := NewMemory(1 << 10)
-	wild := int64(1<<20 + 37) // beyond dense arena, below MappedLimit
-	w, err := m.LoadWord(wild)
-	if err != nil || w != 0 {
-		t.Fatalf("wilderness read = %d, %v; want 0, nil", w, err)
-	}
-	if err := m.StoreWord(wild, 99); err != nil {
-		t.Fatalf("wilderness store: %v", err)
-	}
-	if w, _ := m.LoadWord(wild); w != 99 {
-		t.Errorf("wilderness readback = %d, want 99", w)
+	m := NewMemory()
+	for _, addr := range []int64{pageSize - 1, pageSize, 1<<20 + 37, MappedLimit - 1} {
+		w, err := m.LoadWord(addr)
+		if err != nil || w != 0 {
+			t.Fatalf("unwritten read at %d = %d, %v; want 0, nil", addr, w, err)
+		}
+		if err := m.StoreWord(addr, uint64(addr)); err != nil {
+			t.Fatalf("store at %d: %v", addr, err)
+		}
+		if w, _ := m.LoadWord(addr); w != uint64(addr) {
+			t.Errorf("readback at %d = %d, want %d", addr, w, addr)
+		}
 	}
 	// A neighboring page stays zero.
-	if w, _ := m.LoadWord(wild + pageSize); w != 0 {
+	if w, _ := m.LoadWord(1<<20 + 37 + pageSize); w != 0 {
 		t.Errorf("neighbor page = %d, want 0", w)
+	}
+	if err := m.StoreWord(-1, 1); err == nil {
+		t.Error("store to a negative address should fault")
+	}
+	if want := []int32{0, 1, (1<<20 + 37) / pageSize, int32((MappedLimit - 1) / pageSize)}; !slices.Equal(m.used, want) {
+		t.Errorf("pages in use %v, want %v", m.used, want)
+	}
+
+	src := NewMemory()
+	src.SetInt(src.Alloc(3)+2, 5)
+	st := src.snapshot()
+	m.restore(&st)
+	if len(m.used) != len(st.pages) || !m.sameAs(&st) {
+		t.Errorf("restored memory holds pages %v, want the snapshot's %d equal ones", m.used, len(st.pages))
+	}
+	if w, _ := m.LoadWord(MappedLimit - 1); w != 0 {
+		t.Errorf("stray word after restore = %d, want 0", w)
 	}
 }
 
@@ -334,7 +358,7 @@ func TestPipelineWidthLimit(t *testing.T) {
 }
 
 func TestMemoryTypedHelpers(t *testing.T) {
-	m := NewMemory(1 << 10)
+	m := NewMemory()
 	base := m.Alloc(8)
 	m.CopyInts(base, []int64{1, -2, 3})
 	got := m.ReadInts(base, 3)

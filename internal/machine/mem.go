@@ -1,5 +1,5 @@
 // Package machine executes RSkip IR directly: a word-addressable
-// segmented memory, a register-file interpreter, an in-order
+// paged memory, a register-file interpreter, an in-order
 // superscalar timing model that yields cycles and IPC, exact dynamic
 // instruction counting, a runtime bridge that services the
 // prediction-based-protection hooks, and single-event-upset fault
@@ -10,44 +10,44 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
 // Memory is a flat word-addressable memory (one 64-bit word per
-// address). The heap grows upward from zero via Alloc; the stack
-// segment for local arrays grows downward from the top of the dense
-// arena. Addresses beyond the dense arena but below MappedLimit model
-// the large mapped-but-unrelated address space of a real process
-// (lazily paged): corrupted pointers usually land there and read
-// zeros or scribble harmlessly instead of faulting, matching the low
-// Segfault rates of the paper's gem5/ARMv7 campaigns. Only accesses
-// past MappedLimit (or negative) raise a segmentation fault.
+// address) over the simulated process's whole mapped space
+// [0, MappedLimit). The heap grows upward from zero via Alloc; the
+// stack segment for local arrays grows downward from stackTop. The
+// rest of the space models the large mapped-but-unrelated address
+// space of a real process: corrupted pointers usually land there and
+// read zeros or scribble harmlessly instead of faulting, matching the
+// low Segfault rates of the paper's gem5/ARMv7 campaigns. Only
+// accesses past MappedLimit (or negative) raise a segmentation fault.
 // Memory contents are assumed ECC-protected (faults are never injected
 // here), matching the paper's fault model.
+//
+// Storage is paged: a table maps each page number to its slot in the
+// slab, slot 0 being a page of zeros that no store reaches, so a page
+// never stored to reads as zeros. The first store to a page takes a
+// fresh slot and clears it, so resetting a memory only unmaps the
+// pages in use, however far apart they lie; that is what makes pooling
+// memories across millions of runs worthwhile. Neither the table nor
+// the slab holds a pointer, so the garbage collector never scans them.
 type Memory struct {
-	words []uint64
+	table *[MappedLimit / pageSize]int32 // page number -> slab slot; 0: never stored to
+	slab  []page
+	used  []int32 // the page numbers whose slot is not 0, ascending
 	// log, non-nil only while a capture run executes, lists the run's
 	// accesses since the capture last noted them in its record
 	// (memRecord, snapshot.go): a load's address, or a store's with
 	// logWrite set. Appending keeps LoadWord within the inlining budget.
 	log      []int64
-	pages    map[int64][]uint64
 	heapEnd  int64 // heap occupies [0, heapEnd)
-	stackPtr int64 // stack occupies [stackPtr, len(words))
-
-	// Write watermarks for cheap arena recycling: every dense-arena
-	// store lands in [0, dirtyLoEnd) or [dirtyHiStart, len(words)) —
-	// the heap grows up from zero and the stack down from the top, so
-	// tracking the two halves separately keeps the union tight. reset
-	// clears only those spans instead of the whole arena (the default
-	// arena is 32 MiB; campaign runs touch a few KiB), which is what
-	// makes pooling memories across millions of runs worthwhile.
-	dirtyLoEnd   int64
-	dirtyHiStart int64
-	// stale marks words a rewind left in place for a restore to
-	// overwrite: until then the spans hold a previous run's contents.
-	stale bool
+	stackPtr int64 // stack occupies [stackPtr, stackTop)
 }
+
+// page is one page of words.
+type page [pageSize]uint64
 
 // logWrite marks a store in Memory.log.
 const logWrite = int64(1) << 62
@@ -56,8 +56,11 @@ const logWrite = int64(1) << 62
 // words; accesses at or beyond it fault.
 const MappedLimit = int64(1) << 28
 
-// pageSize is the sparse-page granule in words.
-const pageSize = int64(4096)
+// pageSize is the page granule in words.
+const pageSize = 512
+
+// stackTop is the address just above the stack segment.
+const stackTop = int64(1) << 22
 
 // SegfaultError reports an out-of-segment memory access.
 type SegfaultError struct {
@@ -69,60 +72,64 @@ func (e *SegfaultError) Error() string {
 	return fmt.Sprintf("machine: segmentation fault: %s at address %d", e.Op, e.Addr)
 }
 
-// NewMemory returns a memory of the given size in words.
-func NewMemory(words int64) *Memory {
-	m := &Memory{words: make([]uint64, words)}
-	m.stackPtr = words
-	m.dirtyHiStart = words
-	return m
+// NewMemory returns an empty memory.
+func NewMemory() *Memory {
+	return &Memory{
+		table:    new([MappedLimit / pageSize]int32),
+		slab:     make([]page, 1),
+		stackPtr: stackTop,
+	}
 }
 
-// defaultMemWords is Config.MemWords' default; only arenas of exactly
-// this size are pooled.
-const defaultMemWords = int64(1) << 22
+// poolCap bounds the memories memPool keeps.
+const poolCap = 64
 
-// memPool recycles default-sized memories between machines (campaign
-// runs build one machine per injection). Pooled memories are fully
-// reset — a Get behaves exactly like NewMemory(defaultMemWords).
-var memPool = sync.Pool{}
+// memPool recycles memories between machines (campaign runs build one
+// machine per injection). It is a free list rather than a sync.Pool
+// because a sync.Pool drops its contents at every garbage collection,
+// and a memory's table and slab are worth keeping across them. Pooled
+// memories are fully reset: a pooled memory behaves exactly like a new
+// one.
+var memPool struct {
+	sync.Mutex
+	free []*Memory
+}
 
-func newPooledMemory(words int64) (mem *Memory, pooled bool) {
-	if words == defaultMemWords {
-		if v := memPool.Get(); v != nil {
-			return v.(*Memory), true
-		}
+func newPooledMemory() (mem *Memory, pooled bool) {
+	memPool.Lock()
+	if n := len(memPool.free); n > 0 {
+		mem = memPool.free[n-1]
+		memPool.free = memPool.free[:n-1]
 	}
-	return NewMemory(words), false
+	memPool.Unlock()
+	if mem != nil {
+		return mem, true
+	}
+	return NewMemory(), false
 }
 
 func releaseMemory(m *Memory) {
-	if m == nil || int64(len(m.words)) != defaultMemWords {
+	if m == nil {
 		return
 	}
 	m.reset()
-	memPool.Put(m)
+	memPool.Lock()
+	if len(memPool.free) < poolCap {
+		memPool.free = append(memPool.free, m)
+	}
+	memPool.Unlock()
 }
 
-// reset restores the memory to its freshly-allocated state, zeroing
-// only the spans the watermarks prove were written.
+// reset restores the memory to its freshly-allocated state by
+// unmapping the pages in use.
 func (m *Memory) reset() {
-	clear(m.words[:m.dirtyLoEnd])
-	clear(m.words[m.dirtyHiStart:])
-	m.dirtyLoEnd = 0
-	m.dirtyHiStart = int64(len(m.words))
-	m.rewind()
-	m.stale = false
-}
-
-// rewind resets the segment pointers and drops the sparse pages but
-// leaves the written words, and the watermarks that cover them, for a
-// restore to overwrite or clear (snapshot.go): a resumed run's memory
-// is cleared once, by the restore, instead of by a reset as well.
-func (m *Memory) rewind() {
-	m.pages = nil
+	for _, n := range m.used {
+		m.table[n] = 0
+	}
+	m.used = m.used[:0]
+	m.slab = m.slab[:1]
 	m.heapEnd = 0
-	m.stackPtr = int64(len(m.words))
-	m.stale = true
+	m.stackPtr = stackTop
 }
 
 // Alloc reserves n words on the heap and returns the base address.
@@ -140,16 +147,11 @@ func (m *Memory) LoadWord(addr int64) (uint64, error) {
 	if m.log != nil {
 		m.log = append(m.log, addr)
 	}
-	if addr >= 0 && addr < int64(len(m.words)) {
-		return m.words[addr], nil
-	}
-	if addr < 0 || addr >= MappedLimit {
+	a := uint64(addr)
+	if a >= uint64(MappedLimit) {
 		return 0, &SegfaultError{Addr: addr, Op: "load"}
 	}
-	if pg, ok := m.pages[addr/pageSize]; ok {
-		return pg[addr%pageSize], nil
-	}
-	return 0, nil
+	return m.slab[m.table[a/pageSize]][a%pageSize], nil
 }
 
 // StoreWord writes the raw word at addr.
@@ -157,32 +159,27 @@ func (m *Memory) StoreWord(addr int64, v uint64) error {
 	if m.log != nil {
 		m.log = append(m.log, addr|logWrite)
 	}
-	if addr >= 0 && addr < int64(len(m.words)) {
-		// Watermarks move before the write so a panicking run still
-		// leaves them covering every written word.
-		if addr < int64(len(m.words))/2 {
-			if addr >= m.dirtyLoEnd {
-				m.dirtyLoEnd = addr + 1
-			}
-		} else if addr < m.dirtyHiStart {
-			m.dirtyHiStart = addr
-		}
-		m.words[addr] = v
-		return nil
-	}
-	if addr < 0 || addr >= MappedLimit {
+	a := uint64(addr)
+	if a >= uint64(MappedLimit) {
 		return &SegfaultError{Addr: addr, Op: "store"}
 	}
-	if m.pages == nil {
-		m.pages = make(map[int64][]uint64)
+	s := m.table[a/pageSize]
+	if s == 0 {
+		s = m.take(int32(a / pageSize))
 	}
-	pg, ok := m.pages[addr/pageSize]
-	if !ok {
-		pg = make([]uint64, pageSize)
-		m.pages[addr/pageSize] = pg
-	}
-	pg[addr%pageSize] = v
+	m.slab[s][a%pageSize] = v
 	return nil
+}
+
+// take maps page n, not yet in use, to a cleared slot and returns the
+// slot.
+func (m *Memory) take(n int32) int32 {
+	s := int32(len(m.slab))
+	m.slab = append(m.slab, page{})
+	m.table[n] = s
+	i, _ := slices.BinarySearch(m.used, n)
+	m.used = slices.Insert(m.used, i, n)
+	return s
 }
 
 // pushStack reserves n words of stack and returns the new base; used

@@ -76,16 +76,18 @@ type frameState struct {
 	savedArgs []uint64
 }
 
-// memState is a saved memory: the two written watermark spans, the
-// sparse pages and the segment pointers.
+// memState is a saved memory: a copy of each page in use, in
+// ascending page order, and the segment pointers.
 type memState struct {
-	size     int64    // len(words) of the saved arena
-	lo       []uint64 // words[:dirtyLoEnd]
-	hiStart  int64    // dirtyHiStart
-	hi       []uint64 // words[dirtyHiStart:]
-	pages    map[int64][]uint64
+	pages    []savedPage
 	heapEnd  int64
 	stackPtr int64
+}
+
+// savedPage is page number n's contents.
+type savedPage struct {
+	n     int32
+	words page
 }
 
 // Region returns the region instruction count at the snapshot: a
@@ -98,60 +100,30 @@ func (s *Snapshot) Region() uint64 { return s.c.Region }
 func (s *Snapshot) Instrs() uint64 { return s.c.Dyn }
 
 // words returns the memory words the snapshot holds.
-func (s *Snapshot) words() int {
-	n := len(s.mem.lo) + len(s.mem.hi)
-	for _, pg := range s.mem.pages {
-		n += len(pg)
-	}
-	return n
-}
-
-func clonePages(pages map[int64][]uint64) map[int64][]uint64 {
-	if pages == nil {
-		return nil
-	}
-	out := make(map[int64][]uint64, len(pages))
-	for k, pg := range pages {
-		out[k] = slices.Clone(pg)
-	}
-	return out
-}
+func (s *Snapshot) words() int { return len(s.mem.pages) * pageSize }
 
 func (m *Memory) snapshot() memState {
-	return memState{
-		size:     int64(len(m.words)),
-		lo:       slices.Clone(m.words[:m.dirtyLoEnd]),
-		hiStart:  m.dirtyHiStart,
-		hi:       slices.Clone(m.words[m.dirtyHiStart:]),
-		pages:    clonePages(m.pages),
-		heapEnd:  m.heapEnd,
-		stackPtr: m.stackPtr,
+	st := memState{pages: make([]savedPage, len(m.used)), heapEnd: m.heapEnd, stackPtr: m.stackPtr}
+	for i, n := range m.used {
+		st.pages[i].n = n
+		st.pages[i].words = m.slab[m.table[n]]
 	}
+	return st
 }
 
 // restore makes the memory equal to the saved one, whatever the
-// current contents: it zeroes whatever the current watermarks cover
-// beyond the saved spans, then overlays them. A resumed replica's
-// arena is only rewound (ResetForResume), so this is its one clear.
+// current contents: a reset, then a copy of each saved page into a
+// slot it overwrites whole.
 func (m *Memory) restore(st *memState) {
-	if int64(len(m.words)) != st.size {
-		panic(fmt.Sprintf("machine: snapshot of a %d-word memory restored into %d words", st.size, len(m.words)))
+	m.reset()
+	for i := range st.pages {
+		p := &st.pages[i]
+		m.table[p.n] = int32(len(m.slab))
+		m.slab = append(m.slab, p.words)
+		m.used = append(m.used, p.n)
 	}
-	lo := int64(len(st.lo))
-	if m.dirtyLoEnd > lo {
-		clear(m.words[lo:m.dirtyLoEnd])
-	}
-	if m.dirtyHiStart < st.hiStart {
-		clear(m.words[m.dirtyHiStart:st.hiStart])
-	}
-	copy(m.words, st.lo)
-	copy(m.words[st.hiStart:], st.hi)
-	m.dirtyLoEnd = lo
-	m.dirtyHiStart = st.hiStart
-	m.pages = clonePages(st.pages)
 	m.heapEnd = st.heapEnd
 	m.stackPtr = st.stackPtr
-	m.stale = false
 }
 
 // snapshot captures the run's state. Only called at a top-level
@@ -206,10 +178,11 @@ func (m *Machine) canSnapshot() bool {
 // Resume runs to completion from snap instead of from the kernel's
 // entry, as if the run had started at instruction 0 with the same
 // arguments: counters (Dyn included), outputs, error and fault
-// attribution equal the from-zero run's. It must directly follow New,
-// Reset or ResetForResume on a machine built for the snapshot's
-// module, and the machine must be Untimed (a snapshot holds no cycle
-// state). The armed fault must not target a region index before
+// attribution equal the from-zero run's. It must directly follow New
+// or Reset on a machine built for the snapshot's module, and the
+// machine must be Untimed (a snapshot holds no cycle state); whatever
+// the caller stored in between, the snapshot's memory replaces. The
+// armed fault must not target a region index before
 // snap.Region(), nor the budget end before snap.Instrs() — those
 // replicas diverge inside the prefix; Capture.Latest only returns
 // snapshots that fit.
@@ -315,14 +288,11 @@ type Capture struct {
 // run makes — both engines' and the runtime hooks' — goes through
 // Memory.LoadWord and StoreWord, which log it; the capture notes the
 // log here before each snapshot, at the end, and whenever it grows
-// past logDrain. The dense arena's two halves each grow their record
-// from their outer end, as the watermarks grow, so a run pays for the
-// words it touches; a dense access hashes nothing, and one into a
-// sparse page hashes its page as the access itself does.
+// past logDrain. The record holds one page of epochs per page the run
+// touches, so a run pays for the pages it touches.
 type memRecord struct {
-	epoch  uint32
-	lo, hi []wordEpochs // words[i] and words[size-1-i] of a size-word arena
-	pages  map[int64][]wordEpochs
+	epoch uint32
+	pages map[int64]*[pageSize]wordEpochs // by page number
 }
 
 // wordEpochs is one word's record.
@@ -333,75 +303,44 @@ type wordEpochs struct{ read, write uint32 }
 const logDrain = 1 << 12
 
 // drain notes the accesses mem has logged, all in the current epoch,
-// and empties the log.
+// and empties the log. An address that faults touches nothing.
 func (r *memRecord) drain(mem *Memory) {
-	size := int64(len(mem.words))
+	if r.pages == nil {
+		r.pages = make(map[int64]*[pageSize]wordEpochs)
+	}
+	n, pg := int64(-1), (*[pageSize]wordEpochs)(nil) // the last page noted
 	for _, v := range mem.log {
-		e := r.slot(v&^logWrite, size)
-		switch {
-		case e == nil:
-		case v&logWrite != 0:
-			e.write = r.epoch
-		default:
-			e.read = r.epoch
+		addr := v &^ logWrite
+		if addr < 0 || addr >= MappedLimit {
+			continue
+		}
+		if addr/pageSize != n {
+			n = addr / pageSize
+			if pg = r.pages[n]; pg == nil {
+				pg = new([pageSize]wordEpochs)
+				r.pages[n] = pg
+			}
+		}
+		if v&logWrite != 0 {
+			pg[addr%pageSize].write = r.epoch
+		} else {
+			pg[addr%pageSize].read = r.epoch
 		}
 	}
 	mem.log = mem.log[:0]
 }
 
-// slot returns the record of the word at addr in a memory of size
-// words, growing the record to hold it; nil for an address that
-// faults.
-func (r *memRecord) slot(addr, size int64) *wordEpochs {
-	switch {
-	case addr < 0 || addr >= MappedLimit:
-		return nil
-	case addr < size/2:
-		return grownTo(&r.lo, addr)
-	case addr < size:
-		return grownTo(&r.hi, size-1-addr)
-	}
-	pg := r.pages[addr/pageSize]
-	if pg == nil {
-		if r.pages == nil {
-			r.pages = make(map[int64][]wordEpochs)
-		}
-		pg = make([]wordEpochs, pageSize)
-		r.pages[addr/pageSize] = pg
-	}
-	return &pg[addr%pageSize]
-}
-
-func grownTo(s *[]wordEpochs, i int64) *wordEpochs {
-	if n := int64(len(*s)); i >= n {
-		*s = append(*s, make([]wordEpochs, i+1-n)...)
-	}
-	return &(*s)[i]
-}
-
-// at returns the record of the word at addr, a mapped address of a
-// memory of size words: zero epochs for a word the run never touched.
-func (r *memRecord) at(addr, size int64) wordEpochs {
-	var s []wordEpochs
-	i := addr
-	switch {
-	case addr < size/2:
-		s = r.lo
-	case addr < size:
-		s, i = r.hi, size-1-addr
-	default:
-		s, i = r.pages[addr/pageSize], addr%pageSize
-	}
-	if i < int64(len(s)) {
-		return s[i]
+// at returns the record of the word at addr, a mapped address: zero
+// epochs for a word the run never touched.
+func (r *memRecord) at(addr int64) wordEpochs {
+	if pg := r.pages[addr/pageSize]; pg != nil {
+		return pg[addr%pageSize]
 	}
 	return wordEpochs{}
 }
 
 // words returns how many words the record covers.
-func (r *memRecord) words() int {
-	return len(r.lo) + len(r.hi) + len(r.pages)*int(pageSize)
-}
+func (r *memRecord) words() int { return len(r.pages) * pageSize }
 
 // NewCapture returns a capture that keeps at least min snapshots of a
 // long enough run.

@@ -9,8 +9,8 @@ import (
 )
 
 // snapHarness builds a kernel whose run spans nested frames with
-// stack arrays (helper), heap stores (out) and sparse-page stores past
-// the dense arena (far), with every kernel block in-region.
+// stack arrays (helper), heap stores (out) and stores to pages past
+// the stack (far), with every kernel block in-region.
 func snapHarness(t *testing.T) (*ir.Module, int, Config) {
 	t.Helper()
 	mod := compile(t, `
@@ -38,7 +38,7 @@ void kernel(int a[], int out[], int far[], int n) {
 
 const (
 	snapN   = 300
-	snapFar = int64(1) << 23 // past the default dense arena: sparse pages
+	snapFar = int64(1) << 23 // past the stack
 )
 
 // snapSetup writes the inputs, as an instance's Setup would.

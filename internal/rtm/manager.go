@@ -142,7 +142,6 @@ func NewManager(mod *ir.Module, cfg Config) *Manager {
 // MachineConfig wires the manager into a machine configuration.
 func (m *Manager) MachineConfig(base machine.Config) machine.Config {
 	base.Hooks = m
-	base.TraceFn = -1
 	if m.memoFn >= 0 {
 		base.TraceFn = m.memoFn
 		base.CallTracer = m.traceMemoCall

@@ -46,8 +46,9 @@ func ParseScale(name string) (Scale, error) {
 type Instance struct {
 	// Setup copies the input data into a fresh machine memory and
 	// returns the kernel's argument list (raw bits). A campaign replica
-	// resumed from a snapshot runs it too, and the resume then replaces
-	// what it stored with the snapshot's memory.
+	// resumed from a snapshot skips it: the snapshot's memory already
+	// holds what Setup stored, so Output must read only memory, never
+	// state Setup keeps.
 	Setup func(mem *machine.Memory) []uint64
 	// Output reads the program's output words after a run; runs are
 	// compared bitwise against a fault-free reference (the paper

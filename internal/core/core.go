@@ -597,17 +597,17 @@ func (p *Program) machineConfig(s Scheme, mod *ir.Module, opts RunOpts) (machine
 
 // runOn executes one instance on an already-configured machine and
 // assembles the outcome. Shared by Run (one machine per call) and
-// Injector.Resume (one pooled machine across many replicas). A non-nil
-// snap resumes the run from that snapshot after Setup, so the
-// instance's Output reads the layout Setup created.
+// Injector.Resume (one pooled machine across many replicas). A nil
+// snap runs the kernel on the memory and arguments Setup creates; a
+// non-nil one resumes from the snapshot without Setup, whose stores
+// the snapshot's memory would replace at once.
 func (p *Program) runOn(m *machine.Machine, mod *ir.Module, mgr *rtm.Manager, inst bench.Instance, snap *machine.Snapshot) Outcome {
-	args := inst.Setup(m.Mem)
 	var res machine.RunResult
 	var err error
 	if snap != nil {
 		res, err = m.Resume(snap)
 	} else {
-		res, err = m.Run(p.Kernel, args)
+		res, err = m.Run(p.Kernel, inst.Setup(m.Mem))
 	}
 	out := Outcome{Result: res, Err: err, FaultFired: m.FaultFired(), Work: m.Work()}
 	var faultFn int

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 
 	"rskip/internal/bench"
 	"rskip/internal/core"
@@ -90,7 +89,7 @@ func campaignOn(ctx context.Context, sp *obs.Span, prof *Profile, cfg Config) (R
 		return Result{}, err
 	}
 	sp.SetAttr("n", e.cfg.N)
-	return (&Executor{e: e}).run(ctx)
+	return newExecutor(e).run(ctx)
 }
 
 // run completes the executor's campaign in this process: a
@@ -365,50 +364,6 @@ type engine struct {
 	// Both are nil for unstratified campaigns.
 	strataOf []int
 	strata   []StratumResult
-}
-
-// runRange executes every not-yet-done run in [lo, hi) on a worker
-// pool. It returns ctx.Err() if cancelled; records written by
-// in-flight workers before the cancellation are kept (they are valid
-// completed runs and will not be re-executed on resume).
-func (e *engine) runRange(ctx context.Context, lo, hi int) error {
-	workers := e.cfg.Workers
-	if n := hi - lo; workers > n {
-		workers = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One pooled machine per worker: replicas reuse the decoded
-			// and compiled code, memory arena and register slabs through
-			// machine.Reset instead of paying construction per injection.
-			inj := e.prof.Program.NewInjector(e.prof.Scheme)
-			defer inj.Close()
-			for i := range idx {
-				if rec, ok := e.runOne(ctx, inj, i); ok {
-					e.records[i] = rec
-					e.met.record(&rec, e.plans[i].Kind)
-				}
-			}
-		}()
-	}
-feed:
-	for i := lo; i < hi; i++ {
-		if e.records[i].Done {
-			continue
-		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return ctx.Err()
 }
 
 // runOne executes and classifies injection i on the worker's pooled

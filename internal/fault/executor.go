@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rskip/internal/bench"
@@ -27,16 +28,45 @@ import (
 // key and serves every shard of that campaign (including re-leased
 // shards stolen from a dead peer) from it. Records persist across
 // calls, so re-running a range an executor already holds is a cheap
-// no-op — the engine skips Done records.
+// no-op: the pool skips Done records.
+//
+// One worker pool serves every range of the executor. Workers start
+// on demand, up to Config.Workers, and exit when they find nothing to
+// run, so an idle executor holds no goroutines; an exited worker's
+// pooled injector waits for the next worker, so every range reuses the
+// same at most Workers machines. A worker claims each run it takes
+// until the run is recorded or interrupted, so concurrent and
+// overlapping ranges share the pool and no run executes twice.
 type Executor struct {
 	e *engine
-	// mu serializes range execution (and guards the record array
-	// against a concurrent range). Within-range parallelism comes from
-	// Config.Workers; two lease loops sharing one executor — or a
-	// stolen lease landing back on the node still running it — must
-	// not race on the record array, and with deterministic records,
-	// waiting is always correct.
+	// mu guards the record array and the pool: the claims, the ranges
+	// callers wait on, the worker count and the idle injectors. It is
+	// held only to claim, record and release a run, never while one
+	// executes, so ranges do not serialize: any number of callers share
+	// the workers, and records are deterministic whoever runs them.
 	mu sync.Mutex
+	// changed is broadcast when a run finishes or is released, when a
+	// worker exits and when a waiting caller's ctx is cancelled.
+	changed sync.Cond
+	claimed []bool      // by run index: a worker is executing it
+	ranges  []*waitSpan // the ranges callers wait on, in call order
+	workers int
+	idle    []*core.Injector // the injectors of exited workers
+}
+
+// waitSpan is one RunRange call: the runs of [next, hi) still to
+// finish, executed under ctx, and its run-ahead window [ahead, end),
+// empty unless the range may run ahead (ownRunner).
+type waitSpan struct {
+	ctx        context.Context
+	next, hi   int
+	ahead, end int
+}
+
+func newExecutor(e *engine) *Executor {
+	x := &Executor{e: e, claimed: make([]bool, len(e.records))}
+	x.changed.L = &x.mu
+	return x
 }
 
 // NewExecutor prepares a campaign for shard-at-a-time execution: the
@@ -57,7 +87,7 @@ func NewExecutor(ctx context.Context, p *core.Program, s core.Scheme, inst bench
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{e: e}, nil
+	return newExecutor(e), nil
 }
 
 // traceFor is the region trace a campaign's own profile records: one
@@ -81,13 +111,25 @@ func (x *Executor) Key() string { return x.e.key }
 func (x *Executor) N() int { return x.e.cfg.N }
 
 // RunRange executes every not-yet-done run in [lo, hi) on the
-// engine's worker pool. Cancelling ctx returns ctx.Err(); records
-// completed before the cancellation are kept and will not re-execute
-// on a later call.
+// executor's worker pool and returns once each of them is Done. Runs
+// another caller's range holds are waited for, not repeated.
+// Cancelling ctx returns ctx.Err(): runs in flight under ctx are
+// interrupted and released, and records completed before the
+// cancellation are kept and will not re-execute on a later call.
 func (x *Executor) RunRange(ctx context.Context, lo, hi int) error {
 	if err := x.checkRange(lo, hi); err != nil {
 		return err
 	}
+	return x.runRange(ctx, lo, hi, false)
+}
+
+// runRange is RunRange on a checked range. With ahead set, a worker
+// that finds no run of the range left to claim while its last runs
+// are still going takes the next runs in plan order, up to one Batch
+// past hi, so the pool does not idle at the range's end. Only a range
+// whose next one in plan order comes to this executor may do that; on
+// any other, the runs ahead would duplicate another runner's shard.
+func (x *Executor) runRange(ctx context.Context, lo, hi int, ahead bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -95,9 +137,131 @@ func (x *Executor) RunRange(ctx context.Context, lo, hi int) error {
 	sp.SetAttr("lo", lo)
 	sp.SetAttr("hi", hi)
 	defer sp.End()
+	s := &waitSpan{ctx: ctx, next: lo, hi: hi, ahead: hi, end: hi}
+	if ahead {
+		s.end = min(hi+x.e.cfg.Batch, x.e.cfg.N)
+	}
+	stop := context.AfterFunc(ctx, func() {
+		x.mu.Lock()
+		x.changed.Broadcast()
+		x.mu.Unlock()
+	})
+	defer stop()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.e.runRange(ctx, lo, hi)
+	x.ranges = append(x.ranges, s)
+	defer func() { x.ranges = slices.DeleteFunc(x.ranges, func(r *waitSpan) bool { return r == s }) }()
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		free := x.firstFree(&s.next, s.hi)
+		if s.next == s.hi {
+			return nil
+		}
+		if free >= 0 {
+			x.spawn(s.hi - s.next)
+		}
+		x.changed.Wait()
+	}
+}
+
+// spawn starts up to n more workers within Config.Workers. The caller
+// holds x.mu.
+func (x *Executor) spawn(n int) {
+	for ; n > 0 && x.workers < x.e.cfg.Workers; n-- {
+		var inj *core.Injector
+		if k := len(x.idle); k > 0 {
+			inj, x.idle = x.idle[k-1], x.idle[:k-1]
+		} else {
+			// One pooled machine per worker: replicas reuse the decoded
+			// and compiled code, memory and register slabs through
+			// machine.Reset instead of paying construction per injection.
+			inj = x.e.prof.Program.NewInjector(x.e.prof.Scheme)
+		}
+		x.workers++
+		go x.work(inj)
+	}
+}
+
+// work is one pool worker: claim a run, execute it, record it, until
+// no range has a run left to claim.
+func (x *Executor) work(inj *core.Injector) {
+	x.mu.Lock()
+	for {
+		i, ctx := x.claim()
+		if i < 0 {
+			break
+		}
+		x.claimed[i] = true
+		x.mu.Unlock()
+		rec, ok := x.e.runOne(ctx, inj, i)
+		if ok {
+			x.e.met.record(&rec, x.e.plans[i].Kind)
+		}
+		x.mu.Lock()
+		x.claimed[i] = false
+		if ok {
+			x.e.records[i] = rec
+		}
+		x.changed.Broadcast()
+	}
+	x.workers--
+	x.idle = append(x.idle, inj)
+	x.changed.Broadcast()
+	x.mu.Unlock()
+}
+
+// claim picks the next run for a worker and the ctx to run it under:
+// the first free run of the earliest waiting range, or of its run-ahead
+// window while its last runs are still going; -1 when there is none.
+// The caller holds x.mu.
+func (x *Executor) claim() (int, context.Context) {
+	for _, s := range x.ranges {
+		if s.ctx.Err() != nil {
+			continue
+		}
+		if i := x.firstFree(&s.next, s.hi); i >= 0 {
+			return i, s.ctx
+		}
+		if s.next < s.hi {
+			if i := x.firstFree(&s.ahead, s.end); i >= 0 {
+				return i, s.ctx
+			}
+		}
+	}
+	return -1, nil
+}
+
+// firstFree advances *next past the Done runs of [*next, hi) and
+// returns the first run left that no worker holds, or -1.
+func (x *Executor) firstFree(next *int, hi int) int {
+	recs := x.e.records
+	for *next < hi && recs[*next].Done {
+		*next++
+	}
+	for i := *next; i < hi; i++ {
+		if !recs[i].Done && !x.claimed[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// wait blocks until every worker has exited, then releases the pooled
+// machines. Drive calls it once its lease loops have returned, so no
+// replica of the campaign runs after Drive returns.
+func (x *Executor) wait() {
+	x.mu.Lock()
+	for x.workers > 0 {
+		x.changed.Wait()
+	}
+	idle := x.idle
+	x.idle = nil
+	x.mu.Unlock()
+	for _, inj := range idle {
+		inj.Close()
+	}
 }
 
 func (x *Executor) checkRange(lo, hi int) error {
@@ -114,7 +278,7 @@ func (x *Executor) checkRange(lo, hi int) error {
 // the records already executed stay in the executor, so if the shard
 // comes back it completes almost for free.
 func (x *Executor) RunShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat) ([]byte, error) {
-	if err := x.runShard(ctx, sh, hb); err != nil {
+	if err := x.runShard(ctx, sh, hb, false); err != nil {
 		return nil, err
 	}
 	p := ShardPayload{Key: sh.Key(x.e.key), Lo: sh.Lo, Hi: sh.Hi, Records: x.records(sh.Lo, sh.Hi)}
@@ -125,12 +289,12 @@ func (x *Executor) RunShard(ctx context.Context, sh fabric.Shard, hb fabric.Hear
 	return b, nil
 }
 
-func (x *Executor) runShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat) error {
+func (x *Executor) runShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat, ahead bool) error {
 	if err := x.checkRange(sh.Lo, sh.Hi); err != nil {
 		return err
 	}
 	for _, sub := range sh.Split(x.e.cfg.Batch) {
-		if err := x.RunRange(ctx, sub.Lo, sub.Hi); err != nil {
+		if err := x.runRange(ctx, sub.Lo, sub.Hi, ahead); err != nil {
 			return err
 		}
 		if hb != nil {

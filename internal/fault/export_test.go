@@ -21,5 +21,5 @@ func RunPlans(ctx context.Context, prof *Profile, cfg Config, plans []machine.Fa
 	e.cfg.N = len(plans)
 	e.records = make([]RunRecord, len(plans))
 	e.key += "|explicit"
-	return (&Executor{e: e}).run(ctx)
+	return newExecutor(e).run(ctx)
 }

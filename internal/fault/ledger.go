@@ -55,9 +55,12 @@ func (e *PayloadError) Is(target error) bool { return target == fabric.ErrPayloa
 //     and completion order.
 type Ledger struct {
 	// x is the executor the ledger was built for; e is its engine.
-	x      *Executor
-	e      *engine
-	plan   fabric.Plan
+	x    *Executor
+	e    *engine
+	plan fabric.Plan
+	// solo is set for a single process's shard size (NewLedger's
+	// shardSize <= 0), whose plan no remote worker leases.
+	solo   bool
 	shards []fabric.Shard
 	// bounds are the early-stop boundaries: the ends of the Batch
 	// ranges, in order.
@@ -88,14 +91,17 @@ type Ledger struct {
 // of shardSize runs (<= 0: Config.Batch, a single process's shard
 // size), resuming Config.CheckpointPath when it holds this campaign's
 // checkpoint. The executor is seeded with the restored records, so a
-// partly done shard it is leased skips its done indexes.
+// partly done shard it is leased skips its done indexes. A plan of a
+// single process's shard size must not be leased to remote workers:
+// Drive lets its own executor run ahead into shards it has not leased.
 func NewLedger(x *Executor, shardSize int) (*Ledger, error) {
 	e := x.e
-	if shardSize <= 0 {
-		shardSize = e.cfg.Batch
+	size := shardSize
+	if size <= 0 {
+		size = e.cfg.Batch
 	}
-	plan := fabric.Plan{Key: e.key, N: e.cfg.N, ShardSize: shardSize}
-	l := &Ledger{x: x, e: e, plan: plan, shards: plan.Shards(),
+	plan := fabric.Plan{Key: e.key, N: e.cfg.N, ShardSize: size}
+	l := &Ledger{x: x, e: e, plan: plan, shards: plan.Shards(), solo: shardSize <= 0,
 		recs: make([]RunRecord, e.cfg.N), stop: -1}
 	l.merged = make([]bool, len(l.shards))
 	for _, r := range fabric.Ranges(e.cfg.N, e.cfg.Batch) {
@@ -262,11 +268,17 @@ func (l *Ledger) decode(sh fabric.Shard, payload []byte) ([]RunRecord, error) {
 }
 
 // ownRunner runs shards on the ledger's own executor and completes
-// them with an empty payload (see Add).
-type ownRunner struct{ x *Executor }
+// them with an empty payload (see Add). With ahead set, the executor
+// runs ahead into the next shard while a shard's last runs finish:
+// the runner is the plan's only one, so the next shard in plan order
+// is its own.
+type ownRunner struct {
+	x     *Executor
+	ahead bool
+}
 
 func (r ownRunner) RunShard(ctx context.Context, sh fabric.Shard, hb fabric.Heartbeat) ([]byte, error) {
-	return nil, r.x.runShard(ctx, sh, hb)
+	return nil, r.x.runShard(ctx, sh, hb, r.ahead)
 }
 
 // advance extends the contiguous Done prefix and checks TargetCI at
@@ -309,12 +321,16 @@ func (l *Ledger) Result() Result {
 // Drive runs the campaign to its end through coord, a coordinator
 // from l.Coordinator: one in-process lease loop per local runner (a
 // runner may repeat), plus whatever remote workers lease from coord
-// meanwhile. It returns the ledger's Result once the plan has ended and
-// every local loop has returned; a loop still running a shard when an
-// early stop ends the plan finishes that shard first. Cancelling ctx
-// abandons the shards in flight — their runs re-execute on resume —
-// and returns the merged partial Result with an error wrapping
-// ctx.Err().
+// meanwhile. When the ledger has a single process's shard size and
+// its own executor is the only local runner, no other runner takes
+// its shards, so the executor runs ahead into the next shard while a
+// shard's last runs finish (Executor.runRange). Drive returns the
+// ledger's Result once the plan has ended, every local loop has
+// returned and every local executor's workers have exited; a loop
+// still running a shard when an early stop ends the plan finishes that
+// shard first. Cancelling ctx abandons the shards in flight — their
+// runs re-execute on resume — and returns the merged partial Result
+// with an error wrapping ctx.Err().
 func (l *Ledger) Drive(ctx context.Context, coord *fabric.Coordinator, local ...fabric.ShardRunner) (Result, error) {
 	l.mu.Lock()
 	stopped := l.stop >= 0
@@ -327,7 +343,7 @@ func (l *Ledger) Drive(ctx context.Context, coord *fabric.Coordinator, local ...
 		var wg sync.WaitGroup
 		for i, r := range local {
 			if x, ok := r.(*Executor); ok && x == l.x {
-				r = ownRunner{x}
+				r = ownRunner{x: x, ahead: l.solo && len(local) == 1}
 			}
 			wg.Add(1)
 			go func(i int, r fabric.ShardRunner) {
@@ -339,6 +355,11 @@ func (l *Ledger) Drive(ctx context.Context, coord *fabric.Coordinator, local ...
 		}
 		err = coord.Wait(ctx)
 		wg.Wait()
+		for _, r := range local {
+			if x, ok := r.(*Executor); ok {
+				x.wait()
+			}
+		}
 		// A plan that ended as ctx was cancelled reports its own outcome.
 		select {
 		case <-coord.Done():

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rskip/internal/bench"
@@ -331,5 +332,43 @@ func TestCopyIsolationEngaged(t *testing.T) {
 		e.m["fault_converged_total"], n, isolated, 100*isolated/n)
 	if isolated < 0.06*n {
 		t.Errorf("%.0f of %d replicas converged by copy isolation, want >= 6%%", isolated, n)
+	}
+}
+
+// A replica resumed from a snapshot skips the instance's Setup, whose
+// stores the snapshot's memory would replace: a campaign calls it once
+// for the profile run and once per replica whose fault target no
+// snapshot precedes.
+func TestResumedReplicasSkipSetup(t *testing.T) {
+	p, inst := sharedConv1d(t)
+	var calls atomic.Int64
+	setup := inst.Setup
+	inst.Setup = func(mem *machine.Memory) []uint64 {
+		calls.Add(1)
+		return setup(mem)
+	}
+	ctx := context.Background()
+	prof, err := NewProfile(ctx, p, core.SWIFTR, inst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := prepare(ctx, prof, Config{N: 120, Seed: 9, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(1)
+	for _, plan := range e.plans {
+		if prof.Capture.Latest(plan.Target, e.budget) == nil {
+			want++
+		}
+	}
+	if want >= 1+int64(len(e.plans)) {
+		t.Fatalf("no replica of %d resumes from a snapshot", len(e.plans))
+	}
+	if _, err := newExecutor(e).run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != want {
+		t.Errorf("Setup ran %d times, want %d: the profile run and the %d replicas with no snapshot before their target", got, want, want-1)
 	}
 }

@@ -209,12 +209,16 @@ func TestSchemesFaultFreeBitIdentical(t *testing.T) {
 // reference engine's from-zero replica in result, error, output, fault
 // attribution and run-time statistics. The kernel seed picks the
 // program and its inputs; the plan index picks the fault kind, its
-// target, bit, register and width.
+// target, bit, register and width. Among the seed entries, {1000, 9}
+// has a SWIFT-R replica converge by copy isolation through a load from
+// its struck shadow pointer, and in {1001, 774} the walk rejects a
+// SWIFT-R replica's load whose shifted address range leaves the mapped
+// space.
 func FuzzConvergence(f *testing.F) {
 	for _, s := range []struct {
 		seed int64
 		plan uint32
-	}{{1000, 0}, {1001, 3}, {1002, 17}, {1003, 40}, {1004, 123}, {1005, 999}, {1006, 4242}} {
+	}{{1000, 0}, {1001, 3}, {1002, 17}, {1003, 40}, {1004, 123}, {1005, 999}, {1006, 4242}, {1000, 9}, {1001, 774}} {
 		f.Add(s.seed, s.plan)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, plan uint32) {

@@ -24,11 +24,11 @@ import (
 // plans for identical indexes; their records can be interleaved
 // freely and merged (Ledger) to the exact single-process Result.
 //
-// Executors are long-lived: a worker daemon keeps one per campaign
-// key and serves every shard of that campaign (including re-leased
-// shards stolen from a dead peer) from it. Records persist across
-// calls, so re-running a range an executor already holds is a cheap
-// no-op: the pool skips Done records.
+// Executors are long-lived: a worker daemon keeps the one of its last
+// lease's campaign and serves every further shard of that campaign
+// (including re-leased shards stolen from a dead peer) from it.
+// Records persist across calls, so re-running a range an executor
+// already holds is a cheap no-op: the pool skips Done records.
 //
 // One worker pool serves every range of the executor. Workers start
 // on demand, up to Config.Workers, and exit when they find nothing to
@@ -248,10 +248,12 @@ func (x *Executor) firstFree(next *int, hi int) int {
 	return -1
 }
 
-// wait blocks until every worker has exited, then releases the pooled
-// machines. Drive calls it once its lease loops have returned, so no
-// replica of the campaign runs after Drive returns.
-func (x *Executor) wait() {
+// Release blocks until every worker has exited, then releases the
+// pooled machines; a later range builds new ones. Drive calls it once
+// its lease loops have returned, so no replica of the campaign runs
+// after Drive returns, and a worker daemon calls it on an executor it
+// drops.
+func (x *Executor) Release() {
 	x.mu.Lock()
 	for x.workers > 0 {
 		x.changed.Wait()

@@ -357,7 +357,7 @@ func (l *Ledger) Drive(ctx context.Context, coord *fabric.Coordinator, local ...
 		wg.Wait()
 		for _, r := range local {
 			if x, ok := r.(*Executor); ok {
-				x.wait()
+				x.Release()
 			}
 		}
 		// A plan that ended as ctx was cancelled reports its own outcome.

@@ -114,7 +114,7 @@ func TestExecutorOverlappingRanges(t *testing.T) {
 		}
 		wg.Wait()
 		cancel()
-		x.wait()
+		x.Release()
 		for k, err := range errs {
 			if k == 0 && cancelled {
 				if !errors.Is(err, context.Canceled) {

@@ -16,6 +16,9 @@ import (
 type Code struct {
 	mod *ir.Module
 	fns []fcode
+	// loads is the module's number of static loads, which
+	// dinstr.load numbers.
+	loads int
 
 	// compiled is the closure-threaded form (compiled.go), built
 	// lazily the first time a BackendCompiled machine uses this Code
@@ -81,6 +84,7 @@ type dinstr struct {
 	b0     int32 // resolved branch target (OpBr, OpCondBr true arm)
 	b1     int32 // resolved branch target (OpCondBr false arm)
 	callee int32
+	load   int32 // OpLoad: the load's index among the module's loads (Capture.loads)
 	src    *ir.Instr
 }
 
@@ -103,7 +107,12 @@ func CompileCode(mod *ir.Module) *Code {
 		for bi := range fn.Blocks {
 			start := len(flat)
 			for ii := range fn.Blocks[bi].Instrs {
-				flat = append(flat, decode(&fn.Blocks[bi].Instrs[ii]))
+				d := decode(&fn.Blocks[bi].Instrs[ii])
+				if d.op == ir.OpLoad {
+					d.load = int32(c.loads)
+					c.loads++
+				}
+				flat = append(flat, d)
 			}
 			blk := &fc.blocks[bi]
 			blk.ins = flat[start:len(flat):len(flat)]

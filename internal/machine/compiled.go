@@ -822,12 +822,16 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 		}
 
 	case ir.OpLoad:
+		li := d.load
 		if dst == ir.NoReg {
 			return func(m *Machine, f *frame) error {
 				if !m.pl.off {
 					m.pl.issue(f.ready[a0], lat)
 				}
 				addr := int64(f.regs[a0])
+				if m.capt != nil {
+					m.capt.noteLoad(li, addr)
+				}
 				if !(m.overrideActive && addr == m.overrideAddr) {
 					if _, err := m.Mem.LoadWord(addr); err != nil {
 						return err
@@ -841,6 +845,9 @@ func compileIns(d *dinstr, n0, n1 int32) cop {
 				f.ready[dst] = m.pl.issue(f.ready[a0], lat)
 			}
 			addr := int64(f.regs[a0])
+			if m.capt != nil {
+				m.capt.noteLoad(li, addr)
+			}
 			var w uint64
 			if m.overrideActive && addr == m.overrideAddr {
 				w = m.overrideVal

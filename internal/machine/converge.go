@@ -43,14 +43,23 @@ import (
 //     clean run's. When everything else matches, the registers that
 //     differ may still be isolated: a forward may-taint walk over each
 //     frame's function (isolates), from where the frame stands, finds
-//     that no path lets them reach anything but other registers and
-//     single vote operands. The replica then runs the clean run's
-//     instruction stream: by induction on its steps, its untainted
-//     registers equal the clean run's, no branch, address, store,
-//     call, return, hook, check or trap reads a tainted one, and a
-//     vote with one tainted operand takes the other two, which agree.
-//     They agree only where the clean run's vote did, so the rule is
-//     off for a capture whose run cast any split vote (Capture.split).
+//     that no path lets them reach anything but other registers,
+//     single vote operands and load addresses that stay mapped. A
+//     struck shadow pointer or index reaches a load: the walk carries
+//     each tainted register's offset d from the clean value while
+//     moves, adds, subs and muls by a register nothing on the walk
+//     writes keep it known, and admits the load when every address
+//     the clean run loaded there (Capture.loads, noted by both
+//     engines during the capture run) stays mapped shifted by d, or
+//     when the clean run never executed it; the loaded value is
+//     tainted. The replica then runs the clean run's instruction
+//     stream: by induction on its steps, its untainted registers
+//     equal the clean run's, no branch, store, call, return, hook,
+//     check or trap reads a tainted one, a load from a tainted address
+//     stays mapped and so cannot fault, and a vote with one tainted
+//     operand takes the other two, which agree. They agree only where
+//     the clean run's vote did, so the rule is off for a capture whose
+//     run cast any split vote (Capture.split).
 //   - Dead memory. A strike that corrupts a stored value, or a store's
 //     address, leaves memory differing in a word or two while the rest
 //     of the state rejoins the clean run's. When everything else
@@ -72,7 +81,8 @@ import (
 //     checks reject at once instead of scanning its memory again.
 //
 // A failed check notes in Work.Reject which part of the state failed
-// it; the last failed check's part stands.
+// it, and for a walk the kind of op it stopped at; the last failed
+// check's part stands.
 //
 // The property test in internal/fault proves converged replicas equal
 // from-zero ones on both engines.
@@ -153,7 +163,7 @@ func (m *Machine) converged() bool {
 	if cv.dead {
 		return true
 	}
-	if m.converges(cv.c.snaps[cv.next], !cv.c.split, &cv.c.rec) {
+	if m.converges(cv.c.snaps[cv.next], cv.c) {
 		return true
 	}
 	cv.seek(m.C.Region + 1)
@@ -185,22 +195,26 @@ type memWord struct {
 	val  uint64
 }
 
-// converges reports whether the run, standing where snapshot s was
-// taken, runs the rest of the clean run: its state equals s, or
-// differs only in registers each frame's isolates walk accepts (with
-// isolate; Work.Isolated notes it) and in at most deadWordCap memory
-// words that rec, the capture's record, shows the clean run never
-// reads after s (a nil rec allows none; Work.DeadWords counts them,
-// and kept holds those the clean remainder does not write either;
-// overCap notes a check that found more). A failed check notes in
-// Work.Reject what failed. Cheapest comparison
-// first: counters, frame positions, the other control state, the
-// registers that differ, hook state, memory up to its first differing
-// word, the walks, and last the rest of the memory.
-func (m *Machine) converges(s *Snapshot, isolate bool, rec *memRecord) bool {
+// converges reports whether the run, standing where snapshot s of
+// capture c was taken, runs the rest of the clean run: its state
+// equals s, or differs only in registers each frame's isolates walk
+// accepts (unless c cast a split vote; Work.Isolated notes it) and in
+// at most deadWordCap memory words that c's record shows the clean
+// run never reads after s (Work.DeadWords counts them, and kept holds
+// those the clean remainder does not write either; overCap notes a
+// check that found more). A nil c allows neither. A failed check
+// notes in Work.Reject what failed. Cheapest comparison first:
+// counters, frame positions, the other control state, the registers
+// that differ, hook state, memory up to its first differing word, the
+// walks, and last the rest of the memory.
+func (m *Machine) converges(s *Snapshot, c *Capture) bool {
 	reject := func(r Reject) bool {
 		m.work.Reject = r
 		return false
+	}
+	isolate, rec, loads := false, (*memRecord)(nil), []addrRange(nil)
+	if c != nil {
+		isolate, rec, loads = !c.split, &c.rec, c.loads
 	}
 	// The eager counters decide most mismatches before the lazy
 	// per-segment counts are folded in.
@@ -243,8 +257,15 @@ func (m *Machine) converges(s *Snapshot, isolate bool, rec *memRecord) bool {
 		return reject(RejectMemoryOther)
 	}
 	for i, d := range diff {
-		if f := &m.fr[i]; d != nil && !m.code.isolates(f.fi, f.block, f.ip, d) {
-			return reject(RejectWalk)
+		if d == nil {
+			continue
+		}
+		ret := ir.NoReg
+		if i+1 < len(m.fr) {
+			ret = m.fr[i+1].retDst
+		}
+		if why, ok := m.code.isolates(&m.fr[i], s.frames[i].regs, ret, d, loads); !ok {
+			return reject(why)
 		}
 	}
 	m.kept = m.kept[:0]
@@ -335,17 +356,21 @@ const (
 	isoReject = iota // may reach an effect: the walk rejects
 	isoPure          // taints the destination
 	isoVote          // one is outvoted; two reject
+	isoLoad          // a tainted address of known offset may load (isolates)
 )
 
 // isoClasses classifies every op for isolates. An op the IR calls pure
 // (no effect beyond its destination) propagates taint unless the
 // reference exec can make it trap: then its operands decide an effect.
-// Vote3 outvotes a single tainted operand. Every other op — memory,
+// Vote3 outvotes a single tainted operand, and a load admits a tainted
+// address whose offset keeps it mapped. Every other op — stores,
 // control flow, calls, checks, runtime hooks — rejects a tainted
 // operand, and clears its destination when it reads none.
 var isoClasses = sync.OnceValue(func() (cls [ir.NumOps]uint8) {
 	for op := ir.Op(0); int(op) < ir.NumOps; op++ {
 		switch {
+		case op == ir.OpLoad:
+			cls[op] = isoLoad
 		case !op.IsPure() || canTrap(op):
 		case op == ir.OpVote3:
 			cls[op] = isoVote
@@ -355,6 +380,18 @@ var isoClasses = sync.OnceValue(func() (cls [ir.NumOps]uint8) {
 	}
 	return cls
 })
+
+// walkReject names the kind of op of the reject class at which a walk
+// found a tainted operand.
+func walkReject(op ir.Op) Reject {
+	switch op {
+	case ir.OpStore:
+		return RejectWalkStore
+	case ir.OpCondBr:
+		return RejectWalkBranch
+	}
+	return RejectWalkOther
+}
 
 // trapProbes are operand values on which the reference exec's
 // trapping ops trap: zero and minus-one divisors, NaN, infinite and
@@ -382,96 +419,288 @@ func canTrap(op ir.Op) bool {
 	return false
 }
 
-// isolates reports whether the registers in taint, which differ from
-// the clean run's in a frame of function fi standing at (block, ip),
-// can change nothing the run does: a forward may-taint walk over the
-// function's CFG, to the fixpoint, with the union of taint where paths
-// join, finds no tainted operand of an op that rejects one and no vote
-// with two. A pure op that cannot trap taints its destination when it
-// reads a tainted register; every other write clears its destination.
-// A path ends at a return. taint is consumed.
-func (c *Code) isolates(fi, block, ip int, taint []uint64) bool {
-	fn := c.mod.Funcs[fi]
-	cls := isoClasses()
-	entry := make([][]uint64, len(fn.Blocks)) // nil: not reached tainted
-	queued := make([]bool, len(fn.Blocks))
-	var work []int
-	join := func(b int, t []uint64) {
-		if allZero(t) {
-			return // a clean path stays clean
+// isoState is the copy-isolation walk's state at a point: the
+// registers that may be tainted, and, for those of them whose offset
+// from the clean run's value is known, that offset.
+type isoState struct {
+	taint []uint64
+	offs  []isoOff // short: one entry per tainted register of known offset
+}
+
+// isoOff is a tainted register of known offset: at its point it holds
+// the clean run's value or that value plus d, modulo 2⁶⁴.
+type isoOff struct {
+	r ir.Reg
+	d uint64
+}
+
+// off returns tainted register r's offset and whether it is known.
+func (s *isoState) off(r ir.Reg) (uint64, bool) {
+	for _, o := range s.offs {
+		if o.r == r {
+			return o.d, true
 		}
-		if entry[b] == nil {
-			entry[b] = make([]uint64, len(t))
-		}
-		changed := false
-		for k, w := range t {
-			if entry[b][k]|w != entry[b][k] {
-				entry[b][k] |= w
-				changed = true
+	}
+	return 0, false
+}
+
+// set makes r clean, or tainted with offset d when known, or else
+// with an unknown offset.
+func (s *isoState) set(r ir.Reg, tainted, known bool, d uint64) {
+	if isLive(s.taint, r) {
+		for i, o := range s.offs {
+			if o.r == r {
+				s.offs[i] = s.offs[len(s.offs)-1]
+				s.offs = s.offs[:len(s.offs)-1]
+				break
 			}
 		}
-		if changed && !queued[b] {
+	}
+	if !tainted {
+		s.taint[r/64] &^= 1 << (r % 64)
+		return
+	}
+	s.taint[r/64] |= 1 << (r % 64)
+	if known {
+		s.offs = append(s.offs, isoOff{r, d})
+	}
+}
+
+// join merges in, the state at the end of a path into a block, into s,
+// the block's entry state, and reports whether s grew. Taint is the
+// union. A register both sides taint keeps its offset only if they
+// agree on it; one that only one side taints keeps that side's, since
+// the other side holds the clean value: {0, d} ∪ {0} is {0, d}.
+func (s *isoState) join(in *isoState) bool {
+	changed := false
+	kept := s.offs[:0]
+	for _, o := range s.offs {
+		if isLive(in.taint, o.r) {
+			if d, ok := in.off(o.r); !ok || d != o.d {
+				changed = true
+				continue
+			}
+		}
+		kept = append(kept, o)
+	}
+	for _, o := range in.offs {
+		if !isLive(s.taint, o.r) {
+			kept = append(kept, o)
+		}
+	}
+	s.offs = kept
+	for k, w := range in.taint {
+		if s.taint[k]|w != s.taint[k] {
+			s.taint[k] |= w
+			changed = true
+		}
+	}
+	return changed
+}
+
+// shift returns the offset of the destination of pure op in, exactly
+// one of whose operands s taints, and whether it is known: a move, an
+// add, and a sub keep the tainted operand's (a sub from a clean value
+// negates it); a mul by a register invariant over the walk, whose
+// value regs holds, scales it; any other op loses it.
+func (s *isoState) shift(in *ir.Instr, regs []uint64, invariant func(ir.Reg) bool) (uint64, bool) {
+	switch in.Op {
+	case ir.OpMov:
+		return s.off(in.Args[0])
+	case ir.OpAdd:
+		if isLive(s.taint, in.Args[0]) {
+			return s.off(in.Args[0])
+		}
+		return s.off(in.Args[1])
+	case ir.OpSub:
+		if isLive(s.taint, in.Args[0]) {
+			return s.off(in.Args[0])
+		}
+		d, ok := s.off(in.Args[1])
+		return -d, ok
+	case ir.OpMul:
+		t, k := in.Args[0], in.Args[1]
+		if !isLive(s.taint, t) {
+			t, k = k, t
+		}
+		if d, ok := s.off(t); ok && invariant(k) {
+			return d * regs[k], true
+		}
+	}
+	return 0, false
+}
+
+// shiftMapped reports whether every address load li read in the
+// clean run, shifted by d, is mapped, or whether the clean run never
+// executed the load. A nil loads, a capture without ranges, admits
+// nothing.
+func shiftMapped(loads []addrRange, li int32, d uint64) bool {
+	if loads == nil {
+		return false
+	}
+	r, s := loads[li], int64(d)
+	return r.lo > r.hi || r.lo >= 0 && r.hi < MappedLimit && -MappedLimit < s && s < MappedLimit &&
+		r.lo+s >= 0 && r.hi+s < MappedLimit
+}
+
+// isolates reports whether the registers in taint, which differ from
+// the clean run's in frame f — clean holding the clean run's values,
+// and ret, unless NoReg, being the register the pending return
+// overwrites — can change nothing the run does; otherwise it returns
+// the kind of op that may let them. It is a forward may-taint walk
+// over the frame's function, from where the frame stands, to the
+// fixpoint, joining states where paths join, that finds no tainted
+// operand of an op that rejects one and no vote with two. A pure op
+// that cannot trap taints its destination when it reads a tainted
+// register; every other write clears its destination. The walk also
+// carries each tainted register's offset from the clean value while
+// it knows it (shift, join), starting from each differing register's
+// own: a load from a tainted address of known offset is admitted when
+// the shift keeps every address the clean run loaded there mapped
+// (shiftMapped, over loads, the capture's ranges), and taints its
+// destination with an unknown offset. By induction on the replica's
+// steps it then loads without faulting wherever the clean run did. A
+// path ends at a return. taint is consumed.
+func (c *Code) isolates(f *frame, clean []uint64, ret ir.Reg, taint []uint64, loads []addrRange) (Reject, bool) {
+	fn, dfn := c.mod.Funcs[f.fi], &c.fns[f.fi]
+	cls := isoClasses()
+	st := isoState{taint: taint}
+	for k, w := range taint {
+		for ; w != 0; w &= w - 1 {
+			r := ir.Reg(64*k + bits.TrailingZeros64(w))
+			st.offs = append(st.offs, isoOff{r, f.regs[r] - clean[r]})
+		}
+	}
+	entry := make([]isoState, len(fn.Blocks)) // taint nil: not reached tainted
+	queued := make([]bool, len(fn.Blocks))
+	var work []int
+	join := func(b int, s *isoState) {
+		if allZero(s.taint) {
+			return // a clean path stays clean
+		}
+		switch e := &entry[b]; {
+		case e.taint == nil:
+			e.taint, e.offs = slices.Clone(s.taint), slices.Clone(s.offs)
+		case !e.join(s):
+			return
+		}
+		if !queued[b] {
 			queued[b] = true
 			work = append(work, b)
 		}
 	}
-	// flow runs taint t through block b from instruction i and joins
+	// invariant reports whether no instruction reachable from the
+	// walk's start writes r, so that r holds its value at the start
+	// wherever the walk reads it, and that value, r being live there
+	// and not differing, is the clean run's. The scan runs on first
+	// use only.
+	var written []uint64
+	invariant := func(r ir.Reg) bool {
+		if written == nil {
+			written = c.writtenFrom(f.fi, f.block, f.ip, len(taint))
+			if ret >= 0 {
+				written[ret/64] |= 1 << (ret % 64)
+			}
+		}
+		return !isLive(written, r)
+	}
+	// flow runs state s through block b from instruction i and joins
 	// it into the successors.
-	flow := func(t []uint64, b, i int) bool {
+	flow := func(s *isoState, b, i int) (Reject, bool) {
 		ins := fn.Blocks[b].Instrs
 		for ; i < len(ins); i++ {
 			in := &ins[i]
 			n := 0
 			for _, a := range in.Args {
-				if isLive(t, a) {
+				if isLive(s.taint, a) {
 					n++
 				}
 			}
-			taints := false
+			taints, known, d := false, false, uint64(0)
 			switch cls[in.Op] {
 			case isoPure:
 				taints = n > 0
+				if n == 1 {
+					d, known = s.shift(in, f.regs, invariant)
+				}
 			case isoVote:
 				if n > 1 {
-					return false
+					return RejectWalkVote, false
+				}
+			case isoLoad:
+				if n > 0 {
+					if d, ok := s.off(in.Args[0]); !ok || !shiftMapped(loads, dfn.blocks[b].ins[i].load, d) {
+						return RejectWalkLoad, false
+					}
+					taints = true
 				}
 			default:
 				if n > 0 {
-					return false
+					return walkReject(in.Op), false
 				}
 			}
-			if d := in.Dst; in.Op.HasDst() && d >= 0 {
-				if taints {
-					t[d/64] |= 1 << (d % 64)
-				} else {
-					t[d/64] &^= 1 << (d % 64)
-				}
+			if r := in.Dst; in.Op.HasDst() && r >= 0 {
+				s.set(r, taints, known, d)
 			}
 			switch in.Op {
 			case ir.OpRet:
-				return true
+				return 0, true
 			case ir.OpBr, ir.OpCondBr:
-				for _, s := range in.Blocks {
-					join(s, t)
+				for _, succ := range in.Blocks {
+					join(succ, s)
 				}
-				return true
+				return 0, true
 			}
 		}
-		return false // a block without a terminator
+		return RejectWalkOther, false // a block without a terminator
 	}
-	if !flow(taint, block, ip) {
-		return false
+	if why, ok := flow(&st, f.block, f.ip); !ok {
+		return why, false
 	}
-	t := make([]uint64, len(taint))
+	st = isoState{taint: make([]uint64, len(taint))}
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work, queued[b] = work[:len(work)-1], false
-		copy(t, entry[b])
-		if !flow(t, b, 0) {
-			return false
+		copy(st.taint, entry[b].taint)
+		st.offs = append(st.offs[:0], entry[b].offs...)
+		if why, ok := flow(&st, b, 0); !ok {
+			return why, false
 		}
 	}
-	return true
+	return 0, true
+}
+
+// writtenFrom returns the registers, as a set of width words, that an
+// instruction reachable from instruction ip of function fi's block
+// writes.
+func (c *Code) writtenFrom(fi, block, ip, width int) []uint64 {
+	fn := c.mod.Funcs[fi]
+	w := make([]uint64, width)
+	seen := make([]bool, len(fn.Blocks))
+	var stack []int
+	visit := func(b, from int) {
+		ins := fn.Blocks[b].Instrs
+		for i := from; i < len(ins); i++ {
+			if r := ins[i].Dst; ins[i].Op.HasDst() && r >= 0 {
+				w[r/64] |= 1 << (r % 64)
+			}
+		}
+		if n := len(ins); n > 0 {
+			for _, s := range ins[n-1].Blocks {
+				if !seen[s] {
+					seen[s] = true
+					stack = append(stack, s)
+				}
+			}
+		}
+	}
+	visit(block, ip)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		visit(b, 0)
+	}
+	return w
 }
 
 // eachDiff calls visit, in ascending order, with each address at

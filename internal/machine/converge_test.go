@@ -207,7 +207,7 @@ func (h *stateHooks) SameState(saved any) bool { return h.n == saved.(int) }
 // everything the rest of the run reads, copy isolation off and with no
 // record of the clean run's memory accesses.
 func (m *Machine) sameState(s *Snapshot) bool {
-	return m.converges(s, false, nil)
+	return m.converges(s, nil)
 }
 
 // sameAs reports whether the memory means the same as a saved one.

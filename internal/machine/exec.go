@@ -229,6 +229,9 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 
 	case ir.OpLoad:
 		addr := argI(0)
+		if m.capt != nil {
+			m.capt.noteLoad(m.code.fns[f.fi].blocks[f.block].ins[f.ip-1].load, addr)
+		}
 		var w uint64
 		if m.overrideActive && addr == m.overrideAddr {
 			w = m.overrideVal

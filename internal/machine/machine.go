@@ -251,7 +251,10 @@ type Machine struct {
 	conv convState // convergence check against the clean run (converge.go)
 	hang hangState // hang-proof attempts (hangproof.go)
 	nest int       // runtime-hook recompute runs in progress
-	_    [8]byte   // pads pl to a 64-byte offset
+	// capt is the capture a capture run notes its loads' addresses in
+	// (Capture.loads), nil in every other run; it also pads pl to a
+	// 64-byte offset.
+	capt *Capture
 
 	// pl sits past every hot field: its fixed slot/ring arrays span
 	// several pages, and keeping them there keeps every other hot field
@@ -473,12 +476,18 @@ const (
 	RejectHooks              // the runtime hooks' state
 	RejectMemoryLive         // a memory word the clean remainder reads
 	RejectMemoryOther        // the segment pointers, or more differing words than deadWordCap
-	RejectWalk               // registers the copy-isolation walk cannot isolate
+	// The copy-isolation walk found that the registers that differ may
+	// reach an effect, at:
+	RejectWalkLoad   // a load address of unknown offset, or one the offset may take out of range
+	RejectWalkStore  // a store's address or value
+	RejectWalkBranch // a branch condition
+	RejectWalkVote   // a vote with two tainted operands
+	RejectWalkOther  // any other op: a call, return, hook, check or trapping op
 	NumRejects
 )
 
 var rejectNames = [NumRejects]string{"no_check", "dyn", "counters", "positions", "control", "registers",
-	"hooks", "memory_live", "memory_other", "walk"}
+	"hooks", "memory_live", "memory_other", "walk_load", "walk_store", "walk_branch", "walk_vote", "walk_other"}
 
 func (r Reject) String() string { return rejectNames[r] }
 

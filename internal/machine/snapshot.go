@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -272,10 +273,21 @@ type Capture struct {
 	stride  uint64
 	next    uint64
 	snaps   []*Snapshot
-	final   *Snapshot // the end of a run that finished without error
-	split   bool      // the run cast a vote whose operands were not all equal
-	rec     memRecord // when the run last read and wrote each word
+	final   *Snapshot   // the end of a run that finished without error
+	split   bool        // the run cast a vote whose operands were not all equal
+	rec     memRecord   // when the run last read and wrote each word
+	loads   []addrRange // by static load (dinstr.load): the addresses the run, nested runs included, loaded from
 	elapsed time.Duration
+}
+
+// addrRange is the least and the greatest address a static load read
+// in a capture run; lo > hi for a load the run never executed.
+type addrRange struct{ lo, hi int64 }
+
+// noteLoad widens load li's range to addr.
+func (c *Capture) noteLoad(li int32, addr int64) {
+	r := &c.loads[li]
+	r.lo, r.hi = min(r.lo, addr), max(r.hi, addr)
 }
 
 // memRecord notes, for every word a capture run reads or writes, the
@@ -445,15 +457,20 @@ func (c *Capture) Latest(target, maxInstrs uint64) *Snapshot {
 
 // runCapturing is the top-level dispatch loop of a run with a
 // Capture: either engine's single-step dispatch, with a snapshot
-// check between steps, and the memory's access log on. Nested runs
-// (runtime hooks' recompute calls) go through runToDepth and never
-// snapshot, but their accesses are logged too.
+// check between steps, the memory's access log on, and each load's
+// address noted in Capture.loads. Nested runs (runtime hooks'
+// recompute calls) go through runToDepth and never snapshot, but
+// their accesses and loads are noted too.
 // Snapshots sit only where the compiled engine dispatches a segment,
 // so a compiled replica reaches every snapshot point of a
 // reference-engine capture and can check for convergence there.
 func (m *Machine) runCapturing(c *Capture) error {
-	m.Mem.log = make([]int64, 0, logDrain)
-	defer func() { m.Mem.log = nil }()
+	c.loads = make([]addrRange, m.code.loads)
+	for i := range c.loads {
+		c.loads[i] = addrRange{math.MaxInt64, math.MinInt64}
+	}
+	m.Mem.log, m.capt = make([]int64, 0, logDrain), c
+	defer func() { m.Mem.log, m.capt = nil, nil }()
 	for len(m.fr) > 0 {
 		if m.C.Region >= c.next && m.atSegStart() {
 			c.take(m)

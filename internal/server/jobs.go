@@ -515,6 +515,12 @@ func (s *Server) executeCampaign(ctx context.Context, j *job) (fault.Result, *re
 		return rep.Composed, rep, nil
 	}
 	c.Fault.OnProgress = j.publishProgress
+	if gate := s.progressGate; gate != nil {
+		c.Fault.OnProgress = func(pr fault.Progress) {
+			j.publishProgress(pr)
+			gate(ctx, pr)
+		}
+	}
 	if s.store.dir != "" {
 		c.Fault.CheckpointPath = s.store.ckPath(j.spec.ID)
 	}

@@ -176,6 +176,11 @@ type Server struct {
 	workerWG   sync.WaitGroup
 	inflightN  atomic.Int64
 	started    time.Time
+
+	// progressGate, when set, runs after each progress snapshot a job
+	// publishes, under the job's context: tests hold a campaign at a
+	// shard boundary with it.
+	progressGate func(ctx context.Context, pr fault.Progress)
 }
 
 // New builds a Server: it creates the checkpoint dir, re-enqueues any

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -696,7 +697,9 @@ func countsEqual(a, b map[string]int) bool {
 // TestDrainAndResume is the acceptance scenario: SIGTERM-style drain
 // interrupts a running campaign mid-flight, the checkpoint it left is
 // resumable, and a fresh daemon on the same checkpoint dir completes
-// the job to counts bit-identical to an uninterrupted campaign.
+// the job to counts bit-identical to an uninterrupted campaign. A
+// progress gate holds the campaign at its first merged shard until
+// the drain cancels it, so the drain always lands mid-campaign.
 func TestDrainAndResume(t *testing.T) {
 	dir := t.TempDir()
 	const n, seed = 400, 4242
@@ -705,12 +708,24 @@ func TestDrainAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reached := make(chan struct{})
+	var once sync.Once
+	server.SetProgressGate(s1, func(ctx context.Context, pr fault.Progress) {
+		if pr.Done > 0 && pr.Done < pr.N {
+			once.Do(func() { close(reached) })
+			<-ctx.Done()
+		}
+	})
 	ts1 := httptest.NewServer(s1.Handler())
 	id := submitCampaign(t, ts1, map[string]any{
 		"bench": "conv1d", "scheme": "unsafe", "n": n, "seed": seed, "batch": 25, "workers": 2,
 	})
 	// Let it make real progress, then drain mid-campaign.
-	waitFor(t, ts1, id, 120*time.Second, func(st statusResp) bool { return st.Done >= 25 })
+	select {
+	case <-reached:
+	case <-time.After(120 * time.Second):
+		t.Fatal("the campaign merged no shard within 120s")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s1.Drain(ctx); err != nil {
@@ -1249,6 +1264,38 @@ func TestDistributedCampaignOverHTTP(t *testing.T) {
 	snap := o.M().Snapshot()
 	if got, want := snap["fabric_shard_seconds_count"], snap["fabric_shards_completed_total"]; got != want || want != n/30 {
 		t.Errorf("fabric_shard_seconds count %v, shards completed %v, want both %d", got, want, n/30)
+	}
+}
+
+// TestWorkerKeepsOneExecutor: a worker that serves two distributed
+// campaigns in turn ends holding only the second one's executor — a
+// lease of another plan drops the last plan's executor instead of
+// caching every campaign the worker ever served.
+func TestWorkerKeepsOneExecutor(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1, LeaseTTL: 2 * time.Second})
+	wk, err := server.NewWorker(server.WorkerConfig{
+		Join: ts.URL, Name: "test-worker", Poll: 25 * time.Millisecond, Workers: 2,
+		Log: func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, wcancel := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() { defer close(workerDone); _ = wk.Run(wctx) }()
+	defer func() { wcancel(); <-workerDone }()
+
+	var held []string
+	for _, seed := range []int{5, 6} {
+		id := submitCampaign(t, ts, map[string]any{"bench": "conv1d", "scheme": "unsafe", "n": 40, "seed": seed,
+			"distributed": true, "shard_size": 20, "local_workers": -1})
+		if st := waitFor(t, ts, id, 120*time.Second, terminal); st.State != "done" {
+			t.Fatalf("seed %d: campaign finished %q (%s), want done", seed, st.State, st.Error)
+		}
+		held = append(held, server.WorkerPlanKey(wk))
+	}
+	if held[0] == "" || held[1] == "" || held[0] == held[1] {
+		t.Errorf("the worker held the executor of plan %q after the first campaign and of %q after the second, want one each, the second a new plan", held[0], held[1])
 	}
 }
 

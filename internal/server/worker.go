@@ -36,18 +36,20 @@ type WorkerConfig struct {
 
 // Worker is a fabric worker: it pulls shard leases from a coordinator
 // daemon, executes them on locally built executors, and streams
-// heartbeats and completed payloads back. Executors are cached by
-// plan key, so every shard of a campaign — across leases, including
-// shards stolen back after this worker was presumed dead — shares one
-// build, one profile run and one record array.
+// heartbeats and completed payloads back. It runs one lease at a time
+// and keeps the executor of the last lease's plan, so consecutive
+// shards of a campaign — including shards stolen back after this
+// worker was presumed dead — share one build, one profile run and one
+// record array; a lease of another plan drops it.
 type Worker struct {
 	cfg  WorkerConfig
 	ctx  context.Context
 	name string
 	cli  *httpx.Client
 
-	mu    sync.Mutex
-	execs map[string]*fault.Executor // by plan key
+	mu   sync.Mutex
+	key  string          // the plan key exec was built for
+	exec *fault.Executor // nil before the first lease and after a failed build
 }
 
 // NewWorker validates the config and builds a worker.
@@ -73,7 +75,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			fmt.Fprintf(os.Stderr, "rskipd worker: "+format+"\n", args...)
 		}
 	}
-	return &Worker{cfg: cfg, name: cfg.Name, cli: &httpx.Client{}, execs: map[string]*fault.Executor{}}, nil
+	return &Worker{cfg: cfg, name: cfg.Name, cli: &httpx.Client{}}, nil
 }
 
 // Run is the worker loop: lease, execute, complete, repeat until ctx
@@ -178,17 +180,24 @@ func (w *Worker) post(path string, body any) error {
 	return nil
 }
 
-// executor resolves the lease's plan to a cached executor, building
-// one from the spec on first sight. The locally derived campaign key
-// must equal the coordinator's plan key — a mismatch means the two
-// processes disagree about the build or the fault model, and running
-// anyway would merge wrong records into a right-looking result.
+// executor resolves the lease's plan to the worker's executor. A lease
+// of another plan than the last one's drops that plan's executor,
+// releasing its pooled machines, and builds one from the spec. The
+// locally derived campaign key must equal the coordinator's plan key —
+// a mismatch means the two processes disagree about the build or the
+// fault model, and running anyway would merge wrong records into a
+// right-looking result.
 func (w *Worker) executor(lease fabric.WireLease) (*fault.Executor, error) {
 	w.mu.Lock()
-	x := w.execs[lease.PlanKey]
+	x := w.exec
+	if x != nil && w.key == lease.PlanKey {
+		w.mu.Unlock()
+		return x, nil
+	}
+	w.exec, w.key = nil, ""
 	w.mu.Unlock()
 	if x != nil {
-		return x, nil
+		x.Release()
 	}
 	var req campaignRequest
 	if err := json.Unmarshal(lease.Spec, &req); err != nil {
@@ -202,7 +211,7 @@ func (w *Worker) executor(lease fabric.WireLease) (*fault.Executor, error) {
 		return nil, fmt.Errorf("worker: plan key mismatch (configuration drift; refusing the shard):\n  local %s\n  coord %s", x.Key(), lease.PlanKey)
 	}
 	w.mu.Lock()
-	w.execs[lease.PlanKey] = x
+	w.exec, w.key = x, lease.PlanKey
 	w.mu.Unlock()
 	w.cfg.Log("prepared %s n=%d for %s", req.Bench, x.N(), lease.JobID)
 	return x, nil

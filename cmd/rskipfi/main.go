@@ -342,12 +342,13 @@ func metricsSummary(label string, delta map[string]float64) string {
 	}
 	var rest []string
 	for k := range delta {
-		// Arena-pool reuse depends on which worker claims which batch
-		// (each worker builds one pooled machine per batch it runs), so
-		// those counters are scheduling noise here — the summary must
-		// stay a pure function of the flags. Work counters follow how
-		// much work a campaign does, never what it computes, which is
-		// what the summary reports. Both remain in -metrics.
+		// Memory-pool reuse depends on how many workers the executor
+		// starts, which follows scheduling (each new worker builds one
+		// machine, taking a released machine's memory when the pool
+		// holds one), so those counters are scheduling noise here — the
+		// summary must stay a pure function of the flags. Work counters
+		// follow how much work a campaign does, never what it computes,
+		// which is what the summary reports. Both remain in -metrics.
 		if strings.HasPrefix(k, "machine_arena_pool_") || fault.IsWorkCounter(k) {
 			continue
 		}

@@ -423,21 +423,12 @@ func (m *Machine) foldSegCounters() {
 
 // pureOp reports ops with no side effects beyond their destination
 // write: when the destination is NoReg these compile to an issue-only
-// closure. Trapping ops (Div, Rem, FToI), memory ops and control flow
-// are excluded — they keep their effects even without a destination.
+// closure. They are the ops isoClasses lets a tainted operand through:
+// the ops the IR calls pure, less loads and the ops the reference exec
+// can make trap, which keep their effects even without a destination.
 func pureOp(op ir.Op) bool {
-	switch op {
-	case ir.OpConstInt, ir.OpConstFloat, ir.OpMov,
-		ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
-		ir.OpShl, ir.OpShr, ir.OpNeg,
-		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-		ir.OpFEq, ir.OpFNe, ir.OpFLt, ir.OpFLe, ir.OpFGt, ir.OpFGe,
-		ir.OpIToF, ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpFAbs,
-		ir.OpPow, ir.OpFloor, ir.OpFMin, ir.OpFMax, ir.OpVote3:
-		return true
-	}
-	return false
+	c := isoClasses()[op]
+	return c == isoPure || c == isoVote
 }
 
 func issue0(lat uint64) cop {

@@ -22,9 +22,8 @@ import (
 //     iteration on a copy of the registers, back to the header, and
 //     summarises each register as an affine function a + b·j of the
 //     iteration index j (a is the register's value now), or as unknown
-//     (top). Loads are unknown; only add, sub, mov, neg, multiply by an
-//     invariant, shift left by an invariant and a vote of identical
-//     operands keep a varying value affine. Registers the iteration
+//     (top). Loads are unknown; only add, sub, mov and multiply by an
+//     invariant keep a varying value affine. Registers the iteration
 //     reads before writing must come back as (a+b, b) — otherwise they
 //     become unknown and the dry run repeats.
 //   - A loop nested in the one being proved is one step of the dry run.
@@ -38,7 +37,8 @@ import (
 //     them, grow by T iterations' worth. The step nests, up to
 //     hangMaxDepth loops, and counts its dry-run work, not T times the
 //     inner iteration, against the path cap. A nested loop whose
-//     summary fails is walked block by block instead.
+//     summary fails, or that leaves in its first iteration, fails the
+//     dry run.
 //   - Obligations bound the number J of iterations the summary holds:
 //     every branch operand and address is known; no comparison or
 //     branch changes its j = 0 outcome; every address stays in
@@ -265,25 +265,14 @@ func (lv *level) clearIteration() {
 	lv.dyn, lv.region, lv.nested = 0, 0, false
 }
 
-// undo is the dry run's state at a nested loop's header, kept while
-// the dry run takes the loop as one step, for walking it instead.
-type undo struct {
-	regs                     []uint64
-	val                      []aval
-	iters, flip, dyn, region uint64 // the enclosing level's accumulation
-	path, duties             int
-	nested                   bool
-}
-
 // proof is the state of one attempt's dry runs.
 type proof struct {
 	f      frame  // the dry run's frame: a copy of the top frame's registers
 	val    []aval // register values as the dry run goes
 	lv     [hangMaxDepth]level
-	undo   []undo // one per summarise under way, innermost last
-	depth  int    // the level whose loop the dry run is in
-	instrs int    // instructions the current dry run executed
-	limit  int    // cap on instrs
+	depth  int // the level whose loop the dry run is in
+	instrs int // instructions the current dry run executed
+	limit  int // cap on instrs
 	rem    uint64
 	// pre is what the dry run took as one step before the header of
 	// the loop being proved: the rest of the loops it handed on from.
@@ -317,7 +306,6 @@ func (m *Machine) newProof(f *frame) *proof {
 		lv.start, lv.base, lv.entry = lv.start[:n], lv.base[:n], lv.entry[:n]
 		lv.written, lv.first = lv.written[:n], lv.first[:n]
 	}
-	p.undo = p.undo[:0]
 	p.rem = m.cfg.MaxInstrs - m.C.Dyn
 	p.limit = int(min(hangMaxPath, p.rem/16))
 	p.pre.dyn, p.pre.region, p.pre.path, p.pre.nested = 0, 0, p.pre.path[:0], false
@@ -507,9 +495,9 @@ func (m *Machine) iterate(p *proof, d int) proofResult {
 // walk dry-runs from the frame's block at level d until the run gets
 // back to loop l's header (proofHolds), leaves l (proofExits) or
 // reaches the budget's end (proofSpent). A loop nested in l whose
-// header it reaches is one step (summarise), or, if that fails, walked
-// block by block. With exit set the walk is a summarised loop's exit
-// iteration, which must leave l before its header comes round again.
+// header it reaches is one step (summarise). With exit set the walk is
+// a summarised loop's exit iteration, which must leave l before its
+// header comes round again.
 func (m *Machine) walk(p *proof, d int, l *analysis.Loop, exit bool) proofResult {
 	sf := &p.f
 	lf := m.code.loopForest(sf.fi)
@@ -519,26 +507,14 @@ func (m *Machine) walk(p *proof, d int, l *analysis.Loop, exit bool) proofResult
 	for i := range d {
 		used += p.lv[i].dyn
 	}
-	var unrolled *analysis.Loop // the nested loop walked block by block
 	for {
 		p.depth = d
 		b := sf.block
 		if !l.Blocks[b] {
 			return proofExits // the loop exits now
 		}
-		if unrolled != nil && !unrolled.Blocks[b] {
-			unrolled = nil
-		}
-		if li := lf.inner[b]; b != l.Header && li >= 0 && lf.loops[li].Header == b && &lf.loops[li] != unrolled {
-			switch r := m.summarise(p, d+1, &lf.loops[li]); r {
-			case proofHolds:
-			case proofFails:
-				if p.instrs > p.limit {
-					return proofFails
-				}
-				unrolled = &lf.loops[li]
-				continue
-			default:
+		if li := lf.inner[b]; b != l.Header && li >= 0 && lf.loops[li].Header == b {
+			if r := m.summarise(p, d+1, &lf.loops[li]); r != proofHolds {
 				return r
 			}
 		} else if !m.stepBlock(p, lv, cf, b) {
@@ -586,69 +562,18 @@ func (m *Machine) stepBlock(p *proof, lv *level, cf *cfunc, b int) bool {
 // summarise takes loop l, whose header the dry run at level c-1 stands
 // at, as one step: it proves l's iterations at level c, applies the T
 // before its exit iteration at once, and dry-runs the exit iteration at
-// level c-1. On failure it leaves the dry run as it found it.
+// level c-1. A loop whose first iteration leaves it has no summary:
+// the step fails.
 func (m *Machine) summarise(p *proof, c int, l *analysis.Loop) proofResult {
 	if c >= hangMaxDepth {
 		return proofFails
 	}
-	u := p.save(c - 1)
-	defer func() { p.undo = p.undo[:len(p.undo)-1] }()
-	r := m.collapse(p, c, l)
-	switch r {
-	case proofHolds:
-		p.lv[c-1].nested = true
-	case proofFails:
-		p.restore(c-1, u, l)
-	}
-	return r
-}
-
-// save pushes the dry run's state at a nested loop's header.
-func (p *proof) save(d int) *undo {
-	n := len(p.val)
-	if len(p.undo) == cap(p.undo) {
-		p.undo = append(p.undo, undo{regs: make([]uint64, n), val: make([]aval, n)})
-	} else {
-		p.undo = p.undo[:len(p.undo)+1]
-	}
-	u := &p.undo[len(p.undo)-1]
-	if len(u.regs) < n {
-		u.regs, u.val = make([]uint64, n), make([]aval, n)
-	}
-	u.regs, u.val = u.regs[:n], u.val[:n]
-	copy(u.regs, p.f.regs)
-	copy(u.val, p.val)
-	lv := &p.lv[d]
-	u.iters, u.flip, u.dyn, u.region = lv.iters, lv.flip, lv.dyn, lv.region
-	u.path, u.duties, u.nested = len(lv.path), len(lv.duties), lv.nested
-	return u
-}
-
-// restore returns the dry run to the state save kept, at the header of
-// loop l.
-func (p *proof) restore(d int, u *undo, l *analysis.Loop) {
-	copy(p.f.regs, u.regs)
-	copy(p.val, u.val)
-	lv := &p.lv[d]
-	lv.iters, lv.flip, lv.dyn, lv.region = u.iters, u.flip, u.dyn, u.region
-	lv.path, lv.duties, lv.nested = lv.path[:u.path], lv.duties[:u.duties], u.nested
-	p.f.block, p.f.ip = l.Header, 0
-}
-
-// collapse is summarise's proof: l's summary at level c, its T iterations
-// folded into level c-1, and its exit iteration.
-func (m *Machine) collapse(p *proof, c int, l *analysis.Loop) proofResult {
 	sf := &p.f
 	lv := p.enter(c, l)
 	switch r := m.converge(p, c); r {
-	case proofExits:
-		// The first iteration left l: the dry run took the exit
-		// iteration itself, once.
-		if !p.fold(c, 1) {
-			return proofFails
-		}
-		return proofHolds
 	case proofHolds:
+	case proofExits:
+		return proofFails
 	default:
 		return r
 	}
@@ -686,6 +611,7 @@ func (m *Machine) collapse(p *proof, c int, l *analysis.Loop) proofResult {
 		}
 		return proofFails
 	}
+	p.lv[c-1].nested = true
 	return proofHolds
 }
 
@@ -837,8 +763,6 @@ func (m *Machine) stepProof(p *proof, d *dinstr, op cop) bool {
 		v = affine(x, y, axpy(1, y.b, x.b))
 	case ir.OpSub:
 		v = affine(x, y, axpy(-1, y.b, x.b))
-	case ir.OpNeg:
-		v = affine(x, x, axpy(-1, x.b, steps{}))
 	case ir.OpMul:
 		switch {
 		case x.top || y.top:
@@ -849,12 +773,6 @@ func (m *Machine) stepProof(p *proof, d *dinstr, op cop) bool {
 			v.b = axpy(int64(sf.regs[d.a0]), y.b, steps{})
 		default:
 			v = top
-		}
-	case ir.OpShl:
-		if !y.b.zero() {
-			v = top
-		} else {
-			v = affine(x, y, axpy(1<<(sf.regs[d.a1]&63), x.b, steps{}))
 		}
 	case ir.OpDiv, ir.OpRem:
 		if y.top || !y.b.zero() {
@@ -870,15 +788,6 @@ func (m *Machine) stepProof(p *proof, d *dinstr, op cop) bool {
 			v = top
 		} else if !p.compare(d.op, sf.regs[d.a0], x, sf.regs[d.a1], y) {
 			return false
-		}
-	case ir.OpVote3:
-		switch {
-		case same(x, y, sf.regs[d.a0], sf.regs[d.a1]) || same(x, z, sf.regs[d.a0], sf.regs[d.a2]):
-			v = x
-		case same(y, z, sf.regs[d.a1], sf.regs[d.a2]):
-			v = y
-		default:
-			v = invariant(x, y, z)
 		}
 	default:
 		v = invariant(x, y, z)
@@ -906,8 +815,7 @@ func affine(x, y aval, b steps) aval {
 	return aval{b: b}
 }
 
-// axpy returns k·x + y, wrapping like the machine's arithmetic; a shift
-// left by n is a multiply by 1<<n.
+// axpy returns k·x + y, wrapping like the machine's arithmetic.
 func axpy(k int64, x, y steps) steps {
 	for i := range y {
 		y[i] += k * x[i]
@@ -923,12 +831,6 @@ func invariant(x, y, z aval) aval {
 		return top
 	}
 	return aval{}
-}
-
-// same reports whether two known values are one function of the
-// indices.
-func same(x, y aval, xa, ya uint64) bool {
-	return !x.top && !y.top && x.b == y.b && xa == ya
 }
 
 // rangeEnd returns the first iteration j at which a + b·j (b ≠ 0)

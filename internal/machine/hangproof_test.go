@@ -237,6 +237,17 @@ func TestHangProofEdgeCases(t *testing.T) {
 		// innermost inside it, as one step each.
 		{"nest3-middle-bound", nestKernel(lt3, 0, 3, 1, 1000, 3, 3), strike(4, 20), true, true, "hang", 140},
 		{"nest3-outer-bound", nestKernel(lt3, 0, 3, 1, 1000, 3, 3), strike(1, 20), true, true, "hang", 140},
+		// A struck trip count makes a nested loop long but finite: 516
+		// iterations of the inner loop, two levels deep, or 259 of the
+		// innermost, three deep. The budget ends inside the second
+		// outer iteration's nested loop, so the dry run that proves the
+		// outer loop (after handing on from the nested loop the attempt
+		// found first) reaches the budget's end inside a nested step,
+		// before it gets back to the header: that proof holds, skipping
+		// the rest of the nested loop, and is what lets these replicas
+		// skip their runaway loops at all.
+		{"nested-struck-inner-count", nestKernel(lt2, 0, 5, 1, 1000, 4, 0), strike(4, 9), true, true, "hang", 24},
+		{"nest3-struck-innermost-count", nestKernel(lt3, 0, 3, 1, 1000, 3, 3), strike(5, 8), true, true, "hang", 140},
 		// An innermost trip count that follows the outer counter differs
 		// from one outer iteration to the next: the outer loop is not
 		// proved, and no inner loop is long enough to be.

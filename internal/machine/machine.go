@@ -177,7 +177,7 @@ type Config struct {
 	Trace      io.Writer
 	TraceLimit uint64
 	// Metrics, when non-nil, receives per-run execution counters
-	// (instructions, cycles, region work, arena pool traffic). The
+	// (instructions, cycles, region work, memory pool traffic). The
 	// instruments are resolved once at New and fed once per Run, so
 	// the per-instruction hot path is untouched; nil keeps the machine
 	// metric-free at the cost of one pointer test per run.
@@ -338,9 +338,9 @@ func New(mod *ir.Module, cfg Config) *Machine {
 	if cfg.Metrics != nil {
 		m.met = newMachineMetrics(cfg.Metrics)
 		if pooled {
-			cfg.Metrics.Counter("machine_arena_pool_hits_total", "memory arenas recycled from the pool").Inc()
+			cfg.Metrics.Counter("machine_arena_pool_hits_total", "machine memories reused from released machines (the name predates the page-table memory)").Inc()
 		} else {
-			cfg.Metrics.Counter("machine_arena_pool_misses_total", "memory arenas freshly allocated").Inc()
+			cfg.Metrics.Counter("machine_arena_pool_misses_total", "machine memories freshly allocated").Inc()
 		}
 	}
 	code := cfg.Code

@@ -18,6 +18,7 @@ package result
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -184,9 +185,12 @@ func (c *Cache) Put(key string, res fault.Result) error {
 
 // GetOrRun returns the cached result for key, or computes it with run
 // and persists it. Concurrent callers with the same key coalesce onto
-// one computation. A corrupt entry is replaced by a live run, never
-// surfaced as a failure. cached reports whether the result came from
-// the cache (disk or coalesced) rather than this call's run.
+// one computation. A caller waiting on a computation that fails or
+// panics (its caller cancelled, say) tries again, running the
+// computation itself unless another waiter already does. A corrupt
+// entry is replaced by a live run, never surfaced as a failure. cached
+// reports whether the result came from the cache (disk or coalesced)
+// rather than this call's run.
 func (c *Cache) GetOrRun(key string, run func() (fault.Result, error)) (res fault.Result, cached bool, err error) {
 	if c == nil {
 		res, err = run()
@@ -200,28 +204,31 @@ func (c *Cache) GetOrRun(key string, run func() (fault.Result, error)) (res faul
 	// live run below recomputes the same pure function and overwrites
 	// the damaged file.
 
-	c.mu.Lock()
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		if f.err == nil {
+	var f *flight
+	for f == nil {
+		c.mu.Lock()
+		if w, ok := c.inflight[key]; ok {
+			c.mu.Unlock()
+			<-w.done
+			if w.err != nil {
+				continue
+			}
 			c.hits.Add(1)
-			return f.res, true, nil
+			return w.res, true, nil
 		}
-		return fault.Result{}, false, f.err
-	}
-	// A leader may have stored the entry and retired its flight between
-	// the lookup above and taking the lock; it stores before it retires,
-	// so a second lookup under the lock sees the entry and does not run
-	// the computation again.
-	if got, gerr := c.Get(key); got != nil && gerr == nil {
+		// A leader may have stored the entry and retired its flight
+		// between the lookup above and taking the lock; it stores before
+		// it retires, so a second lookup under the lock sees the entry
+		// and does not run the computation again.
+		if got, gerr := c.Get(key); got != nil && gerr == nil {
+			c.mu.Unlock()
+			c.hits.Add(1)
+			return *got, true, nil
+		}
+		f = &flight{done: make(chan struct{})}
+		c.inflight[key] = f
 		c.mu.Unlock()
-		c.hits.Add(1)
-		return *got, true, nil
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
 
 	defer func() {
 		f.res, f.err = res, err
@@ -232,6 +239,7 @@ func (c *Cache) GetOrRun(key string, run func() (fault.Result, error)) (res faul
 	}()
 
 	c.misses.Add(1)
+	err = errNoResult // what the waiters see if run panics
 	res, err = run()
 	if err != nil {
 		return fault.Result{}, false, err
@@ -241,3 +249,6 @@ func (c *Cache) GetOrRun(key string, run func() (fault.Result, error)) (res faul
 	}
 	return res, false, nil
 }
+
+// errNoResult is a flight's outcome when its computation panicked.
+var errNoResult = errors.New("result: computation ended without a result")

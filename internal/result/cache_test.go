@@ -1,12 +1,15 @@
 package result
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rskip/internal/fault"
 )
@@ -208,6 +211,70 @@ func TestGetOrRunPropagatesRunError(t *testing.T) {
 	})
 	if err != nil || cached || res.N != 2 {
 		t.Errorf("retry after failure: (%+v, %v, %v)", res, cached, err)
+	}
+}
+
+// TestGetOrRunWaiterOutlivesFailedLeader pins that a failed
+// computation fails only its own caller: a caller coalesced onto a run
+// that returns context.Canceled, or that panics, runs the campaign
+// itself and gets its result, as a concurrent rskipd job sharing a
+// region key with a cancelled one must.
+func TestGetOrRunWaiterOutlivesFailedLeader(t *testing.T) {
+	for _, panics := range []bool{false, true} {
+		t.Run(map[bool]string{false: "cancelled", true: "panicked"}[panics], func(t *testing.T) {
+			c, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			type outcome struct {
+				res    fault.Result
+				cached bool
+				err    error
+			}
+			waiter := make(chan outcome)
+			var waiterRuns atomic.Int32
+			leader := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, _, err = c.GetOrRun("shared", func() (fault.Result, error) {
+					arrived := make(chan struct{})
+					go func() {
+						close(arrived)
+						res, cached, err := c.GetOrRun("shared", func() (fault.Result, error) {
+							waiterRuns.Add(1)
+							return testResult(5), nil
+						})
+						waiter <- outcome{res, cached, err}
+					}()
+					<-arrived
+					// Give the second caller time to find this flight and
+					// wait on it.
+					time.Sleep(50 * time.Millisecond)
+					if panics {
+						panic("campaign panicked")
+					}
+					return fault.Result{}, context.Canceled
+				})
+				return err
+			}
+			if err := leader(); err == nil {
+				t.Fatal("leader: no error")
+			}
+			got := <-waiter
+			if got.err != nil || got.cached || got.res.N != 5 {
+				t.Errorf("waiter: (%+v, cached %v, %v), want its own run's result", got.res, got.cached, got.err)
+			}
+			if n := waiterRuns.Load(); n != 1 {
+				t.Errorf("waiter ran the campaign %d times, want 1", n)
+			}
+			again := func() (fault.Result, error) { return fault.Result{}, errors.New("ran again") }
+			if res, cached, err := c.GetOrRun("shared", again); err != nil || !cached || res.N != 5 {
+				t.Errorf("after the waiter's run: (%+v, cached %v, %v), want its result from the cache", res, cached, err)
+			}
+		})
 	}
 }
 
